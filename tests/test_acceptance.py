@@ -6,6 +6,9 @@ for the cone grid, 1 instance x 20 starts for the polyhedral product grid)
 with pinned base seeds, so the whole suite is deterministic.
 """
 
+import csv
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy import linalg as la
@@ -40,6 +43,10 @@ SOC_GRID = dict(num_instances=100, starts_per_instance=10, n=200, tol=1e-6,
                 max_iter=100_000, base_seed=SOC_SEED)
 POLY_GRID = dict(num_instances=1, starts_per_instance=20, n=200, tol=1e-6,
                  max_iter=100_000, base_seed=POLY_SEED)
+# (instance_seed, start_seed, method, iterations, status) of every run of both
+# grids, as the original two drivers produced them; final_gap is left out
+# because its last bits move under rounding changes
+GOLDEN_GRIDS = Path(__file__).parent / "data" / "golden_grids.csv"
 
 
 @pytest.fixture(scope="module")
@@ -50,6 +57,19 @@ def soc_result():
 @pytest.fixture(scope="module")
 def poly_result():
     return bench_polyhedral_prod(**POLY_GRID)
+
+
+def test_grids_match_golden_table(soc_result, poly_result):
+    with open(GOLDEN_GRIDS, encoding="utf-8", newline="") as f:
+        golden = [(int(r["instance_seed"]), int(r["start_seed"]), r["method"],
+                   int(r["iterations"]), r["status"]) for r in csv.DictReader(f)]
+    runs = [(r.instance_seed, r.start_seed, r.method, r.iterations, r.status)
+            for r in soc_result.records + poly_result.records]
+    assert len(golden) == 3060
+    changed = [(g, r) for g, r in zip(golden, runs) if g != r]
+    assert len(runs) == len(golden) and not changed, changed[:5]
+    print(f"\nGOLDEN PASS — all {len(golden)} runs of both grids match "
+          "tests/data/golden_grids.csv in iterations and status")
 
 
 def test_criterion_1_one_step_hyperplane_convergence():
