@@ -19,7 +19,6 @@ from .errors import (
     NotInAffine,
     ParseError,
     SchemaVersionMismatch,
-    WeightError,
 )
 from .sets import (
     AffineSubspace,
@@ -39,23 +38,17 @@ from .methods import (
     Method,
     SolverConfig,
     Status,
-    averaged_crm_step,
     crm_step,
     drm_step,
     gap,
     map_step,
     run,
-    serial_crm_step,
 )
 from .product_space import (
     DiagonalSubspace,
     ProductSet,
     crm_prod_step,
-    drm_prod_step,
     lift,
-    map_prod_step,
-    project_d,
-    project_w,
     restrict,
     run_prod,
 )

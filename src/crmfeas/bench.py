@@ -15,6 +15,7 @@ import json
 import statistics
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 from .errors import EmptyInput
 from .instances import derive_seed, gen_polyhedral_instance, gen_soc_instance, gen_start
@@ -37,11 +38,14 @@ __all__ = [
     "read_records_csv",
     "export_traces_csv",
     "export_summary_json",
+    "export_profile",
 ]
 
 SOC_METHODS = ("CRM", "DRM", "MAP")
 PROD_METHODS = ("CRM-prod", "DRM-prod", "MAP-prod")
 CSV_COLUMNS = ("instance_seed", "start_seed", "method", "iterations", "final_gap", "status")
+# record labels of each grid kind, in the order CRM, DRM, MAP
+_GRID_METHODS = {"soc": SOC_METHODS, "polyhedral_prod": PROD_METHODS}
 
 # seed-stream tags, part of the determinism contract
 _INSTANCE_TAG = 1
@@ -194,16 +198,21 @@ def profile_from_records(records) -> list[ProfileCurve]:
     return performance_profile(rows, methods=methods, failure=None)
 
 
-def _soc_unit(args) -> list[RunRecord]:
-    n, tol, max_iter, instance_seed, start_seeds, record_gaps = args
-    instance = gen_soc_instance(n, instance_seed)
-    cone, affine = instance.sets[0], instance.affine
+def _grid_unit(args) -> list[RunRecord]:
+    """All runs of one instance of a grid (picklable for the process pool)."""
+    kind, n, tol, max_iter, instance_seed, start_seeds, record_gaps = args
+    if kind == "soc":
+        instance = gen_soc_instance(n, instance_seed)
+        solve = partial(run, instance.sets[0], instance.affine)
+    else:
+        instance = gen_polyhedral_instance(n, instance_seed)
+        solve = partial(run_prod, ProductSet(instance.sets))
     records = []
     for start_seed in start_seeds:
         start = gen_start(instance, start_seed, min_gap=tol)
-        for name, method in (("CRM", Method.CRM), ("DRM", Method.DRM), ("MAP", Method.MAP)):
+        for name, method in zip(_GRID_METHODS[kind], (Method.CRM, Method.DRM, Method.MAP)):
             cfg = SolverConfig(tol=tol, max_iter=max_iter, method=method)
-            trace = run(cone, affine, start.projected, cfg)
+            trace = solve(start.projected, cfg)
             records.append(
                 RunRecord(
                     instance_seed=instance_seed,
@@ -218,35 +227,7 @@ def _soc_unit(args) -> list[RunRecord]:
     return records
 
 
-def _poly_unit(args) -> list[RunRecord]:
-    n, tol, max_iter, instance_seed, start_seeds, record_gaps = args
-    instance = gen_polyhedral_instance(n, instance_seed)
-    W = ProductSet(instance.sets)
-    records = []
-    for start_seed in start_seeds:
-        start = gen_start(instance, start_seed, min_gap=tol)
-        for name, method in (
-            ("CRM-prod", Method.CRM),
-            ("DRM-prod", Method.DRM),
-            ("MAP-prod", Method.MAP),
-        ):
-            cfg = SolverConfig(tol=tol, max_iter=max_iter, method=method)
-            trace = run_prod(W, start.projected, cfg)
-            records.append(
-                RunRecord(
-                    instance_seed=instance_seed,
-                    start_seed=start_seed,
-                    method=name,
-                    iterations=trace.iterations,
-                    final_gap=trace.gaps[-1],
-                    status=trace.status.value,
-                    gaps=trace.gaps if record_gaps else None,
-                )
-            )
-    return records
-
-
-def _run_grid(unit, kind, methods, num_instances, starts_per_instance, n, tol, max_iter,
+def _run_grid(kind, num_instances, starts_per_instance, n, tol, max_iter,
               base_seed, jobs, record_gaps) -> BenchResult:
     if num_instances < 1 or starts_per_instance < 1:
         raise ValueError("instance and start counts must be positive")
@@ -256,18 +237,19 @@ def _run_grid(unit, kind, methods, num_instances, starts_per_instance, n, tol, m
         start_seeds = [
             derive_seed(base_seed, _START_TAG, i, j) for j in range(starts_per_instance)
         ]
-        units.append((n, tol, max_iter, instance_seed, start_seeds, record_gaps))
+        units.append((kind, n, tol, max_iter, instance_seed, start_seeds, record_gaps))
 
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(unit, units))
+            chunks = list(pool.map(_grid_unit, units))
     else:
-        chunks = [unit(u) for u in units]
+        chunks = [_grid_unit(u) for u in units]
 
     records = [r for chunk in chunks for r in chunk]
     records.sort(key=lambda r: (r.instance_seed, r.start_seed, r.method))
     stats = [
-        make_stats(m, [r for r in records if r.method == m], max_iter) for m in methods
+        make_stats(m, [r for r in records if r.method == m], max_iter)
+        for m in _GRID_METHODS[kind]
     ]
     params = {
         "n": n,
@@ -285,10 +267,11 @@ def bench_soc(num_instances: int = 100, starts_per_instance: int = 10, n: int = 
               jobs: int = 1, record_gaps: bool = False) -> BenchResult:
     """Cone-and-affine grid: CRM vs DRM vs MAP on the two-set problem.
 
-    All three methods start from the same projected point and stop when
-    ``||P_U(z) - P_C(z)|| < tol``.
+    All three methods start from the same projected point. CRM and MAP stop
+    when ``||z - P_C(z)|| < tol`` (their iterates stay in ``U``), DRM when
+    ``||P_U(z) - P_C(z)|| < tol`` (see :func:`crmfeas.methods.run`).
     """
-    return _run_grid(_soc_unit, "soc", SOC_METHODS, num_instances, starts_per_instance,
+    return _run_grid("soc", num_instances, starts_per_instance,
                      n, tol, max_iter, base_seed, jobs, record_gaps)
 
 
@@ -301,7 +284,7 @@ def bench_polyhedral_prod(num_instances: int = 1, starts_per_instance: int = 20,
     Starts are diagonal lifts; stopping uses the product feasibility error
     (see :func:`crmfeas.product_space.run_prod`).
     """
-    return _run_grid(_poly_unit, "polyhedral_prod", PROD_METHODS, num_instances,
+    return _run_grid("polyhedral_prod", num_instances,
                      starts_per_instance, n, tol, max_iter, base_seed, jobs, record_gaps)
 
 
@@ -349,6 +332,30 @@ def export_traces_csv(records, path) -> None:
                 writer.writerow([r.instance_seed, r.start_seed, r.method, k, repr(g)])
 
 
+def _profile_doc(curves) -> list[dict]:
+    return [
+        {"method": c.method, "thresholds": c.thresholds, "fraction_solved": c.fraction_solved}
+        for c in curves
+    ]
+
+
+def export_profile(curves, format: str, path) -> None:
+    """Write profile curves: a JSON list of ``{method, thresholds,
+    fraction_solved}`` or CSV rows ``method, threshold, fraction_solved``."""
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        if format == "json":
+            json.dump(_profile_doc(curves), f)
+            f.write("\n")
+        elif format == "csv":
+            writer = csv.writer(f)
+            writer.writerow(["method", "threshold", "fraction_solved"])
+            for c in curves:
+                for tau, frac in zip(c.thresholds, c.fraction_solved):
+                    writer.writerow([c.method, repr(tau), repr(frac)])
+        else:
+            raise ValueError(f"unknown format {format!r}")
+
+
 def export_summary_json(result: BenchResult, path, profiles=None) -> None:
     doc = {
         "schema": 1,
@@ -367,14 +374,7 @@ def export_summary_json(result: BenchResult, path, profiles=None) -> None:
         ],
     }
     if profiles is not None:
-        doc["profile"] = [
-            {
-                "method": c.method,
-                "thresholds": c.thresholds,
-                "fraction_solved": c.fraction_solved,
-            }
-            for c in profiles
-        ]
+        doc["profile"] = _profile_doc(profiles)
     with open(path, "w", encoding="utf-8") as f:
         json.dump(doc, f, indent=2)
         f.write("\n")

@@ -8,12 +8,13 @@ any run fails to converge.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 
 from . import bench as bench_mod
 from .instances import Kind, gen_start, read_problem
 from .methods import Method, SolverConfig, Status, run
-from .product_space import ProductSet, project_d, restrict, run_prod
+from .product_space import ProductSet, restrict, run_prod
 
 
 class _Parser(argparse.ArgumentParser):
@@ -37,8 +38,7 @@ def _build_parser() -> _Parser:
 
     solve = sub.add_parser("solve", parents=[], help="solve one problem file")
     solve.add_argument("problem", help="problem JSON file")
-    solve.add_argument("--method", choices=[m.value for m in (Method.CRM, Method.MAP, Method.DRM)],
-                       default="CRM")
+    solve.add_argument("--method", choices=[m.value for m in Method], default="CRM")
     _add_common(solve)
 
     bench = sub.add_parser("bench", help="run an experiment grid")
@@ -77,7 +77,7 @@ def _cmd_solve(args) -> int:
     else:
         W = ProductSet(instance.sets)
         trace = run_prod(W, start.projected, cfg)
-        point = restrict(project_d(trace.final_point, instance.m), instance.m)
+        point = restrict(trace.final_point, instance.m)
 
     print(f"method={args.method} status={trace.status.value} "
           f"iterations={trace.iterations} final_gap={trace.gaps[-1]:.3e}")
@@ -89,8 +89,6 @@ def _cmd_solve(args) -> int:
                 status=trace.status.value, gaps=trace.gaps)
             bench_mod.export_traces_csv([record], args.out)
         else:
-            import json
-
             with open(args.out, "w", encoding="utf-8") as f:
                 json.dump({
                     "method": args.method,
@@ -121,22 +119,7 @@ def _cmd_profile(args) -> int:
     records = bench_mod.read_records_csv(args.runs)
     curves = bench_mod.profile_from_records(records)
     if args.out:
-        if args.format == "json":
-            import json
-
-            with open(args.out, "w", encoding="utf-8") as f:
-                json.dump([{"method": c.method, "thresholds": c.thresholds,
-                            "fraction_solved": c.fraction_solved} for c in curves], f)
-                f.write("\n")
-        else:
-            import csv as _csv
-
-            with open(args.out, "w", encoding="utf-8", newline="") as f:
-                writer = _csv.writer(f)
-                writer.writerow(["method", "threshold", "fraction_solved"])
-                for c in curves:
-                    for tau, frac in zip(c.thresholds, c.fraction_solved):
-                        writer.writerow([c.method, repr(tau), repr(frac)])
+        bench_mod.export_profile(curves, args.format, args.out)
     else:
         for c in curves:
             final = c.fraction_solved[-1] if c.fraction_solved else 0.0

@@ -25,10 +25,6 @@ class InconsistentIntersection(FeasibilityError):
     """A stacked linear system has no solution; the intersection may be empty."""
 
 
-class WeightError(FeasibilityError):
-    """Convex-combination weights are missing, non-positive, or do not sum to 1."""
-
-
 class BadDimension(FeasibilityError):
     """Instance generator called with an unsupported dimension."""
 

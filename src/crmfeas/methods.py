@@ -1,14 +1,14 @@
-"""Single-step operators and iteration drivers for the two-set problem K ∩ U.
+"""Single-step operators and the iteration driver for the two-set problem K ∩ U.
 
 ``K`` is any closed convex set from the catalog and ``U`` an affine subspace
 (or any set with an affine projector, such as the diagonal subspace of the
-product-space reformulation). Three families are provided:
+product-space reformulation). Three methods are provided:
 
-* CRM: ``z -> circumcenter{z, R_K(z), R_U R_K(z)}``, for ``z in U``;
+* CRM: ``z -> P_U(circumcenter{z, R_K(z), R_U R_K(z)})``, for ``z in U``;
 * MAP: ``z -> P_U(P_K(z))``;
 * DRM: ``z -> (z + R_U(R_K(z))) / 2``.
 
-plus serial and weighted-average compositions of CRM over several sets.
+One loop drives them for both ``run`` and the product-space ``run_prod``.
 """
 
 from __future__ import annotations
@@ -20,12 +20,7 @@ import numpy as np
 from numpy import linalg as la
 
 from .circumcenter import circumcenter
-from .errors import (
-    DegenerateConfiguration,
-    InconsistentIntersection,
-    NotInAffine,
-    WeightError,
-)
+from .errors import DegenerateConfiguration, NotInAffine
 from .sets import ConvexSet, as_point
 
 __all__ = [
@@ -36,8 +31,6 @@ __all__ = [
     "crm_step",
     "map_step",
     "drm_step",
-    "serial_crm_step",
-    "averaged_crm_step",
     "gap",
     "run",
 ]
@@ -53,8 +46,6 @@ class Method(str, enum.Enum):
     CRM = "CRM"
     MAP = "MAP"
     DRM = "DRM"
-    SERIAL_CRM = "SerialCRM"
-    AVERAGED_CRM = "AveragedCRM"
 
 
 class Status(str, enum.Enum):
@@ -67,15 +58,12 @@ class Status(str, enum.Enum):
 class SolverConfig:
     """Driver configuration.
 
-    ``tol`` is the gap tolerance of the stopping rule (default ``1e-6``),
-    ``weights`` applies to :data:`Method.AVERAGED_CRM` only and must be
-    strictly positive and sum to 1.
+    ``tol`` is the gap tolerance of the stopping rule (default ``1e-6``).
     """
 
     tol: float = 1e-6
     max_iter: int = 100_000
     method: Method = Method.CRM
-    weights: tuple[float, ...] | None = None
     record_trace: bool = False
 
     def __post_init__(self):
@@ -83,12 +71,8 @@ class SolverConfig:
             raise ValueError("tol must be positive")
         if self.max_iter <= 0:
             raise ValueError("max_iter must be positive")
-        if self.weights is not None:
-            w = np.asarray(self.weights, dtype=float)
-            if w.size == 0 or np.any(w <= 0):
-                raise WeightError("weights must be strictly positive")
-            if abs(float(w.sum()) - 1.0) > 1e-12:
-                raise WeightError("weights must sum to 1")
+        if not isinstance(self.method, Method):
+            raise ValueError(f"method must be one of {[m.value for m in Method]}")
 
 
 @dataclass
@@ -113,11 +97,15 @@ def _check_in_affine(U: ConvexSet, z: np.ndarray) -> None:
 
 
 def _crm_from_projection(z: np.ndarray, pk: np.ndarray, U: ConvexSet) -> np.ndarray:
-    """CRM update given ``pk = P_K(z)``; assumes z in U."""
+    """CRM update given ``pk = P_K(z)``; assumes z in U.
+
+    The circumcenter lies in ``U`` in exact arithmetic; projecting it back
+    keeps rounding from carrying later iterates off ``U``.
+    """
     rk = 2.0 * pk - z
     if float(la.norm(z - rk)) < FIXED_POINT_TOL * (1.0 + float(la.norm(z))):
         return z
-    return circumcenter((z, rk, U.reflect(rk))).center
+    return U.project(circumcenter((z, rk, U.reflect(rk))).center)
 
 
 def crm_step(K: ConvexSet, U: ConvexSet, z) -> np.ndarray:
@@ -146,78 +134,37 @@ def drm_step(K: ConvexSet, U: ConvexSet, z) -> np.ndarray:
     return 0.5 * (z + U.reflect(K.reflect(z)))
 
 
-def serial_crm_step(Ks, U: ConvexSet, z) -> np.ndarray:
-    """CRM steps applied through ``Ks`` in order; stays in ``U``."""
-    for K in Ks:
-        z = crm_step(K, U, z)
-    return z
-
-
-def averaged_crm_step(Ks, U: ConvexSet, weights, z) -> np.ndarray:
-    """Convex combination ``sum_i w_i * crm_step(K_i, U, z)``."""
-    Ks = list(Ks)
-    if weights is None:
-        raise WeightError("weights are required")
-    w = np.asarray(weights, dtype=float)
-    if w.size != len(Ks):
-        raise WeightError(f"{len(Ks)} sets but {w.size} weights")
-    if np.any(w <= 0) or abs(float(w.sum()) - 1.0) > 1e-12:
-        raise WeightError("weights must be strictly positive and sum to 1")
-    z = as_point(z, U.dim)
-    out = np.zeros_like(z)
-    for wi, K in zip(w, Ks):
-        out += wi * crm_step(K, U, z)
-    return out
-
-
 def gap(K: ConvexSet, U: ConvexSet, z) -> float:
-    """Infeasibility measure ``||P_U(z) - P_K(z)||`` used for stopping."""
+    """Infeasibility measure ``||P_U(z) - P_K(z)||``; for ``z in U``, the distance to ``K``."""
     z = as_point(z)
     return float(la.norm(U.project(z) - K.project(z)))
 
 
-def _normalize_sets(K, method: Method):
-    if isinstance(K, ConvexSet):
-        Ks = [K]
-    else:
-        Ks = list(K)
-        if not Ks:
-            raise ValueError("need at least one set")
-    if method in (Method.CRM, Method.MAP, Method.DRM) and len(Ks) != 1:
-        raise ValueError(f"{method.value} takes a single set; got {len(Ks)}")
-    return Ks
+def _drive(K: ConvexSet, U: ConvexSet, z: np.ndarray, config: SolverConfig,
+           drm_shadow: bool = False) -> IterationTrace:
+    """Iterate the configured method from ``z in U`` until the gap drops below tol.
 
-
-def run(K, U: ConvexSet, z0, config: SolverConfig) -> IterationTrace:
-    """Iterate the configured method from ``z0`` until the gap drops below tol.
-
-    ``z0`` is projected onto ``U`` before the first step for every method
-    (CRM requires it; MAP and DRM share the start for a fair comparison). The
-    stopping gap is evaluated on the raw iterate for all methods, even though
-    DRM iterates may leave ``U``. Gap projections are reused by the next step
-    so the stopping test adds no extra projection cost for CRM/MAP/DRM.
-
-    ``K`` is a single set for CRM/MAP/DRM and a sequence of sets for
-    SerialCRM/AveragedCRM (stopping then uses the worst per-set gap).
+    CRM and MAP iterates stay in ``U`` and stop on ``||z - P_K(z)||``. DRM
+    iterates may leave ``U``: by default DRM stops on ``||P_U(z) - P_K(z)||``;
+    with ``drm_shadow`` it runs ``z -> (z + R_K(R_U(z))) / 2``, stops on
+    ``||P_U(z) - P_K(R_U(z))||`` and reports the shadow ``P_U(z)`` as the
+    final point. Each rule measures the gap with the projection onto ``K``
+    that the next step reuses.
     """
     method = config.method
-    Ks = _normalize_sets(K, method)
-    z = U.project(as_point(z0, U.dim))
-
     gaps: list[float] = []
     iterates: list[np.ndarray] | None = [z] if config.record_trace else None
     iterations = 0
-    status = Status.MAX_ITER
-    single = Ks[0] if len(Ks) == 1 else None
 
     while True:
-        pu = U.project(z)
-        if single is not None:
-            pk = single.project(z)
-            g = float(la.norm(pu - pk))
+        if method is not Method.DRM:
+            y, pk = z, K.project(z)
+        elif drm_shadow:
+            y = U.project(z)
+            pk = K.project(2.0 * y - z)
         else:
-            pk = None
-            g = max(float(la.norm(pu - Ki.project(z))) for Ki in Ks)
+            y, pk = U.project(z), K.project(z)
+        g = float(la.norm(y - pk))
         gaps.append(g)
         if g < config.tol:
             status = Status.CONVERGED
@@ -230,13 +177,12 @@ def run(K, U: ConvexSet, z0, config: SolverConfig) -> IterationTrace:
                 z = _crm_from_projection(z, pk, U)
             elif method is Method.MAP:
                 z = U.project(pk)
-            elif method is Method.DRM:
-                z = 0.5 * (z + U.reflect(2.0 * pk - z))
-            elif method is Method.SERIAL_CRM:
-                z = serial_crm_step(Ks, U, z)
+            elif drm_shadow:
+                # (z + R_K(R_U z)) / 2, with pk = P_K(R_U z) and y = P_U z
+                z = 0.5 * (z + 2.0 * pk - (2.0 * y - z))
             else:
-                z = averaged_crm_step(Ks, U, config.weights, z)
-        except (DegenerateConfiguration, InconsistentIntersection, NotInAffine):
+                z = 0.5 * (z + U.reflect(2.0 * pk - z))
+        except DegenerateConfiguration:
             status = Status.DEGENERATE
             break
         iterations += 1
@@ -247,6 +193,19 @@ def run(K, U: ConvexSet, z0, config: SolverConfig) -> IterationTrace:
         gaps=gaps,
         iterations=iterations,
         status=status,
-        final_point=z,
+        final_point=y if drm_shadow else z,
         iterates=iterates,
     )
+
+
+def run(K: ConvexSet, U: ConvexSet, z0, config: SolverConfig) -> IterationTrace:
+    """Iterate the configured method from ``z0`` until the gap drops below tol.
+
+    ``z0`` is projected onto ``U`` before the first step for every method
+    (CRM requires it; MAP and DRM share the start for a fair comparison).
+    CRM and MAP iterates stay in ``U`` and stop on ``||z - P_K(z)|| < tol``;
+    DRM iterates may leave ``U`` and stop on ``||P_U(z) - P_K(z)|| < tol``.
+    """
+    if not isinstance(K, ConvexSet):
+        raise ValueError(f"K must be a single ConvexSet, not {type(K).__name__}")
+    return _drive(K, U, U.project(as_point(z0, U.dim)), config)

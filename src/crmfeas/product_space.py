@@ -2,11 +2,10 @@
 
 A point common to sets ``X_1, ..., X_m`` in R^n is sought as a point of
 ``W ∩ D`` in R^(nm), where ``W = X_1 x ... x X_m`` and ``D`` is the diagonal
-subspace ``{(x, ..., x)}``. Both are catalog sets, so the generic two-set
-drivers apply with ``K := W`` and ``U := D``; the step functions here exist
-to pin the operator orderings used by the product-space variants (reflect/
-project through ``D`` first for MAP and DRM, through ``W`` first for CRM)
-and to exploit the block structure of the projections.
+subspace ``{(x, ..., x)}``. ``D`` is an affine subspace, so the two-set
+operators and driver of :mod:`crmfeas.methods` apply with ``K := W`` and
+``U := D``; this module supplies the two sets, the lift/restrict maps and
+the product-space stopping rule of ``run_prod``.
 """
 
 from __future__ import annotations
@@ -14,33 +13,18 @@ from __future__ import annotations
 import numpy as np
 from numpy import linalg as la
 
-from .circumcenter import circumcenter
-from .errors import (
-    DegenerateConfiguration,
-    DimensionMismatch,
-    InconsistentIntersection,
-    NotDiagonal,
-    NotInAffine,
-)
-from .methods import (
-    FIXED_POINT_TOL,
-    IterationTrace,
-    Method,
-    SolverConfig,
-    Status,
-)
-from .sets import AffineSubspace, ConvexSet, Halfspace, as_point
+# not called here; perfbench/tracing.py wraps the name in every module binding it
+from .circumcenter import circumcenter  # noqa: F401
+from .errors import DimensionMismatch, NotDiagonal
+from .methods import IterationTrace, SolverConfig, _drive, crm_step
+from .sets import ConvexSet, Halfspace, as_point
 
 __all__ = [
     "ProductSet",
     "DiagonalSubspace",
     "lift",
     "restrict",
-    "project_d",
-    "project_w",
     "crm_prod_step",
-    "map_prod_step",
-    "drm_prod_step",
     "run_prod",
 ]
 
@@ -106,16 +90,6 @@ class DiagonalSubspace(ConvexSet):
         mean = z.reshape(self.m, self.n).mean(axis=0)
         return np.tile(mean, self.m)
 
-    def to_affine(self) -> AffineSubspace:
-        """Equation form ``x^(i) - x^(i+1) = 0`` (intended for small dims)."""
-        n, m = self.n, self.m
-        A = np.zeros(((m - 1) * n, n * m))
-        for i in range(m - 1):
-            rows = slice(i * n, (i + 1) * n)
-            A[rows, i * n:(i + 1) * n] = np.eye(n)
-            A[rows, (i + 1) * n:(i + 2) * n] = -np.eye(n)
-        return AffineSubspace(A, np.zeros((m - 1) * n))
-
     def __repr__(self):
         return f"DiagonalSubspace(n={self.n}, m={self.m})"
 
@@ -127,20 +101,16 @@ def lift(x, m: int) -> np.ndarray:
     return np.tile(as_point(x), m)
 
 
-def _split(z, m: int) -> np.ndarray:
-    z = as_point(z)
-    if m < 1 or z.size % m:
-        raise DimensionMismatch(f"dimension {z.size} is not divisible into {m} blocks")
-    return z.reshape(m, z.size // m)
-
-
 def restrict(z, m: int, tol: float | None = None) -> np.ndarray:
     """Blockwise average of a near-diagonal point (the inverse of ``lift``).
 
     Raises ``NotDiagonal`` when some block deviates from the average by more
     than ``tol`` (default ``1e-8 * (1 + ||z||)``).
     """
-    X = _split(z, m)
+    z = as_point(z)
+    if m < 1 or z.size % m:
+        raise DimensionMismatch(f"dimension {z.size} is not divisible into {m} blocks")
+    X = z.reshape(m, z.size // m)
     mean = X.mean(axis=0)
     if tol is None:
         tol = DIAG_TOL * (1.0 + float(la.norm(X)))
@@ -150,65 +120,27 @@ def restrict(z, m: int, tol: float | None = None) -> np.ndarray:
     return mean
 
 
-def project_d(z, m: int) -> np.ndarray:
-    """Projection onto the diagonal subspace: blockwise mean, replicated."""
-    X = _split(z, m)
-    return np.tile(X.mean(axis=0), m)
+def crm_prod_step(W: ProductSet, z) -> np.ndarray:
+    """Circumcenter step ``P_D(circ{z, R_W(z), R_D R_W(z)})`` for ``z in D``.
 
-
-def project_w(W: ProductSet, z) -> np.ndarray:
-    """Projection onto the product set, factor by factor."""
-    return W.project(z)
-
-
-def _orderings(W: ProductSet, order: str):
-    D = DiagonalSubspace(W.block_dim, W.m)
-    if order == "dw":
-        return D, W, D
-    if order == "wd":
-        return W, D, D
-    raise ValueError("order must be 'dw' (through D first) or 'wd'")
-
-
-def crm_prod_step(W: ProductSet, z, order: str = "wd") -> np.ndarray:
-    """Circumcenter step ``circ{z, R_W(z), R_D R_W(z)}`` for ``z in D``.
-
-    The default order reflects through ``W`` first, which is the ordering
-    covered by the convergence theory when iterates start in ``D``. The
-    opposite order is available for experimentation only.
+    This is :func:`crmfeas.methods.crm_step` with ``K := W`` and ``U := D``;
+    it raises ``NotInAffine`` unless ``z`` lies in ``D`` (within ``1e-8``
+    relative).
     """
-    first, second, D = _orderings(W, order)
-    z = as_point(z, W.dim)
-    if float(la.norm(z - D.project(z))) > DIAG_TOL * (1.0 + float(la.norm(z))):
-        raise NotInAffine("crm_prod_step requires z in the diagonal subspace")
-    r1 = first.reflect(z)
-    if float(la.norm(z - r1)) < FIXED_POINT_TOL * (1.0 + float(la.norm(z))):
-        return z
-    return circumcenter((z, r1, second.reflect(r1))).center
-
-
-def map_prod_step(W: ProductSet, z, order: str = "dw") -> np.ndarray:
-    """Alternating projections ``P_W(P_D(z))`` (note: ``D`` first)."""
-    first, second, _ = _orderings(W, order)
-    return second.project(first.project(as_point(z, W.dim)))
-
-
-def drm_prod_step(W: ProductSet, z, order: str = "dw") -> np.ndarray:
-    """Douglas-Rachford ``(z + R_W(R_D(z))) / 2`` (note: ``D`` first)."""
-    first, second, _ = _orderings(W, order)
-    z = as_point(z, W.dim)
-    return 0.5 * (z + second.reflect(first.reflect(z)))
+    return crm_step(W, DiagonalSubspace(W.block_dim, W.m), z)
 
 
 def run_prod(W: ProductSet, z0, config: SolverConfig) -> IterationTrace:
     """Drive a product-space method from ``z0`` (projected onto ``D`` first).
 
-    The stopping error for CRM and MAP is ``||zeta - P_W(zeta)|| < tol`` with
-    ``zeta`` the method's diagonal point: the iterate itself for CRM (the
-    sequence stays in ``D``) and ``P_D(z^k)`` for MAP, whose raw iterates lie
-    in ``W`` exactly, making the raw rule vacuous. DRM's raw iterates also
-    enter ``W`` (already its first one does), so DRM stops on
-    ``||P_D(z) - P_W(R_D(z))|| < tol`` instead, the distance between the two
+    CRM and MAP stop on ``||zeta - P_W(zeta)|| < tol`` with ``zeta`` the
+    method's diagonal point: the iterate itself for CRM (the sequence stays in
+    ``D``), and for MAP the shadow ``P_D(z^k)``, whose recursion
+    ``y -> P_D(P_W(y))`` is the two-set MAP step with ``U := D``; the raw MAP
+    iterates lie in ``W`` exactly, which would make the raw rule vacuous.
+    DRM's raw iterates also enter ``W`` (already its first one does), so DRM
+    runs ``z -> (z + R_W(R_D(z))) / 2`` and stops on
+    ``||P_D(z) - P_W(R_D(z))|| < tol``, the distance between the two
     projections its own update computes, which equals the fixed-point
     residual ``||z^(k+1) - z^k||`` and vanishes exactly on the DR fixed-point
     set. All three rules reuse projections already needed by the update, so
@@ -216,59 +148,7 @@ def run_prod(W: ProductSet, z0, config: SolverConfig) -> IterationTrace:
 
     ``final_point`` is the diagonal point at which the terminal gap was
     measured (for DRM, the shadow ``P_D(z)``, which carries the solution).
-    The trace records raw iterates for CRM and DRM, and for MAP the shadows
-    (the recursion ``y -> P_D(P_W(y))`` reproduces ``P_D`` of the raw
-    sequence exactly).
+    The trace records raw iterates for CRM and DRM, and the shadows for MAP.
     """
-    if config.method not in (Method.CRM, Method.MAP, Method.DRM):
-        raise ValueError(f"run_prod supports CRM/MAP/DRM, not {config.method.value}")
     D = DiagonalSubspace(W.block_dim, W.m)
-    z = D.project(as_point(z0, W.dim))
-
-    gaps: list[float] = []
-    iterates: list[np.ndarray] | None = [z] if config.record_trace else None
-    iterations = 0
-    status = Status.MAX_ITER
-    final = z
-
-    while True:
-        if config.method is Method.DRM:
-            shadow = D.project(z)
-            pw = W.project(2.0 * shadow - z)
-            g = float(la.norm(shadow - pw))
-        else:
-            shadow = z
-            pw = W.project(z)
-            g = float(la.norm(z - pw))
-        gaps.append(g)
-        final = shadow
-        if g < config.tol:
-            status = Status.CONVERGED
-            break
-        if iterations >= config.max_iter:
-            status = Status.MAX_ITER
-            break
-        try:
-            if config.method is Method.CRM:
-                rw = 2.0 * pw - z
-                z = circumcenter((z, rw, D.reflect(rw))).center
-            elif config.method is Method.MAP:
-                # monitored shadow: y⁺ = P_D(P_W(y)), reusing the gap projection
-                z = D.project(pw)
-            else:
-                # z⁺ = (z + R_W(R_D z)) / 2, reusing pw = P_W(R_D z)
-                z = 0.5 * (z + 2.0 * pw - (2.0 * shadow - z))
-        except (DegenerateConfiguration, InconsistentIntersection):
-            status = Status.DEGENERATE
-            break
-        iterations += 1
-        if iterates is not None:
-            iterates.append(z)
-
-    return IterationTrace(
-        gaps=gaps,
-        iterations=iterations,
-        status=status,
-        final_point=final,
-        iterates=iterates,
-    )
+    return _drive(W, D, D.project(as_point(z0, W.dim)), config, drm_shadow=True)

@@ -4,20 +4,18 @@ import numpy as np
 import pytest
 from numpy import linalg as la
 
-from crmfeas.errors import NotInAffine, WeightError
+from crmfeas.errors import NotInAffine
 from crmfeas.methods import (
     Method,
     SolverConfig,
     Status,
-    averaged_crm_step,
     crm_step,
     drm_step,
     gap,
     map_step,
     run,
-    serial_crm_step,
 )
-from crmfeas.sets import AffineSubspace, Ball, Box, Halfspace, Hyperplane
+from crmfeas.sets import AffineSubspace, Ball, Box, Hyperplane
 from conftest import (
     ANCHORED_KINDS,
     anchored_affine,
@@ -89,59 +87,6 @@ class TestStepExamples:
             out = crm_step(H, U, z)
             expected = stacked_projection(H, U, z)
             assert la.norm(out - expected) <= 1e-9 * (1.0 + la.norm(z))
-
-
-class TestSerialAndAveraged:
-    def test_serial_single_set_reduces_to_crm(self, rng):
-        z = np.array([2.0, 1.0])
-        assert np.array_equal(serial_crm_step([BALL], LINE, z), crm_step(BALL, LINE, z))
-
-    def test_serial_fixed_point_when_sets_contain_affine(self):
-        Ks = [Halfspace([0.0, 1.0], 2.0), Halfspace([0.0, -1.0], 0.0)]  # both ⊇ {y=1}
-        z = np.array([7.0, 1.0])
-        assert np.array_equal(serial_crm_step(Ks, LINE, z), z)
-
-    def test_serial_decrease_inequality_two_halfspaces(self, rng):
-        # ||C̃(z) - s||² <= ||z - s||² - ||z - C̃(z)||² / 2 on random instances
-        for _ in range(50):
-            dim = int(rng.integers(2, 8))
-            anchor = 2.0 * rng.standard_normal(dim)
-            Ks = [anchored_set(rng, "halfspace", anchor) for _ in range(2)]
-            U = anchored_affine(rng, anchor, rows=1)
-            s = U.project(anchor)
-            for K in Ks:
-                if not K.contains(s, 1e-9):
-                    break
-            else:
-                z = point_in_affine(rng, U, anchor)
-                out = serial_crm_step(Ks, U, z)
-                lhs = la.norm(out - s) ** 2
-                rhs = la.norm(z - s) ** 2 - 0.5 * la.norm(z - out) ** 2
-                assert lhs <= rhs + 1e-9 * (1.0 + la.norm(z - s) ** 2)
-
-    def test_averaged_single_weight_reduces_to_crm(self):
-        z = np.array([2.0, 1.0])
-        out = averaged_crm_step([BALL], LINE, [1.0], z)
-        assert np.allclose(out, crm_step(BALL, LINE, z), atol=1e-14)
-
-    def test_averaged_two_balls_midpoint(self):
-        balls = [Ball([-1.0, 0.0], 1.5), Ball([1.0, 0.0], 1.5)]
-        U = AffineSubspace([[0.0, 1.0]], [1.0])
-        z = np.array([3.0, 1.0])
-        steps = [crm_step(K, U, z) for K in balls]
-        out = averaged_crm_step(balls, U, [0.5, 0.5], z)
-        assert np.allclose(out, 0.5 * (steps[0] + steps[1]), atol=1e-14)
-
-    def test_weight_errors(self):
-        z = np.array([2.0, 1.0])
-        with pytest.raises(WeightError):
-            averaged_crm_step([BALL], LINE, [0.5], z)  # does not sum to 1
-        with pytest.raises(WeightError):
-            averaged_crm_step([BALL], LINE, [1.0, -0.0001], z)
-        with pytest.raises(WeightError):
-            averaged_crm_step([BALL, BALL], LINE, [1.0], z)  # length mismatch
-        with pytest.raises(WeightError):
-            averaged_crm_step([BALL], LINE, None, z)
 
 
 class TestComparisonStructure:
@@ -245,19 +190,20 @@ class TestDriver:
         trace = run(BALL, U, [0.0, 3.0], SolverConfig(method=Method.CRM))
         assert trace.status is Status.DEGENERATE
 
-    def test_serial_driver(self, rng):
-        Ks = [Halfspace([1.0, 0.0], -1.0), Ball([0.0, 0.0], 3.0)]
-        cfg = SolverConfig(method=Method.SERIAL_CRM, tol=1e-8)
-        trace = run(Ks, LINE, [5.0, 1.0], cfg)
-        assert trace.status is Status.CONVERGED
-        for K in Ks:
-            assert K.contains(trace.final_point, tol=1e-6)
+    def test_map_projects_onto_u_once_per_iteration(self):
+        # MAP iterates lie in U, so the stopping gap needs no projection onto U
+        class CountingAffine(AffineSubspace):
+            calls = 0
 
-    def test_averaged_driver(self):
-        Ks = [Ball([-1.0, 0.0], 1.5), Ball([1.0, 0.0], 1.5)]
-        cfg = SolverConfig(method=Method.AVERAGED_CRM, weights=(0.5, 0.5), tol=1e-7)
-        trace = run(Ks, LINE, [4.0, 1.0], cfg)
+            def project(self, x):
+                self.calls += 1
+                return super().project(x)
+
+        U = CountingAffine([[0.0, 1.0]], [1.0])  # y = 1
+        trace = run(Ball([0.0, 0.5], 1.0), U, [4.0, 1.0], SolverConfig(method=Method.MAP))
         assert trace.status is Status.CONVERGED
+        assert trace.iterations > 1
+        assert U.calls == trace.iterations + 1  # one per step, one for the start
 
     def test_single_set_methods_reject_lists(self):
         with pytest.raises(ValueError):
@@ -268,7 +214,3 @@ class TestDriver:
             SolverConfig(tol=0.0)
         with pytest.raises(ValueError):
             SolverConfig(max_iter=0)
-        with pytest.raises(WeightError):
-            SolverConfig(weights=(0.5, 0.6))
-        with pytest.raises(WeightError):
-            SolverConfig(weights=(1.5, -0.5))

@@ -1,24 +1,22 @@
-"""Product-space lifting, operator orderings, and the prod driver."""
+"""Product-space lifting, projections, the CRM-prod step, and the prod driver."""
 
 import numpy as np
 import pytest
 from numpy import linalg as la
 
 from crmfeas.errors import DimensionMismatch, NotDiagonal, NotInAffine
+from crmfeas.instances import derive_seed, gen_polyhedral_instance, gen_start
 from crmfeas.methods import Method, SolverConfig, Status, run
 from crmfeas.product_space import (
+    DIAG_TOL,
     DiagonalSubspace,
     ProductSet,
     crm_prod_step,
-    drm_prod_step,
     lift,
-    map_prod_step,
-    project_d,
-    project_w,
     restrict,
     run_prod,
 )
-from crmfeas.sets import Ball, Box, Halfspace, SecondOrderCone
+from crmfeas.sets import AffineSubspace, Ball, Box, Halfspace, SecondOrderCone
 
 TWO_BALLS = ProductSet([Ball([-1.0, 0.0], 1.0), Ball([1.0, 0.0], 1.0)])
 OVERLAP = ProductSet([Ball([-1.0, 0.0], 1.25), Ball([1.0, 0.0], 1.25)])
@@ -56,15 +54,16 @@ class TestLiftRestrict:
 class TestProjections:
     def test_project_d_blockwise_mean(self):
         z = np.array([1.0, 3.0, 3.0, 5.0])
-        assert np.array_equal(project_d(z, 2), [2.0, 4.0, 2.0, 4.0])
+        assert np.array_equal(DiagonalSubspace(2, 2).project(z), [2.0, 4.0, 2.0, 4.0])
 
     def test_project_d_fixes_diagonal(self, rng):
         z = lift(rng.standard_normal(3), 4)
-        assert np.allclose(project_d(z, 4), z, atol=1e-15)
+        assert np.allclose(DiagonalSubspace(3, 4).project(z), z, atol=1e-15)
 
     def test_project_d_linearity(self, rng):
+        D = DiagonalSubspace(4, 3)
         z = rng.standard_normal(12)
-        assert np.allclose(project_d(z, 3) + project_d(-z, 3), np.zeros(12), atol=1e-15)
+        assert np.allclose(D.project(z) + D.project(-z), np.zeros(12), atol=1e-15)
 
     def test_project_d_orthogonality(self, rng):
         # (z - P_D z) ⊥ D, checked on random diagonal directions
@@ -77,7 +76,7 @@ class TestProjections:
 
     def test_project_w_feasible_blocks_fixed(self, rng):
         z = np.concatenate([[-2.0, 0.0], [0.5, 0.0]])  # both blocks inside their ball
-        assert np.allclose(project_w(OVERLAP, z), z, atol=1e-15)
+        assert np.allclose(OVERLAP.project(z), z, atol=1e-15)
 
     def test_project_w_single_factor(self, rng):
         cone = SecondOrderCone(3)
@@ -110,8 +109,14 @@ class TestProjections:
             ProductSet([Ball([0.0, 0.0], 1.0), Ball([0.0, 0.0, 0.0], 1.0)])
 
     def test_diagonal_to_affine_matches_projector(self, rng):
-        D = DiagonalSubspace(3, 3)
-        U = D.to_affine()
+        # D in equation form: x^(i) - x^(i+1) = 0 for consecutive blocks
+        n, m = 3, 3
+        D = DiagonalSubspace(n, m)
+        A = np.zeros(((m - 1) * n, n * m))
+        for i in range(m - 1):
+            A[i * n:(i + 1) * n, i * n:(i + 1) * n] = np.eye(n)
+            A[i * n:(i + 1) * n, (i + 1) * n:(i + 2) * n] = -np.eye(n)
+        U = AffineSubspace(A, np.zeros((m - 1) * n))
         for _ in range(10):
             z = rng.standard_normal(9)
             assert np.allclose(D.project(z), U.project(z), atol=1e-10)
@@ -147,40 +152,44 @@ class TestProdSteps:
                 assert not W.contains(zx, 1e-10)
             assert la.norm(zx - D.project(zx)) <= 1e-14 * (1.0 + la.norm(zx))
 
-    def test_map_prod_ordering_pinned(self, rng):
-        # P_W P_D != P_D P_W here, so the default order is observable
+    def test_map_prod_ordering_pinned(self):
+        # run_prod's MAP step is P_D(P_W(y)) on shadows y in D, which differs
+        # from the raw P_W(P_D(z)) here
         z = np.array([0.0, 2.0, 0.5, 2.0])
-        W = TWO_BALLS
-        expected = W.project(project_d(z, 2))
-        assert np.array_equal(map_prod_step(W, z), expected)
-        swapped = project_d(W.project(z), 2)
-        assert np.array_equal(map_prod_step(W, z, order="wd"), swapped)
-        assert not np.allclose(expected, swapped)
+        W, D = TWO_BALLS, DiagonalSubspace(2, 2)
+        cfg = SolverConfig(method=Method.MAP, max_iter=1, tol=1e-12, record_trace=True)
+        trace = run_prod(W, z, cfg)
+        y0 = D.project(z)
+        assert np.array_equal(trace.iterates[0], y0)
+        assert np.array_equal(trace.iterates[1], D.project(W.project(y0)))
+        assert not np.allclose(trace.iterates[1], W.project(y0))
 
     def test_drm_prod_ordering_pinned(self):
+        # DRM-prod reflects through D first: (z + R_W(R_D z)) / 2
         z = np.array([0.0, 2.0, 0.5, 2.0])
-        W = TWO_BALLS
-        D = DiagonalSubspace(2, 2)
-        expected = 0.5 * (z + W.reflect(D.reflect(z)))
-        assert np.allclose(drm_prod_step(W, z), expected, atol=1e-15)
-        swapped = 0.5 * (z + D.reflect(W.reflect(z)))
-        assert np.allclose(drm_prod_step(W, z, order="wd"), swapped, atol=1e-15)
+        W, D = TWO_BALLS, DiagonalSubspace(2, 2)
+        cfg = SolverConfig(method=Method.DRM, max_iter=2, tol=1e-12, record_trace=True)
+        trace = run_prod(W, z, cfg)
+        z1 = trace.iterates[1]
+        expected = 0.5 * (z1 + W.reflect(D.reflect(z1)))
+        assert np.allclose(trace.iterates[2], expected, atol=1e-15)
+        swapped = 0.5 * (z1 + D.reflect(W.reflect(z1)))
         assert not np.allclose(expected, swapped)
 
     def test_map_prod_result_in_w(self, rng):
+        # the raw MAP-prod point P_W(P_D z), whose shadow run_prod iterates
+        D = DiagonalSubspace(2, 2)
         for _ in range(10):
             z = 3.0 * rng.standard_normal(4)
-            out = map_prod_step(TWO_BALLS, z)
-            assert TWO_BALLS.contains(out, 1e-10)
+            assert TWO_BALLS.contains(TWO_BALLS.project(D.project(z)), 1e-10)
 
     def test_prod_fixed_points(self):
         z = lift([0.05, 0.1], 2)  # in both overlapping balls, diagonal
-        for step in (map_prod_step, drm_prod_step):
-            assert np.allclose(step(OVERLAP, z), z, atol=1e-14)
-
-    def test_order_flag_validated(self):
-        with pytest.raises(ValueError):
-            map_prod_step(TWO_BALLS, np.zeros(4), order="xyz")
+        for method in (Method.CRM, Method.MAP, Method.DRM):
+            trace = run_prod(OVERLAP, z, SolverConfig(method=method, tol=1e-12))
+            assert trace.status is Status.CONVERGED
+            assert trace.iterations == 0
+            assert np.allclose(trace.final_point, z, atol=1e-14)
 
 
 class TestRunProd:
@@ -189,9 +198,10 @@ class TestRunProd:
         trace = run_prod(TWO_BALLS, lift([0.0, 2.0], 2), cfg)
         assert trace.status is Status.CONVERGED
         # D-invariance along the whole trajectory
+        D = DiagonalSubspace(2, 2)
         for z in trace.iterates:
-            assert la.norm(z - project_d(z, 2)) <= 1e-8 * (1 + la.norm(z))
-        x = restrict(project_d(trace.final_point, 2), 2)
+            assert la.norm(z - D.project(z)) <= 1e-8 * (1 + la.norm(z))
+        x = restrict(trace.final_point, 2)
         for ball in TWO_BALLS.factors:
             assert ball.contains(x, tol=1e-6)
         # independent oracle: a long MAP-prod run heads to the same region
@@ -239,6 +249,33 @@ class TestRunProd:
         for ball in OVERLAP.factors:
             assert ball.contains(x, tol=1e-5)
 
+    def test_crm_prod_iterates_stay_on_the_diagonal(self):
+        # without re-projecting onto D, rounding carried these iterates up to
+        # 3e-4 (relative) off D over 213 iterations
+        inst = gen_polyhedral_instance(200, derive_seed(137, 1, 2))
+        start = gen_start(inst, derive_seed(137, 2, 2, 0), min_gap=1e-6)
+        W = ProductSet(inst.sets)
+        D = DiagonalSubspace(W.block_dim, W.m)
+        trace = run_prod(W, start.projected,
+                         SolverConfig(method=Method.CRM, tol=1e-6, record_trace=True))
+        assert trace.status is Status.CONVERGED
+        for z in trace.iterates:
+            assert la.norm(z - D.project(z)) <= DIAG_TOL * (1.0 + la.norm(z))
+        restrict(trace.final_point, W.m)  # raises NotDiagonal past DIAG_TOL
+
+    def test_crm_prod_solves_sets_meeting_a_line(self):
+        # m sets intersected with an affine U, as one product-space problem
+        line = AffineSubspace([[0.0, 1.0]], [1.0])  # y = 1
+        cases = ([Halfspace([1.0, 0.0], -1.0), Ball([0.0, 0.0], 3.0)],
+                 [Ball([-1.0, 0.0], 1.5), Ball([1.0, 0.0], 1.5)])
+        for sets in cases:
+            W = ProductSet([*sets, line])
+            trace = run_prod(W, lift([5.0, 1.0], W.m), SolverConfig(method=Method.CRM, tol=1e-8))
+            assert trace.status is Status.CONVERGED
+            x = restrict(trace.final_point, W.m)
+            for K in W.factors:
+                assert K.contains(x, tol=1e-6)
+
     def test_serial_method_rejected(self):
         with pytest.raises(ValueError):
-            run_prod(OVERLAP, np.zeros(4), SolverConfig(method=Method.SERIAL_CRM))
+            run_prod(OVERLAP, np.zeros(4), SolverConfig(method="SerialCRM"))
