@@ -15,7 +15,8 @@ from crmfeas.methods import (
     map_step,
     run,
 )
-from crmfeas.sets import AffineSubspace, Ball, Box, Hyperplane
+from crmfeas.product_space import ProductSet, lift, restrict, run_prod
+from crmfeas.sets import AffineSubspace, Ball, Box, Halfspace, Hyperplane
 from conftest import (
     ANCHORED_KINDS,
     anchored_affine,
@@ -204,6 +205,25 @@ class TestDriver:
         assert trace.status is Status.CONVERGED
         assert trace.iterations > 1
         assert U.calls == trace.iterations + 1  # one per step, one for the start
+
+    # several sets meeting U are one product-space problem, U as the last factor
+    def test_serial_driver(self):
+        Ks = [Halfspace([1.0, 0.0], -1.0), Ball([0.0, 0.0], 3.0)]
+        W = ProductSet([*Ks, LINE])
+        trace = run_prod(W, lift([5.0, 1.0], W.m), SolverConfig(method=Method.CRM, tol=1e-8))
+        assert trace.status is Status.CONVERGED
+        x = restrict(trace.final_point, W.m)
+        for K in W.factors:
+            assert K.contains(x, tol=1e-6)
+
+    def test_averaged_driver(self):
+        Ks = [Ball([-1.0, 0.0], 1.5), Ball([1.0, 0.0], 1.5)]
+        W = ProductSet([*Ks, LINE])
+        trace = run_prod(W, lift([4.0, 1.0], W.m), SolverConfig(method=Method.CRM, tol=1e-7))
+        assert trace.status is Status.CONVERGED
+        x = restrict(trace.final_point, W.m)
+        for K in W.factors:
+            assert K.contains(x, tol=1e-6)
 
     def test_single_set_methods_reject_lists(self):
         with pytest.raises(ValueError):

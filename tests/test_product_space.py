@@ -263,19 +263,6 @@ class TestRunProd:
             assert la.norm(z - D.project(z)) <= DIAG_TOL * (1.0 + la.norm(z))
         restrict(trace.final_point, W.m)  # raises NotDiagonal past DIAG_TOL
 
-    def test_crm_prod_solves_sets_meeting_a_line(self):
-        # m sets intersected with an affine U, as one product-space problem
-        line = AffineSubspace([[0.0, 1.0]], [1.0])  # y = 1
-        cases = ([Halfspace([1.0, 0.0], -1.0), Ball([0.0, 0.0], 3.0)],
-                 [Ball([-1.0, 0.0], 1.5), Ball([1.0, 0.0], 1.5)])
-        for sets in cases:
-            W = ProductSet([*sets, line])
-            trace = run_prod(W, lift([5.0, 1.0], W.m), SolverConfig(method=Method.CRM, tol=1e-8))
-            assert trace.status is Status.CONVERGED
-            x = restrict(trace.final_point, W.m)
-            for K in W.factors:
-                assert K.contains(x, tol=1e-6)
-
     def test_serial_method_rejected(self):
         with pytest.raises(ValueError):
             run_prod(OVERLAP, np.zeros(4), SolverConfig(method="SerialCRM"))
