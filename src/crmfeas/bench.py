@@ -112,20 +112,15 @@ def summarize(counts) -> dict:
     }
 
 
-def make_stats(method: str, records, max_iter: int, exclude_failures: bool = False) -> RunStats:
+def make_stats(method: str, records, max_iter: int) -> RunStats:
     """Build RunStats for ``method`` from its records.
 
-    Non-converged runs count as ``max_iter`` by default and are always
-    reported in the ``failures`` column; with ``exclude_failures`` they are
-    dropped from the statistics instead.
+    Non-converged runs count as ``max_iter`` and are reported in the
+    ``failures`` column.
     """
     failures = sum(1 for r in records if r.status != Status.CONVERGED.value)
-    counts = []
-    for r in records:
-        if r.status == Status.CONVERGED.value:
-            counts.append(r.iterations)
-        elif not exclude_failures:
-            counts.append(max_iter)
+    counts = [r.iterations if r.status == Status.CONVERGED.value else max_iter
+              for r in records]
     s = summarize(counts)
     return RunStats(
         method=method,
@@ -138,15 +133,15 @@ def make_stats(method: str, records, max_iter: int, exclude_failures: bool = Fal
     )
 
 
-def performance_profile(costs, methods=None, failure=None) -> list[ProfileCurve]:
+def performance_profile(costs, methods) -> list[ProfileCurve]:
     """Dolan-More performance profiles from a runs x methods cost matrix.
 
-    Each row holds one run's cost (positive) per method, with ``failure``
-    marking unsolved runs. Per run, each method's ratio is its cost divided
-    by the best cost in the row (failures get ratio +inf; so do whole rows
-    without any success). The threshold grid is the sorted set of distinct
-    finite ratios, and each curve reports the fraction of runs with ratio at
-    most tau.
+    Each row holds one run's cost (positive) per method, with ``None``
+    marking unsolved runs; ``methods`` labels the columns. Per run, each
+    method's ratio is its cost divided by the best cost in the row (failures
+    get ratio +inf; so do whole rows without any success). The threshold grid
+    is the sorted set of distinct finite ratios, and each curve reports the
+    fraction of runs with ratio at most tau.
     """
     rows = [list(row) for row in costs]
     if not rows:
@@ -154,17 +149,15 @@ def performance_profile(costs, methods=None, failure=None) -> list[ProfileCurve]
     width = len(rows[0])
     if any(len(row) != width for row in rows):
         raise ValueError("cost rows have unequal width")
-    if methods is None:
-        methods = [f"method_{j}" for j in range(width)]
     if len(methods) != width:
         raise ValueError("one method label per column required")
 
     ratios = []
     for row in rows:
-        finite = [c for c in row if c is not failure]
+        finite = [c for c in row if c is not None]
         best = min(finite) if finite else None
         ratios.append(
-            [float("inf") if (c is failure or best is None) else c / best for c in row]
+            [float("inf") if (c is None or best is None) else c / best for c in row]
         )
 
     finite_ratios = sorted({r for row in ratios for r in row if r != float("inf")})
@@ -195,7 +188,7 @@ def profile_from_records(records) -> list[ProfileCurve]:
                 for m in methods
             ]
         )
-    return performance_profile(rows, methods=methods, failure=None)
+    return performance_profile(rows, methods)
 
 
 def _grid_unit(args) -> list[RunRecord]:

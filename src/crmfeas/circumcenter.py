@@ -3,8 +3,10 @@
 The circumcenter of points ``p_0, ..., p_q`` is the unique point of their
 affine hull equidistant to all of them, when such a point exists. Writing
 ``v_i = p_i - p_0`` and ``c = p_0 + w``, equidistance reduces to the linear
-system ``2 v_i^T w = ||v_i||^2``, solved here through the Gram matrix of the
-independent directions.
+system ``2 v_i^T w = ||v_i||^2``, solved here by one minimum-norm least-squares
+solve, whose solution lies in the span of the ``v_i``. The CRM step of
+:mod:`crmfeas.methods` uses a closed form for its three points; this routine
+is the general definition and the reference that form is tested against.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy import linalg as la
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import (
     DegenerateConfiguration,
@@ -25,8 +26,6 @@ from .sets import AffineSubspace, ConvexSet, Hyperplane, as_point
 
 __all__ = ["CircumcenterResult", "circumcenter", "supporting_hyperplane", "crm_oracle"]
 
-# Relative Gram-Schmidt threshold for discarding dependent directions.
-GS_TOL = 1e-10
 # Residual bound (times scale) above which the configuration has no circumcenter.
 RESIDUAL_TOL = 1e-8
 
@@ -49,30 +48,6 @@ class CircumcenterResult:
     center: np.ndarray
     residual: float
     basis_rank: int
-
-
-def _independent_directions(V: np.ndarray) -> list[int]:
-    """Indices of rows of ``V`` kept by a stabilized Gram-Schmidt sweep.
-
-    A row is dropped when its component orthogonal to the span of the kept
-    rows falls below ``GS_TOL`` relative to its own norm (zero rows always
-    drop).
-    """
-    kept: list[int] = []
-    basis: list[np.ndarray] = []
-    for i, v in enumerate(V):
-        nv = float(la.norm(v))
-        w = v.copy()
-        for q in basis:
-            w -= (q @ w) * q
-        # second pass guards against cancellation in the first
-        for q in basis:
-            w -= (q @ w) * q
-        nw = float(la.norm(w))
-        if nw > GS_TOL * nv:
-            kept.append(i)
-            basis.append(w / nw)
-    return kept
 
 
 def circumcenter(points) -> CircumcenterResult:
@@ -111,27 +86,16 @@ def circumcenter(points) -> CircumcenterResult:
         return CircumcenterResult(center=p0.copy(), residual=0.0, basis_rank=0)
 
     V = np.array([p - p0 for p in pts[1:]])  # q x n
-    kept = _independent_directions(V)
-    if not kept:
-        # all points coincide with p0
-        return CircumcenterResult(center=p0.copy(), residual=0.0, basis_rank=0)
+    sq = np.einsum("ij,ij->i", V, V)
+    w, _, rank, _ = la.lstsq(2.0 * V, sq, rcond=None)
 
-    Vk = V[kept]
-    G = Vk @ Vk.T
-    d = np.einsum("ij,ij->i", Vk, Vk)
-    try:
-        alpha = cho_solve(cho_factor(2.0 * G), d)
-    except la.LinAlgError:
-        alpha, *_ = la.lstsq(2.0 * G, d, rcond=None)
-    w = Vk.T @ alpha
-
-    # every input, including dropped directions, must satisfy its equation
-    residual = float(np.max(np.abs(V @ (2.0 * w) - np.einsum("ij,ij->i", V, V))))
+    # every equation must hold, including those of dependent directions
+    residual = float(np.max(np.abs(V @ (2.0 * w) - sq)))
     if residual > RESIDUAL_TOL * scale:
         raise DegenerateConfiguration(
             f"no equidistant point in the affine hull (residual {residual:.3e})"
         )
-    return CircumcenterResult(center=p0 + w, residual=residual, basis_rank=len(kept))
+    return CircumcenterResult(center=p0 + w, residual=residual, basis_rank=int(rank))
 
 
 def supporting_hyperplane(K: ConvexSet, z) -> Hyperplane | None:

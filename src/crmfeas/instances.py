@@ -164,7 +164,7 @@ def gen_soc_instance(n: int, seed: int) -> ProblemInstance:
     )
 
 
-def gen_polyhedral_instance(n: int, seed: int, p: int | None = None) -> ProblemInstance:
+def gen_polyhedral_instance(n: int, seed: int) -> ProblemInstance:
     """Random nonempty intersection of ``m`` halfspaces in dimension ``n >= 2``.
 
     Draw order (frozen): ``m`` uniform in ``{1, ..., n-1}``, normals
@@ -173,9 +173,6 @@ def gen_polyhedral_instance(n: int, seed: int, p: int | None = None) -> ProblemI
     indices without replacement, then ``r`` uniform in (0, 1). Offsets are
     ``b_i = a_i^T x̄``, increased by ``||b̄|| * r`` on the slack indices, so
     the certificate satisfies those constraints strictly.
-
-    Passing ``p`` overrides the slack-set size (the index draw still follows
-    it, so instances with different ``p`` are not stream-compatible).
     """
     if n < 2:
         raise BadDimension("polyhedral instances need n >= 2")
@@ -184,10 +181,7 @@ def gen_polyhedral_instance(n: int, seed: int, p: int | None = None) -> ProblemI
     A = rng.standard_normal((m, n))
     certificate = rng.standard_normal(n)
     b_bar = A @ certificate
-    if p is None:
-        p = int(rng.integers(1, m + 1))
-    elif not 1 <= p <= m:
-        raise ValueError(f"p must be in [1, {m}]")
+    p = int(rng.integers(1, m + 1))
     slack = rng.choice(m, size=p, replace=False)
     r = float(rng.uniform())
     while r == 0.0:  # open interval (0, 1)

@@ -4,22 +4,28 @@
 (or any set with an affine projector, such as the diagonal subspace of the
 product-space reformulation). Three methods are provided:
 
-* CRM: ``z -> P_U(circumcenter{z, R_K(z), R_U R_K(z)})``, for ``z in U``;
+* CRM: ``z -> circumcenter{z, R_K(z), R_U R_K(z)}``, for ``z in U``;
 * MAP: ``z -> P_U(P_K(z))``;
 * DRM: ``z -> (z + R_U(R_K(z))) / 2``.
 
-One loop drives them for both ``run`` and the product-space ``run_prod``.
+For ``z in U``, ``R_U R_K(z)`` mirrors ``R_K(z)`` through ``U``, so the CRM
+circumcenter lies on the line from ``z`` through ``P_U(R_K(z))`` and the step
+is computed in closed form on that line. One loop drives all three methods
+for both ``run`` and the product-space ``run_prod``.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy import linalg as la
 
-from .circumcenter import circumcenter
+from .circumcenter import RESIDUAL_TOL
+# not called here; perfbench/tracing.py wraps the name in every module binding it
+from .circumcenter import circumcenter  # noqa: F401
 from .errors import DegenerateConfiguration, NotInAffine
 from .sets import ConvexSet, as_point
 
@@ -35,8 +41,8 @@ __all__ = [
     "run",
 ]
 
-# Below this (relative) distance between z and R_K(z) the circumcenter system
-# is near-singular and z is already a fixed point for practical purposes.
+# Below this (relative) distance between z and R_K(z) the CRM step is
+# near-singular and z is already a fixed point for practical purposes.
 FIXED_POINT_TOL = 1e-14
 # Allowed drift of an iterate from U before crm_step refuses to proceed.
 AFFINE_TOL = 1e-8
@@ -52,6 +58,8 @@ class Status(str, enum.Enum):
     CONVERGED = "converged"
     MAX_ITER = "max_iter"
     DEGENERATE = "degenerate"
+    # a vector went non-finite, or max_iter was reached on a non-finite gap
+    NONFINITE = "nonfinite"
 
 
 @dataclass(frozen=True)
@@ -99,20 +107,41 @@ def _check_in_affine(U: ConvexSet, z: np.ndarray) -> None:
 def _crm_from_projection(z: np.ndarray, pk: np.ndarray, U: ConvexSet) -> np.ndarray:
     """CRM update given ``pk = P_K(z)``; assumes z in U.
 
-    The circumcenter lies in ``U`` in exact arithmetic; projecting it back
-    keeps rounding from carrying later iterates off ``U``.
+    With ``u = R_K(z) - z`` and ``d = P_U(R_K(z)) - z``, the circumcenter of
+    ``z``, ``z + u`` and ``R_U R_K(z) = z + 2d - u`` is ``z + t d`` with
+    ``2 t <d, u> = ||u||^2``. As in :func:`crmfeas.circumcenter.circumcenter`,
+    the configuration is degenerate when no such point exists: ``<d, u> <= 0``,
+    or the equidistance equations ``2 <v_i, t d> = ||v_i||^2`` of
+    ``v_1 = u`` and ``v_2 = 2d - u`` miss by more than ``RESIDUAL_TOL`` times
+    one plus the largest pairwise distance of the three points. The point
+    lies in ``U`` in exact arithmetic; projecting it back keeps rounding from
+    carrying later iterates off ``U``.
     """
-    rk = 2.0 * pk - z
-    if float(la.norm(z - rk)) < FIXED_POINT_TOL * (1.0 + float(la.norm(z))):
+    u = 2.0 * (pk - z)
+    uu = float(u @ u)
+    if math.sqrt(uu) < FIXED_POINT_TOL * (1.0 + float(la.norm(z))):
         return z
-    return U.project(circumcenter((z, rk, U.reflect(rk))).center)
+    d = U.project(z + u) - z
+    du = float(d @ u)
+    if du <= 0.0:
+        raise DegenerateConfiguration("R_K(z) - z has no component along U")
+    w = (uu / (2.0 * du)) * d
+    v = 2.0 * d - u
+    residual = max(abs(2.0 * float(u @ w) - uu), abs(2.0 * float(v @ w) - float(v @ v)))
+    scale = 1.0 + max(math.sqrt(uu), float(la.norm(v)), 2.0 * float(la.norm(d - u)))
+    if residual > RESIDUAL_TOL * scale:
+        raise DegenerateConfiguration(
+            f"no equidistant point in the affine hull (residual {residual:.3e})"
+        )
+    return U.project(z + w)
 
 
 def crm_step(K: ConvexSet, U: ConvexSet, z) -> np.ndarray:
     """One circumcentered-reflection step ``circ{z, R_K(z), R_U R_K(z)}``.
 
-    Requires ``z in U`` (within ``1e-8`` relative); the result again lies in
-    ``U``, and ``z`` is a fixed point exactly when ``z in K ∩ U``.
+    Computed in closed form (see ``_crm_from_projection``). Requires
+    ``z in U`` (within ``1e-8`` relative); the result again lies in ``U``,
+    and ``z`` is a fixed point exactly when ``z in K ∩ U``.
     """
     z = as_point(z, U.dim)
     _check_in_affine(U, z)
@@ -150,27 +179,38 @@ def _drive(K: ConvexSet, U: ConvexSet, z: np.ndarray, config: SolverConfig,
     ``||P_U(z) - P_K(R_U(z))||`` and reports the shadow ``P_U(z)`` as the
     final point. Each rule measures the gap with the projection onto ``K``
     that the next step reuses.
+
+    A run ends ``NONFINITE`` when a projection meets a non-finite entry (a
+    gap it prevents is recorded as NaN) or when ``max_iter`` is reached on a
+    non-finite gap; an overflowing gap alone is not fatal, as the next MAP or
+    DRM iterate may come back.
     """
     method = config.method
     gaps: list[float] = []
     iterates: list[np.ndarray] | None = [z] if config.record_trace else None
     iterations = 0
+    y = z
 
     while True:
-        if method is not Method.DRM:
-            y, pk = z, K.project(z)
-        elif drm_shadow:
-            y = U.project(z)
-            pk = K.project(2.0 * y - z)
-        else:
-            y, pk = U.project(z), K.project(z)
+        try:
+            if method is not Method.DRM:
+                y, pk = z, K.project(z)
+            elif drm_shadow:
+                y = U.project(z)
+                pk = K.project(2.0 * y - z)
+            else:
+                y, pk = U.project(z), K.project(z)
+        except ValueError:  # a projection met a non-finite entry
+            gaps.append(math.nan)
+            status = Status.NONFINITE
+            break
         g = float(la.norm(y - pk))
         gaps.append(g)
         if g < config.tol:
             status = Status.CONVERGED
             break
         if iterations >= config.max_iter:
-            status = Status.MAX_ITER
+            status = Status.MAX_ITER if math.isfinite(g) else Status.NONFINITE
             break
         try:
             if method is Method.CRM:
@@ -184,6 +224,9 @@ def _drive(K: ConvexSet, U: ConvexSet, z: np.ndarray, config: SolverConfig,
                 z = 0.5 * (z + U.reflect(2.0 * pk - z))
         except DegenerateConfiguration:
             status = Status.DEGENERATE
+            break
+        except ValueError:  # a projection met a non-finite entry
+            status = Status.NONFINITE
             break
         iterations += 1
         if iterates is not None:

@@ -51,12 +51,6 @@ class TestMakeStats:
         assert s.max == 100 and s.min == 5
         assert s.mean == pytest.approx((5 + 7 + 100) / 3)
 
-    def test_exclude_failures(self):
-        s = make_stats("X", self._records(), max_iter=100, exclude_failures=True)
-        assert s.failures == 1
-        assert s.iteration_counts == [5, 7]
-        assert s.max == 7
-
     def test_ordering_invariants(self):
         s = make_stats("X", self._records(), max_iter=100)
         assert s.min <= s.median <= s.max
@@ -77,25 +71,25 @@ class TestPerformanceProfile:
         assert by["m2"].fraction_solved == [0.5, 1.0]
 
     def test_failure_row_plateaus_below_one(self):
-        curves = performance_profile([[2, None], [3, 6]], methods=["a", "b"], failure=None)
+        curves = performance_profile([[2, None], [3, 6]], methods=["a", "b"])
         by = {c.method: c for c in curves}
         assert by["b"].fraction_solved[-1] == 0.5
         assert by["a"].fraction_solved[-1] == 1.0
 
     def test_monotone_nondecreasing(self, rng):
         rows = [[int(rng.integers(1, 50)) for _ in range(3)] for _ in range(40)]
-        for c in performance_profile(rows):
+        for c in performance_profile(rows, methods=["a", "b", "c"]):
             assert all(a <= b + 1e-15 for a, b in zip(c.fraction_solved, c.fraction_solved[1:]))
             assert c.fraction_solved[-1] <= 1.0
             assert all(t >= 1.0 for t in c.thresholds)
 
     def test_empty(self):
         with pytest.raises(EmptyInput):
-            performance_profile([])
+            performance_profile([], methods=[])
 
     def test_ragged_rows_rejected(self):
         with pytest.raises(ValueError):
-            performance_profile([[1, 2], [3]])
+            performance_profile([[1, 2], [3]], methods=["a", "b"])
 
 
 class TestBenchSoc:

@@ -1,11 +1,17 @@
 """Circumcenter solve, supporting hyperplane, and the projection oracle."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy import linalg as la
 
+import crmfeas
 from crmfeas.circumcenter import (
     circumcenter,
     crm_oracle,
@@ -17,7 +23,9 @@ from crmfeas.errors import (
     InconsistentIntersection,
     NotInAffine,
 )
+from crmfeas.instances import derive_seed, gen_polyhedral_instance, gen_start
 from crmfeas.methods import crm_step
+from crmfeas.product_space import DiagonalSubspace, ProductSet, crm_prod_step
 from crmfeas.sets import AffineSubspace, Ball, Halfspace
 from conftest import (
     ANCHORED_KINDS,
@@ -165,7 +173,8 @@ class TestCrmOracle:
             crm_oracle(K, U, [0.0, 3.0])
 
     def test_oracle_matches_circumcenter_step(self, rng):
-        # the characterization: circ{z, R_K z, R_U R_K z} = P_{H_z ∩ U}(z)
+        # the characterization: circ{z, R_K z, R_U R_K z} = P_{H_z ∩ U}(z),
+        # and the closed-form crm_step equals that circumcenter
         checked = 0
         for _ in range(300):
             dim = int(rng.integers(2, 12))
@@ -177,5 +186,30 @@ class TestCrmOracle:
             step = crm_step(K, U, z)
             oracle = crm_oracle(K, U, z)
             assert la.norm(step - oracle) <= 1e-8 * (1.0 + la.norm(z))
+            rk = K.reflect(z)
+            circ = U.project(circumcenter((z, rk, U.reflect(rk))).center)
+            assert la.norm(step - circ) <= 1e-10 * (1.0 + la.norm(z))
             checked += 1
         assert checked == 300
+
+    def test_crm_prod_step_matches_circumcenter_on_poly_grid_starts(self):
+        # the reference polyhedral grid: instance 0 of base seed 137, 20 starts
+        inst = gen_polyhedral_instance(200, derive_seed(137, 1, 0))
+        W = ProductSet(inst.sets)
+        D = DiagonalSubspace(W.block_dim, W.m)
+        for j in range(20):
+            z = gen_start(inst, derive_seed(137, 2, 0, j), min_gap=1e-6).projected
+            rw = W.reflect(z)
+            circ = D.project(circumcenter((z, rw, D.reflect(rw))).center)
+            assert la.norm(crm_prod_step(W, z) - circ) <= 1e-10 * (1.0 + la.norm(z))
+
+
+def test_import_leaves_scipy_unloaded():
+    # the package needs numpy only; scipy is not a dependency
+    src = str(Path(crmfeas.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-c", "import crmfeas, sys; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert out.stdout.strip() == "False"

@@ -93,14 +93,6 @@ class TestPolyhedralGenerator:
             np.array_equal(x.a, y.a) and x.b == y.b for x, y in zip(a.sets, b.sets)
         )
 
-    def test_p_override(self):
-        inst = gen_polyhedral_instance(30, 5, p=1)
-        m, A, xbar, b_bar, *_ = replay_polyhedral_draws(30, 5)
-        b = np.array([h.b for h in inst.sets])
-        assert int(np.sum(b > b_bar + 1e-12)) == 1
-        with pytest.raises(ValueError):
-            gen_polyhedral_instance(30, 5, p=inst.m + 1)
-
     def test_bad_dimension(self):
         with pytest.raises(BadDimension):
             gen_polyhedral_instance(0, 0)

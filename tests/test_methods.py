@@ -184,12 +184,50 @@ class TestDriver:
         assert trace.iterations == 3
         assert len(trace.gaps) == 4
 
-    def test_degenerate_status_on_empty_intersection(self):
+    # CRM ends DEGENERATE on empty intersections, within the iterations the
+    # general circumcenter routine takes on them; U=None is the product-space
+    # problem W ∩ D
+    @pytest.mark.parametrize("K, U, z0, most", [
         # ball below the line y=3: H_z is parallel to U, the circumcenter
         # points become distinct collinear, the step degenerates
-        U = AffineSubspace([[0.0, 1.0]], [3.0])
-        trace = run(BALL, U, [0.0, 3.0], SolverConfig(method=Method.CRM))
+        (BALL, AffineSubspace([[0.0, 1.0]], [3.0]), [0.0, 3.0], 0),
+        (BALL, AffineSubspace([[1.0, 1.0]], [10.0]), [10.0, 0.0], 107),
+        (Ball([0.0, 0.0, 0.0], 1.0), AffineSubspace([[1.0, 1.0, 0.0]], [10.0]),
+         [10.0, 0.0, 3.0], 129),
+        (ProductSet([Halfspace([1.0, 0.0], -1.0), Halfspace([-1.0, 0.0], -1.0)]), None,
+         lift([0.0, 0.0], 2), 0),
+    ], ids=["parallel", "ball-line", "ball-plane", "prod-halfspaces"])
+    def test_degenerate_status_on_empty_intersection(self, K, U, z0, most):
+        cfg = SolverConfig(method=Method.CRM)
+        trace = run(K, U, z0, cfg) if U is not None else run_prod(K, z0, cfg)
         assert trace.status is Status.DEGENERATE
+        assert trace.iterations <= most
+
+    def test_nonfinite_status_when_the_gap_overflows(self):
+        # the start is finite, but ||z - P_K(z)||^2 overflows
+        U = AffineSubspace([[0.0, 1.0]], [0.5])
+        z0 = [1e200, 0.5]
+        with np.errstate(over="ignore", invalid="ignore"):
+            crm = run(BALL, U, z0, SolverConfig(method=Method.CRM))
+            map_ = run(BALL, U, z0, SolverConfig(method=Method.MAP))
+            drm = run(BALL, U, z0, SolverConfig(method=Method.DRM))
+        assert crm.status is Status.NONFINITE
+        assert len(crm.gaps) == crm.iterations + 1
+        assert (map_.status, map_.iterations) == (Status.CONVERGED, 1)
+        assert (drm.status, drm.iterations) == (Status.CONVERGED, 2)
+
+    def test_nonfinite_status_in_the_product_space(self):
+        W = ProductSet([BALL, Halfspace([0.0, 1.0], 0.5)])
+        with np.errstate(over="ignore", invalid="ignore"):
+            # the blockwise mean of the start overflows: no gap can be measured
+            for method in Method:
+                trace = run_prod(W, lift([1e308, 0.5], 2), SolverConfig(method=method))
+                assert trace.status is Status.NONFINITE
+                assert trace.iterations == 0 and np.isnan(trace.gaps[0])
+            # MAP-prod comes back from gaps that overflow, and converges
+            trace = run_prod(W, lift([1e200, 0.5], 2), SolverConfig(method=Method.MAP))
+        assert trace.status is Status.CONVERGED
+        assert np.isinf(trace.gaps[0]) and trace.iterations > 1
 
     def test_map_projects_onto_u_once_per_iteration(self):
         # MAP iterates lie in U, so the stopping gap needs no projection onto U
