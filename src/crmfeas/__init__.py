@@ -39,9 +39,6 @@ from .methods import (
     SolverConfig,
     Status,
     crm_step,
-    drm_step,
-    gap,
-    map_step,
     run,
 )
 from .product_space import (

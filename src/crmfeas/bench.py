@@ -261,8 +261,11 @@ def bench_soc(num_instances: int = 100, starts_per_instance: int = 10, n: int = 
     """Cone-and-affine grid: CRM vs DRM vs MAP on the two-set problem.
 
     All three methods start from the same projected point. CRM and MAP stop
-    when ``||z - P_C(z)|| < tol`` (their iterates stay in ``U``), DRM when
-    ``||P_U(z) - P_C(z)|| < tol`` (see :func:`crmfeas.methods.run`).
+    when ``||z - P_C(z)|| < tol`` (their iterates stay in ``U``). DRM runs
+    ``z -> (z + R_C(R_U(z))) / 2``, whose reflections ``R_U(z)`` are the
+    textbook DRM iterates, and stops when its shadow ``y = P_U(z)`` has
+    ``||y - P_C(2y - z)|| < tol``, the gap of the textbook iterate (see
+    :func:`crmfeas.methods.run`).
     """
     return _run_grid("soc", num_instances, starts_per_instance,
                      n, tol, max_iter, base_seed, jobs, record_gaps)

@@ -129,11 +129,14 @@ def _cmd_profile(args) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "solve":
-        return _cmd_solve(args)
-    if args.command == "bench":
-        return _cmd_bench(args)
-    return _cmd_profile(args)
+    if args.command == "profile":
+        return _cmd_profile(args)
+    try:  # reject a bad --tol or --max-iter before any work
+        SolverConfig(tol=args.tol, max_iter=args.max_iter)
+    except ValueError as exc:
+        print(f"crmfeas: error: {exc}", file=sys.stderr)
+        return 1
+    return _cmd_solve(args) if args.command == "solve" else _cmd_bench(args)
 
 
 if __name__ == "__main__":

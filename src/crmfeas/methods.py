@@ -1,4 +1,4 @@
-"""Single-step operators and the iteration driver for the two-set problem K ∩ U.
+"""The CRM step and the iteration driver for the two-set problem K ∩ U.
 
 ``K`` is any closed convex set from the catalog and ``U`` an affine subspace
 (or any set with an affine projector, such as the diagonal subspace of the
@@ -6,7 +6,7 @@ product-space reformulation). Three methods are provided:
 
 * CRM: ``z -> circumcenter{z, R_K(z), R_U R_K(z)}``, for ``z in U``;
 * MAP: ``z -> P_U(P_K(z))``;
-* DRM: ``z -> (z + R_U(R_K(z))) / 2``.
+* DRM: ``z -> (z + R_U(R_K(z))) / 2``, run in its reflected form (see ``_drive``).
 
 For ``z in U``, ``R_U R_K(z)`` mirrors ``R_K(z)`` through ``U``, so the CRM
 circumcenter lies on the line from ``z`` through ``P_U(R_K(z))`` and the step
@@ -35,9 +35,6 @@ __all__ = [
     "SolverConfig",
     "IterationTrace",
     "crm_step",
-    "map_step",
-    "drm_step",
-    "gap",
     "run",
 ]
 
@@ -75,8 +72,8 @@ class SolverConfig:
     record_trace: bool = False
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
         if self.max_iter <= 0:
             raise ValueError("max_iter must be positive")
         if not isinstance(self.method, Method):
@@ -89,7 +86,10 @@ class IterationTrace:
 
     ``gaps`` holds one value per visited iterate (length ``iterations + 1``);
     ``iterates`` is populated only when the run was configured with
-    ``record_trace=True``.
+    ``record_trace=True``. For DRM the iterates are those of the reflected
+    form, ``z`` with ``R_U(z)`` the textbook DRM iterate. ``final_point`` is
+    the point where the last gap was measured: the iterate for CRM and MAP,
+    the shadow ``P_U(z)`` for DRM.
     """
 
     gaps: list[float]
@@ -148,58 +148,42 @@ def crm_step(K: ConvexSet, U: ConvexSet, z) -> np.ndarray:
     return _crm_from_projection(z, K.project(z), U)
 
 
-def map_step(K: ConvexSet, U: ConvexSet, z) -> np.ndarray:
-    """One alternating-projections step ``P_U(P_K(z))``."""
-    z = as_point(z, U.dim)
-    return U.project(K.project(z))
-
-
-def drm_step(K: ConvexSet, U: ConvexSet, z) -> np.ndarray:
-    """One Douglas-Rachford step ``(z + R_U(R_K(z))) / 2``.
-
-    Unlike CRM and MAP, the result need not lie in ``U``.
-    """
-    z = as_point(z, U.dim)
-    return 0.5 * (z + U.reflect(K.reflect(z)))
-
-
-def gap(K: ConvexSet, U: ConvexSet, z) -> float:
-    """Infeasibility measure ``||P_U(z) - P_K(z)||``; for ``z in U``, the distance to ``K``."""
-    z = as_point(z)
-    return float(la.norm(U.project(z) - K.project(z)))
-
-
-def _drive(K: ConvexSet, U: ConvexSet, z: np.ndarray, config: SolverConfig,
-           drm_shadow: bool = False) -> IterationTrace:
+def _drive(K: ConvexSet, U: ConvexSet, z: np.ndarray, config: SolverConfig) -> IterationTrace:
     """Iterate the configured method from ``z in U`` until the gap drops below tol.
 
-    CRM and MAP iterates stay in ``U`` and stop on ``||z - P_K(z)||``. DRM
-    iterates may leave ``U``: by default DRM stops on ``||P_U(z) - P_K(z)||``;
-    with ``drm_shadow`` it runs ``z -> (z + R_K(R_U(z))) / 2``, stops on
-    ``||P_U(z) - P_K(R_U(z))||`` and reports the shadow ``P_U(z)`` as the
-    final point. Each rule measures the gap with the projection onto ``K``
-    that the next step reuses.
+    Each iteration measures the gap ``||y - pk||`` between ``y``, the point of
+    ``U`` the method tracks, and a projection ``pk`` onto ``K`` that the next
+    step reuses. CRM and MAP iterates stay in ``U``: ``y = z`` and
+    ``pk = P_K(z)``. DRM runs the reflected form ``z -> (z + R_K(R_U(z))) / 2``:
+    ``y = P_U(z)``, ``pk = P_K(2y - z)`` and ``z -> z + pk - y``. From a start
+    in ``U``, ``R_U`` maps its iterates onto those of the textbook
+    ``(z + R_U(R_K(z))) / 2``, and ``P_U R_U = P_U`` gives both the same gaps.
+    When ``K ∩ U`` is empty the iterates diverge, but the cluster points of
+    the shadow ``y`` are points of ``U`` nearest to ``K`` (Bauschke, Combettes
+    and Luke, 2004). ``final_point`` is ``y`` for every method, the point
+    where the last gap was measured.
 
-    A run ends ``NONFINITE`` when a projection meets a non-finite entry (a
-    gap it prevents is recorded as NaN) or when ``max_iter`` is reached on a
-    non-finite gap; an overflowing gap alone is not fatal, as the next MAP or
-    DRM iterate may come back.
+    A MAP iterate that repeats bitwise with a gap of at least tol is a fixed
+    point of ``P_U P_K`` off ``K``, which certifies ``K ∩ U = ∅``
+    (Cheney-Goldstein); the run ends ``DEGENERATE``. A run ends ``NONFINITE``
+    when a projection meets a non-finite entry (a gap it prevents is recorded
+    as NaN) or when ``max_iter`` is reached on a non-finite gap; an
+    overflowing gap alone is not fatal, as the next MAP or DRM iterate may
+    come back.
     """
     method = config.method
     gaps: list[float] = []
     iterates: list[np.ndarray] | None = [z] if config.record_trace else None
     iterations = 0
-    y = z
+    y = prev = z
 
     while True:
         try:
-            if method is not Method.DRM:
-                y, pk = z, K.project(z)
-            elif drm_shadow:
+            if method is Method.DRM:
                 y = U.project(z)
                 pk = K.project(2.0 * y - z)
             else:
-                y, pk = U.project(z), K.project(z)
+                y, pk = z, K.project(z)
         except ValueError:  # a projection met a non-finite entry
             gaps.append(math.nan)
             status = Status.NONFINITE
@@ -209,19 +193,21 @@ def _drive(K: ConvexSet, U: ConvexSet, z: np.ndarray, config: SolverConfig,
         if g < config.tol:
             status = Status.CONVERGED
             break
+        # the gap comparison is the cheap test; the iterate decides
+        if method is Method.MAP and iterations and g == gaps[-2] and np.array_equal(z, prev):
+            status = Status.DEGENERATE
+            break
         if iterations >= config.max_iter:
             status = Status.MAX_ITER if math.isfinite(g) else Status.NONFINITE
             break
+        prev = z
         try:
             if method is Method.CRM:
                 z = _crm_from_projection(z, pk, U)
             elif method is Method.MAP:
                 z = U.project(pk)
-            elif drm_shadow:
-                # (z + R_K(R_U z)) / 2, with pk = P_K(R_U z) and y = P_U z
-                z = 0.5 * (z + 2.0 * pk - (2.0 * y - z))
             else:
-                z = 0.5 * (z + U.reflect(2.0 * pk - z))
+                z = z + pk - y
         except DegenerateConfiguration:
             status = Status.DEGENERATE
             break
@@ -236,7 +222,7 @@ def _drive(K: ConvexSet, U: ConvexSet, z: np.ndarray, config: SolverConfig,
         gaps=gaps,
         iterations=iterations,
         status=status,
-        final_point=y if drm_shadow else z,
+        final_point=y,
         iterates=iterates,
     )
 
@@ -246,8 +232,11 @@ def run(K: ConvexSet, U: ConvexSet, z0, config: SolverConfig) -> IterationTrace:
 
     ``z0`` is projected onto ``U`` before the first step for every method
     (CRM requires it; MAP and DRM share the start for a fair comparison).
-    CRM and MAP iterates stay in ``U`` and stop on ``||z - P_K(z)|| < tol``;
-    DRM iterates may leave ``U`` and stop on ``||P_U(z) - P_K(z)|| < tol``.
+    CRM and MAP iterates stay in ``U`` and stop on ``||z - P_K(z)|| < tol``.
+    DRM iterates ``z`` of ``(z + R_K(R_U(z))) / 2``, whose reflections
+    ``R_U(z)`` are the textbook DRM iterates, and stops on
+    ``||P_U(z) - P_K(R_U(z))|| < tol``; its ``final_point`` is the shadow
+    ``P_U(z)``. See ``_drive``.
     """
     if not isinstance(K, ConvexSet):
         raise ValueError(f"K must be a single ConvexSet, not {type(K).__name__}")

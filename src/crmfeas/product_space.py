@@ -2,10 +2,10 @@
 
 A point common to sets ``X_1, ..., X_m`` in R^n is sought as a point of
 ``W ∩ D`` in R^(nm), where ``W = X_1 x ... x X_m`` and ``D`` is the diagonal
-subspace ``{(x, ..., x)}``. ``D`` is an affine subspace, so the two-set
-operators and driver of :mod:`crmfeas.methods` apply with ``K := W`` and
+subspace ``{(x, ..., x)}``. ``D`` is an affine subspace, so the CRM step
+and the driver of :mod:`crmfeas.methods` apply with ``K := W`` and
 ``U := D``; this module supplies the two sets, the lift/restrict maps and
-the product-space stopping rule of ``run_prod``.
+``run_prod``.
 """
 
 from __future__ import annotations
@@ -133,22 +133,14 @@ def crm_prod_step(W: ProductSet, z) -> np.ndarray:
 def run_prod(W: ProductSet, z0, config: SolverConfig) -> IterationTrace:
     """Drive a product-space method from ``z0`` (projected onto ``D`` first).
 
-    CRM and MAP stop on ``||zeta - P_W(zeta)|| < tol`` with ``zeta`` the
-    method's diagonal point: the iterate itself for CRM (the sequence stays in
-    ``D``), and for MAP the shadow ``P_D(z^k)``, whose recursion
-    ``y -> P_D(P_W(y))`` is the two-set MAP step with ``U := D``; the raw MAP
-    iterates lie in ``W`` exactly, which would make the raw rule vacuous.
-    DRM's raw iterates also enter ``W`` (already its first one does), so DRM
-    runs ``z -> (z + R_W(R_D(z))) / 2`` and stops on
-    ``||P_D(z) - P_W(R_D(z))|| < tol``, the distance between the two
-    projections its own update computes, which equals the fixed-point
-    residual ``||z^(k+1) - z^k||`` and vanishes exactly on the DR fixed-point
-    set. All three rules reuse projections already needed by the update, so
-    measuring the gap adds no extra projection cost.
-
-    ``final_point`` is the diagonal point at which the terminal gap was
-    measured (for DRM, the shadow ``P_D(z)``, which carries the solution).
-    The trace records raw iterates for CRM and DRM, and the shadows for MAP.
+    This is :func:`crmfeas.methods.run` with ``K := W`` and ``U := D``. CRM
+    and MAP iterates stay in ``D`` and stop on ``||z - P_W(z)|| < tol``. DRM
+    iterates ``z`` of ``(z + R_W(R_D(z))) / 2``, whose reflections
+    ``R_D(z)`` are the textbook DRM iterates, and stops on
+    ``||P_D(z) - P_W(R_D(z))|| < tol``, which equals its fixed-point
+    residual ``||z^(k+1) - z^k||``. ``final_point`` is the diagonal
+    point where the last gap was measured: the iterate for CRM and MAP, the
+    shadow ``P_D(z)`` for DRM.
     """
     D = DiagonalSubspace(W.block_dim, W.m)
-    return _drive(W, D, D.project(as_point(z0, W.dim)), config, drm_shadow=True)
+    return _drive(W, D, D.project(as_point(z0, W.dim)), config)

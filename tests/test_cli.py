@@ -93,3 +93,15 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 1
+
+
+def test_bad_tolerance_is_a_usage_error(tmp_path, capsys):
+    problem = tmp_path / "problem.json"
+    write_problem(gen_soc_instance(20, 42), problem)
+    assert main(["solve", str(problem), "--tol", "nan"]) == 1
+    assert main(["bench", "soc", "--n", "20", "--instances", "1", "--tol", "0"]) == 1
+    assert main(["bench", "poly", "--n", "15", "--max-iter", "0"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["crmfeas: error: tol must be positive and finite, got nan",
+                   "crmfeas: error: tol must be positive and finite, got 0.0",
+                   "crmfeas: error: max_iter must be positive"]

@@ -5,16 +5,8 @@ import pytest
 from numpy import linalg as la
 
 from crmfeas.errors import NotInAffine
-from crmfeas.methods import (
-    Method,
-    SolverConfig,
-    Status,
-    crm_step,
-    drm_step,
-    gap,
-    map_step,
-    run,
-)
+from crmfeas.instances import derive_seed, gen_soc_instance, gen_start
+from crmfeas.methods import Method, SolverConfig, Status, crm_step, run
 from crmfeas.product_space import ProductSet, lift, restrict, run_prod
 from crmfeas.sets import AffineSubspace, Ball, Box, Halfspace, Hyperplane
 from conftest import (
@@ -31,6 +23,26 @@ Z = np.array([2.0, 1.0])
 SQ5 = np.sqrt(5.0)
 
 
+class CountingAffine(AffineSubspace):
+    """An affine subspace that counts its projections and reflections."""
+
+    projects = reflects = 0
+
+    def project(self, x):
+        self.projects += 1
+        return super().project(x)
+
+    def reflect(self, x):
+        self.reflects += 1
+        return super().reflect(x)
+
+
+def one_step(method):
+    """The trace of one iteration of ``method`` on BALL ∩ LINE from Z."""
+    cfg = SolverConfig(tol=1e-12, max_iter=1, method=method, record_trace=True)
+    return run(BALL, LINE, Z, cfg)
+
+
 def stacked_projection(H, U, z):
     """Independent oracle: project z onto {x: U.A x = U.b, H.a^T x = H.b}."""
     M = np.vstack([U.A, H.a])
@@ -44,14 +56,17 @@ class TestStepExamples:
         assert np.allclose(crm_step(BALL, LINE, Z), [(SQ5 - 1) / 2, 1.0], atol=1e-10)
 
     def test_map_ball_line(self):
-        assert np.allclose(map_step(BALL, LINE, Z), [2 / SQ5, 1.0], atol=1e-12)
+        assert np.allclose(one_step(Method.MAP).iterates[1], [2 / SQ5, 1.0], atol=1e-12)
 
     def test_drm_ball_line(self):
-        assert np.allclose(drm_step(BALL, LINE, Z), [2 / SQ5, 2 - 1 / SQ5], atol=1e-12)
-        assert np.allclose(drm_step(BALL, LINE, Z), [0.8944272, 1.5527864], atol=1e-6)
+        # the driver's DRM iterate reflects through U onto the textbook one
+        textbook = LINE.reflect(one_step(Method.DRM).iterates[1])
+        assert np.allclose(textbook, [2 / SQ5, 2 - 1 / SQ5], atol=1e-12)
+        assert np.allclose(textbook, [0.8944272, 1.5527864], atol=1e-6)
 
     def test_gap_ball_line(self):
-        assert gap(BALL, LINE, Z) == pytest.approx(SQ5 - 1, abs=1e-12)
+        for method in Method:
+            assert one_step(method).gaps[0] == pytest.approx(SQ5 - 1, abs=1e-12)
 
     def test_fixed_points(self, rng):
         for kind in ANCHORED_KINDS:
@@ -59,19 +74,22 @@ class TestStepExamples:
             K = anchored_set(rng, kind, anchor)
             U = anchored_affine(rng, anchor)
             z = U.project(anchor)  # anchor itself lies in U
-            for step in (crm_step, map_step, drm_step):
-                assert la.norm(step(K, U, z) - z) <= 1e-10 * (1.0 + la.norm(z))
-            assert gap(K, U, z) <= 1e-10
+            steps = (crm_step(K, U, z), U.project(K.project(z)),
+                     0.5 * (z + U.reflect(K.reflect(z))))
+            for step in steps:
+                assert la.norm(step - z) <= 1e-10 * (1.0 + la.norm(z))
+            assert la.norm(U.project(z) - K.project(z)) <= 1e-10
 
     def test_map_idempotent_when_k_equals_u(self, rng):
         U = anchored_affine(rng, rng.standard_normal(5))
         z = 3.0 * rng.standard_normal(5)
-        assert np.allclose(map_step(U, U, z), U.project(z), atol=1e-12)
+        assert np.allclose(U.project(U.project(z)), U.project(z), atol=1e-12)
 
     def test_drm_whole_space_collapses_to_projection(self, rng):
         whole = Box([-1e9] * 2, [1e9] * 2)
         z = 5.0 * rng.standard_normal(2)
-        assert np.allclose(drm_step(whole, LINE, z), LINE.project(z), atol=1e-10)
+        drm = 0.5 * (z + LINE.reflect(whole.reflect(z)))
+        assert np.allclose(drm, LINE.project(z), atol=1e-10)
 
     def test_crm_requires_point_in_affine(self):
         with pytest.raises(NotInAffine):
@@ -101,7 +119,7 @@ class TestComparisonStructure:
         if not K.contains(s, 1e-9):
             return None
         z = point_in_affine(rng, U, anchor)
-        if gap(K, U, z) < 1e-6:
+        if la.norm(U.project(z) - K.project(z)) < 1e-6:
             return None
         return K, U, z, s
 
@@ -125,8 +143,8 @@ class TestComparisonStructure:
                 continue
             K, U, z, s = case
             c = crm_step(K, U, z)
-            m = map_step(K, U, z)
-            d = drm_step(K, U, z)
+            m = U.project(K.project(z))
+            d = 0.5 * (z + U.reflect(K.reflect(z)))
             assert la.norm(c - s) <= la.norm(m - s) + 1e-9
             assert la.norm(m - s) <= la.norm(d - s) + 1e-9
             # z, m, c collinear with m between z and c
@@ -185,23 +203,31 @@ class TestDriver:
         assert len(trace.gaps) == 4
 
     # CRM ends DEGENERATE on empty intersections, within the iterations the
-    # general circumcenter routine takes on them; U=None is the product-space
-    # problem W ∩ D
-    @pytest.mark.parametrize("K, U, z0, most", [
+    # general circumcenter routine takes on them, and MAP once its iterate
+    # repeats (without the check it ran to max_iter); U=None is the
+    # product-space problem W ∩ D
+    @pytest.mark.parametrize("method, K, U, z0, most", [
         # ball below the line y=3: H_z is parallel to U, the circumcenter
         # points become distinct collinear, the step degenerates
-        (BALL, AffineSubspace([[0.0, 1.0]], [3.0]), [0.0, 3.0], 0),
-        (BALL, AffineSubspace([[1.0, 1.0]], [10.0]), [10.0, 0.0], 107),
-        (Ball([0.0, 0.0, 0.0], 1.0), AffineSubspace([[1.0, 1.0, 0.0]], [10.0]),
+        (Method.CRM, BALL, AffineSubspace([[0.0, 1.0]], [3.0]), [0.0, 3.0], 0),
+        (Method.CRM, BALL, AffineSubspace([[1.0, 1.0]], [10.0]), [10.0, 0.0], 107),
+        (Method.CRM, Ball([0.0, 0.0, 0.0], 1.0), AffineSubspace([[1.0, 1.0, 0.0]], [10.0]),
          [10.0, 0.0, 3.0], 129),
-        (ProductSet([Halfspace([1.0, 0.0], -1.0), Halfspace([-1.0, 0.0], -1.0)]), None,
-         lift([0.0, 0.0], 2), 0),
-    ], ids=["parallel", "ball-line", "ball-plane", "prod-halfspaces"])
-    def test_degenerate_status_on_empty_intersection(self, K, U, z0, most):
-        cfg = SolverConfig(method=Method.CRM)
+        (Method.CRM, ProductSet([Halfspace([1.0, 0.0], -1.0), Halfspace([-1.0, 0.0], -1.0)]),
+         None, lift([0.0, 0.0], 2), 0),
+        # the start is already a fixed point of P_U P_K
+        (Method.MAP, BALL, AffineSubspace([[0.0, 1.0]], [3.0]), [0.0, 3.0], 1),
+        # the iterate stops moving at iteration 383
+        (Method.MAP, Ball([0.0, 0.0, 0.0], 1.0), AffineSubspace([[1.0, 1.0, 0.0]], [10.0]),
+         [10.0, 0.0, 3.0], 383),
+    ], ids=["parallel", "ball-line", "ball-plane", "prod-halfspaces",
+            "map-parallel", "map-ball-plane"])
+    def test_degenerate_status_on_empty_intersection(self, method, K, U, z0, most):
+        cfg = SolverConfig(method=method)
         trace = run(K, U, z0, cfg) if U is not None else run_prod(K, z0, cfg)
         assert trace.status is Status.DEGENERATE
         assert trace.iterations <= most
+        assert trace.gaps[-1] >= cfg.tol
 
     def test_nonfinite_status_when_the_gap_overflows(self):
         # the start is finite, but ||z - P_K(z)||^2 overflows
@@ -231,18 +257,40 @@ class TestDriver:
 
     def test_map_projects_onto_u_once_per_iteration(self):
         # MAP iterates lie in U, so the stopping gap needs no projection onto U
-        class CountingAffine(AffineSubspace):
-            calls = 0
-
-            def project(self, x):
-                self.calls += 1
-                return super().project(x)
-
         U = CountingAffine([[0.0, 1.0]], [1.0])  # y = 1
         trace = run(Ball([0.0, 0.5], 1.0), U, [4.0, 1.0], SolverConfig(method=Method.MAP))
         assert trace.status is Status.CONVERGED
         assert trace.iterations > 1
-        assert U.calls == trace.iterations + 1  # one per step, one for the start
+        assert U.projects == trace.iterations + 1  # one per step, one for the start
+
+    def test_drm_projects_onto_u_once_per_iteration(self):
+        # the shadow P_U(z) serves both the gap and the step; no reflection
+        U = CountingAffine([[0.0, 1.0]], [1.0])  # y = 1
+        trace = run(Ball([0.0, 0.5], 1.0), U, [4.0, 1.0], SolverConfig(method=Method.DRM))
+        assert trace.status is Status.CONVERGED
+        assert trace.iterations > 1
+        # one per visited iterate, one for the start
+        assert (U.projects, U.reflects) == (trace.iterations + 2, 0)
+
+    @pytest.mark.parametrize("case", ["ball-line", "cone-0", "cone-1", "cone-2"])
+    def test_drm_iterates_reflect_onto_the_textbook_sequence(self, case):
+        if case == "ball-line":
+            K, U, z0 = BALL, LINE, Z
+        else:  # instance i, start 0 of the reference cone grid (seed 2024)
+            i = int(case[-1])
+            inst = gen_soc_instance(200, derive_seed(2024, 1, i))
+            K, U = inst.sets[0], inst.affine
+            z0 = gen_start(inst, derive_seed(2024, 2, i, 0), min_gap=1e-6).projected
+        trace = run(K, U, z0, SolverConfig(method=Method.DRM, record_trace=True))
+        assert trace.status is Status.CONVERGED and trace.iterations > 1
+        x = U.project(z0)
+        for z, g in zip(trace.iterates, trace.gaps):
+            scale = 1e-12 * (1.0 + la.norm(x))
+            assert la.norm(U.reflect(z) - x) <= scale
+            assert abs(g - la.norm(U.project(x) - K.project(x))) <= scale
+            x = 0.5 * (x + U.reflect(K.reflect(x)))  # textbook DRM step
+        # the final point is the shadow of the last iterate
+        assert np.array_equal(trace.final_point, U.project(trace.iterates[-1]))
 
     # several sets meeting U are one product-space problem, U as the last factor
     def test_serial_driver(self):
@@ -268,7 +316,8 @@ class TestDriver:
             run([BALL, BALL], LINE, [2.0, 1.0], SolverConfig(method=Method.CRM))
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            SolverConfig(tol=0.0)
+        for tol in (0.0, -1e-6, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                SolverConfig(tol=tol)
         with pytest.raises(ValueError):
             SolverConfig(max_iter=0)
