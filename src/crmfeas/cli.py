@@ -131,8 +131,10 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     if args.command == "profile":
         return _cmd_profile(args)
-    try:  # reject a bad --tol or --max-iter before any work
+    try:  # reject a bad --tol, --max-iter or grid size before any work
         SolverConfig(tol=args.tol, max_iter=args.max_iter)
+        if args.command == "bench" and min(args.instances, args.starts) < 1:
+            raise ValueError("instance and start counts must be positive")
     except ValueError as exc:
         print(f"crmfeas: error: {exc}", file=sys.stderr)
         return 1

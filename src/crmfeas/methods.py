@@ -89,7 +89,8 @@ class IterationTrace:
     ``record_trace=True``. For DRM the iterates are those of the reflected
     form, ``z`` with ``R_U(z)`` the textbook DRM iterate. ``final_point`` is
     the point where the last gap was measured: the iterate for CRM and MAP,
-    the shadow ``P_U(z)`` for DRM.
+    the shadow ``P_U(z)`` for DRM. Product-space runs report points of
+    R^(nm) (see :func:`crmfeas.product_space.run_prod`).
     """
 
     gaps: list[float]
@@ -104,42 +105,51 @@ def _check_in_affine(U: ConvexSet, z: np.ndarray) -> None:
         raise NotInAffine("iterate is not in the affine set U")
 
 
-def _crm_from_projection(z: np.ndarray, pk: np.ndarray, U: ConvexSet) -> np.ndarray:
-    """CRM update given ``pk = P_K(z)``; assumes z in U.
+def _crm_coefficient(uu: float, du: float, dd: float, z_norm: float) -> float:
+    """The CRM rule: ``t`` such that ``z + t d`` is the circumcenter of ``z``,
+    ``z + u`` and ``z + 2d - u``, from ``uu = <u, u>``, ``du = <d, u>``,
+    ``dd = <d, d>`` and ``z_norm = ||z||``.
 
-    With ``u = R_K(z) - z`` and ``d = P_U(R_K(z)) - z``, the circumcenter of
-    ``z``, ``z + u`` and ``R_U R_K(z) = z + 2d - u`` is ``z + t d`` with
-    ``2 t <d, u> = ||u||^2``. As in :func:`crmfeas.circumcenter.circumcenter`,
-    the configuration is degenerate when no such point exists: ``<d, u> <= 0``,
-    or the equidistance equations ``2 <v_i, t d> = ||v_i||^2`` of
-    ``v_1 = u`` and ``v_2 = 2d - u`` miss by more than ``RESIDUAL_TOL`` times
-    one plus the largest pairwise distance of the three points. The point
-    lies in ``U`` in exact arithmetic; projecting it back keeps rounding from
-    carrying later iterates off ``U``.
+    Here ``u = R_K(z) - z`` and ``d = P_U(R_K(z)) - z`` for ``z in U``, and
+    ``2 t <d, u> = ||u||^2``. ``t = 0`` when ``z`` is a fixed point for
+    practical purposes. As in :func:`crmfeas.circumcenter.circumcenter`, the
+    configuration is degenerate when no equidistant point exists:
+    ``<d, u> <= 0``, or the equidistance equations ``2 <v_i, t d> = ||v_i||^2``
+    of ``v_1 = u`` and ``v_2 = 2d - u`` miss by more than ``RESIDUAL_TOL``
+    times one plus the largest pairwise distance of the three points.
     """
-    u = 2.0 * (pk - z)
-    uu = float(u @ u)
-    if math.sqrt(uu) < FIXED_POINT_TOL * (1.0 + float(la.norm(z))):
-        return z
-    d = U.project(z + u) - z
-    du = float(d @ u)
+    if math.sqrt(uu) < FIXED_POINT_TOL * (1.0 + z_norm):
+        return 0.0
     if du <= 0.0:
         raise DegenerateConfiguration("R_K(z) - z has no component along U")
-    w = (uu / (2.0 * du)) * d
-    v = 2.0 * d - u
-    residual = max(abs(2.0 * float(u @ w) - uu), abs(2.0 * float(v @ w) - float(v @ v)))
-    scale = 1.0 + max(math.sqrt(uu), float(la.norm(v)), 2.0 * float(la.norm(d - u)))
+    t = uu / (2.0 * du)
+    vv = 4.0 * (dd - du) + uu  # ||2d - u||^2
+    residual = max(abs(2.0 * t * du - uu), abs(2.0 * t * (2.0 * dd - du) - vv))
+    scale = 1.0 + max(math.sqrt(uu), math.sqrt(max(vv, 0.0)),
+                      2.0 * math.sqrt(max(dd - 2.0 * du + uu, 0.0)))
     if residual > RESIDUAL_TOL * scale:
         raise DegenerateConfiguration(
             f"no equidistant point in the affine hull (residual {residual:.3e})"
         )
-    return U.project(z + w)
+    return t
+
+
+def _crm_from_projection(z: np.ndarray, pk: np.ndarray, U: ConvexSet) -> np.ndarray:
+    """CRM update given ``pk = P_K(z)``; assumes z in U (see ``_crm_coefficient``).
+
+    The circumcenter lies in ``U`` in exact arithmetic; projecting it back
+    keeps rounding from carrying later iterates off ``U``.
+    """
+    u = 2.0 * (pk - z)
+    d = U.project(z + u) - z
+    t = _crm_coefficient(float(u @ u), float(d @ u), float(d @ d), float(la.norm(z)))
+    return U.project(z + t * d) if t else z
 
 
 def crm_step(K: ConvexSet, U: ConvexSet, z) -> np.ndarray:
     """One circumcentered-reflection step ``circ{z, R_K(z), R_U R_K(z)}``.
 
-    Computed in closed form (see ``_crm_from_projection``). Requires
+    Computed in closed form (see ``_crm_coefficient``). Requires
     ``z in U`` (within ``1e-8`` relative); the result again lies in ``U``,
     and ``z`` is a fixed point exactly when ``z in K ∩ U``.
     """
@@ -148,12 +158,47 @@ def crm_step(K: ConvexSet, U: ConvexSet, z) -> np.ndarray:
     return _crm_from_projection(z, K.project(z), U)
 
 
-def _drive(K: ConvexSet, U: ConvexSet, z: np.ndarray, config: SolverConfig) -> IterationTrace:
-    """Iterate the configured method from ``z in U`` until the gap drops below tol.
+class _TwoSets:
+    """``K ∩ U`` as :func:`_drive` sees a problem.
 
-    Each iteration measures the gap ``||y - pk||`` between ``y``, the point of
-    ``U`` the method tracks, and a projection ``pk`` onto ``K`` that the next
-    step reuses. CRM and MAP iterates stay in ``U``: ``y = z`` and
+    ``measure(z, method)`` returns ``(y, gap, data)``: the point the method
+    tracks, its gap, and what ``step(z, y, data, method)`` reuses; here
+    ``data`` is a projection onto ``K``. ``lift`` maps a point to the one
+    the trace reports (the identity here).
+    """
+
+    def __init__(self, K: ConvexSet, U: ConvexSet):
+        self.K = K
+        self.U = U
+
+    def measure(self, z, method):
+        if method is Method.DRM:
+            y = self.U.project(z)
+            pk = self.K.project(2.0 * y - z)
+        else:
+            y, pk = z, self.K.project(z)
+        return y, float(la.norm(y - pk)), pk
+
+    def step(self, z, y, pk, method):
+        if method is Method.MAP:
+            return self.U.project(pk)
+        if method is Method.CRM:
+            return _crm_from_projection(z, pk, self.U)
+        return z + pk - y
+
+    def lift(self, z):
+        return z
+
+
+def _drive(problem, z: np.ndarray, config: SolverConfig) -> IterationTrace:
+    """Iterate the configured method from ``z`` until the gap drops below tol.
+
+    ``problem`` supplies the gap and the step: ``_TwoSets`` for ``K ∩ U`` or
+    the product space's ``_Diagonal``, whose CRM and MAP iterates are points
+    of R^n lifted onto ``D``. For ``K ∩ U`` each iteration measures the gap
+    ``||y - pk||`` between ``y``, the point of ``U`` the method tracks, and a
+    projection ``pk`` onto ``K`` that the next step reuses. CRM and MAP
+    iterates stay in ``U``: ``y = z`` and
     ``pk = P_K(z)``. DRM runs the reflected form ``z -> (z + R_K(R_U(z))) / 2``:
     ``y = P_U(z)``, ``pk = P_K(2y - z)`` and ``z -> z + pk - y``. From a start
     in ``U``, ``R_U`` maps its iterates onto those of the textbook
@@ -161,40 +206,38 @@ def _drive(K: ConvexSet, U: ConvexSet, z: np.ndarray, config: SolverConfig) -> I
     When ``K ∩ U`` is empty the iterates diverge, but the cluster points of
     the shadow ``y`` are points of ``U`` nearest to ``K`` (Bauschke, Combettes
     and Luke, 2004). ``final_point`` is ``y`` for every method, the point
-    where the last gap was measured.
+    where the last gap was measured, lifted by the problem like the recorded
+    iterates.
 
     A MAP iterate that repeats bitwise with a gap of at least tol is a fixed
     point of ``P_U P_K`` off ``K``, which certifies ``K ∩ U = ∅``
     (Cheney-Goldstein); the run ends ``DEGENERATE``. A run ends ``NONFINITE``
-    when a projection meets a non-finite entry (a gap it prevents is recorded
-    as NaN) or when ``max_iter`` is reached on a non-finite gap; an
-    overflowing gap alone is not fatal, as the next MAP or DRM iterate may
+    when a measurement or a step meets a non-finite entry (a gap it prevents
+    is recorded as NaN) or when ``max_iter`` is reached on a non-finite gap;
+    an overflowing gap alone is not fatal, as the next MAP or DRM iterate may
     come back.
     """
     method = config.method
+    measure, step, lift = problem.measure, problem.step, problem.lift
+    stall_check = method is Method.MAP
     gaps: list[float] = []
-    iterates: list[np.ndarray] | None = [z] if config.record_trace else None
+    iterates: list[np.ndarray] | None = [lift(z)] if config.record_trace else None
     iterations = 0
     y = prev = z
 
     while True:
         try:
-            if method is Method.DRM:
-                y = U.project(z)
-                pk = K.project(2.0 * y - z)
-            else:
-                y, pk = z, K.project(z)
+            y, g, data = measure(z, method)
         except ValueError:  # a projection met a non-finite entry
             gaps.append(math.nan)
             status = Status.NONFINITE
             break
-        g = float(la.norm(y - pk))
         gaps.append(g)
         if g < config.tol:
             status = Status.CONVERGED
             break
         # the gap comparison is the cheap test; the iterate decides
-        if method is Method.MAP and iterations and g == gaps[-2] and np.array_equal(z, prev):
+        if stall_check and iterations and g == gaps[-2] and np.array_equal(z, prev):
             status = Status.DEGENERATE
             break
         if iterations >= config.max_iter:
@@ -202,12 +245,7 @@ def _drive(K: ConvexSet, U: ConvexSet, z: np.ndarray, config: SolverConfig) -> I
             break
         prev = z
         try:
-            if method is Method.CRM:
-                z = _crm_from_projection(z, pk, U)
-            elif method is Method.MAP:
-                z = U.project(pk)
-            else:
-                z = z + pk - y
+            z = step(z, y, data, method)
         except DegenerateConfiguration:
             status = Status.DEGENERATE
             break
@@ -216,13 +254,13 @@ def _drive(K: ConvexSet, U: ConvexSet, z: np.ndarray, config: SolverConfig) -> I
             break
         iterations += 1
         if iterates is not None:
-            iterates.append(z)
+            iterates.append(lift(z))
 
     return IterationTrace(
         gaps=gaps,
         iterations=iterations,
         status=status,
-        final_point=y,
+        final_point=lift(y),
         iterates=iterates,
     )
 
@@ -240,4 +278,4 @@ def run(K: ConvexSet, U: ConvexSet, z0, config: SolverConfig) -> IterationTrace:
     """
     if not isinstance(K, ConvexSet):
         raise ValueError(f"K must be a single ConvexSet, not {type(K).__name__}")
-    return _drive(K, U, U.project(as_point(z0, U.dim)), config)
+    return _drive(_TwoSets(K, U), U.project(as_point(z0, U.dim)), config)

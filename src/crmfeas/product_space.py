@@ -6,9 +6,15 @@ subspace ``{(x, ..., x)}``. ``D`` is an affine subspace, so the CRM step
 and the driver of :mod:`crmfeas.methods` apply with ``K := W`` and
 ``U := D``; this module supplies the two sets, the lift/restrict maps and
 ``run_prod``.
+
+On the diagonal the product-space MAP and CRM are Cimmino's method and
+Pierra's extrapolated parallel projection method in R^n, and ``run_prod``
+runs them in that form (see ``_Diagonal``).
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from numpy import linalg as la
@@ -16,7 +22,8 @@ from numpy import linalg as la
 # not called here; perfbench/tracing.py wraps the name in every module binding it
 from .circumcenter import circumcenter  # noqa: F401
 from .errors import DimensionMismatch, NotDiagonal
-from .methods import IterationTrace, SolverConfig, _drive, crm_step
+from .methods import (IterationTrace, Method, SolverConfig, _crm_coefficient, _drive,
+                      _TwoSets, crm_step)
 from .sets import ConvexSet, Halfspace, as_point
 
 __all__ = [
@@ -65,8 +72,30 @@ class ProductSet(ConvexSet):
             return (X - (excess / a_sq)[:, None] * A).ravel()
         out = np.empty_like(X)
         for i, f in enumerate(self.factors):
-            out[i] = f.project(X[i])
+            out[i] = f._project(X[i])
         return out.ravel()
+
+    def _projection_sums(self, x):
+        """``(sum P_{X_i}(x), sum ||P_{X_i}(x) - x||^2)`` over the factors, for ``x in R^n``.
+
+        Uses O(n) memory besides the halfspace rows: all-halfspace products
+        take one pass (``c = max(A x - b, 0) / ||a_i||^2``, the projections sum
+        to ``m x - A^T c`` and the squared residuals to
+        ``<max(A x - b, 0), c>``), others one factor at a time.
+        """
+        if self._rows is not None:
+            A, b, a_sq = self._rows
+            excess = np.maximum(A @ x - b, 0.0)
+            c = excess / a_sq
+            return self.m * x - c @ A, float(excess @ c)
+        total = np.zeros_like(x)
+        sq = 0.0
+        for f in self.factors:
+            p = f._project(x)
+            total += p
+            r = p - x
+            sq += float(r @ r)
+        return total, sq
 
     def __repr__(self):
         return f"ProductSet(m={self.m}, block_dim={self.block_dim})"
@@ -130,17 +159,60 @@ def crm_prod_step(W: ProductSet, z) -> np.ndarray:
     return crm_step(W, DiagonalSubspace(W.block_dim, W.m), z)
 
 
+class _Diagonal:
+    """``W ∩ D`` for :func:`crmfeas.methods._drive`, on diagonal iterates
+    ``z = lift(x)`` kept as ``x in R^n``.
+
+    ``P_W(z)`` has blocks ``P_{X_i}(x)``; let ``p`` be their sum and
+    ``r_i = P_{X_i}(x) - x``. The gap is ``(sum ||r_i||^2)^(1/2)``, and MAP's
+    ``P_D(P_W(z))`` is ``lift(p / m)``: Cimmino's method. CRM's
+    ``u = 2 (P_W(z) - z)`` and ``d = P_D(z + u) - z = lift(2 (p / m - x))``
+    have ``<u, u> = 4 sum ||r_i||^2`` and ``<d, u> = <d, d> = m ||2 (p / m - x)||^2``,
+    from which the CRM rule gives ``x + 2 t (p / m - x)``: Pierra's
+    extrapolated parallel projection method (Pierra 1984; Combettes 1994).
+    """
+
+    def __init__(self, W: ProductSet):
+        self.W = W
+
+    def measure(self, x, method):
+        total, sq = self.W._projection_sums(x)
+        g = math.sqrt(sq)
+        # a non-finite entry of x always makes the gap NaN or infinite
+        if not math.isfinite(g) and not np.all(np.isfinite(x)):
+            raise ValueError("iterate has non-finite entries")
+        return x, g, (total, sq)
+
+    def step(self, x, y, data, method):
+        total, sq = data
+        m = self.W.m
+        if method is Method.MAP:
+            return total / m
+        d = 2.0 * (total / m - x)
+        dd = m * float(d @ d)
+        return x + _crm_coefficient(4.0 * sq, dd, dd, math.sqrt(m) * float(la.norm(x))) * d
+
+    def lift(self, x):
+        return np.tile(x, self.W.m)
+
+
 def run_prod(W: ProductSet, z0, config: SolverConfig) -> IterationTrace:
     """Drive a product-space method from ``z0`` (projected onto ``D`` first).
 
-    This is :func:`crmfeas.methods.run` with ``K := W`` and ``U := D``. CRM
-    and MAP iterates stay in ``D`` and stop on ``||z - P_W(z)|| < tol``. DRM
-    iterates ``z`` of ``(z + R_W(R_D(z))) / 2``, whose reflections
-    ``R_D(z)`` are the textbook DRM iterates, and stops on
-    ``||P_D(z) - P_W(R_D(z))|| < tol``, which equals its fixed-point
-    residual ``||z^(k+1) - z^k||``. ``final_point`` is the diagonal
-    point where the last gap was measured: the iterate for CRM and MAP, the
-    shadow ``P_D(z)`` for DRM.
+    The steps are those of :func:`crmfeas.methods.run` with ``K := W`` and
+    ``U := D``. CRM and MAP iterates stay in ``D``, so they run in R^n on the
+    block mean ``x`` (Pierra's EPPM and Cimmino's method, see ``_Diagonal``),
+    equal to the R^(nm) iteration up to rounding, and stop on
+    ``||z - P_W(z)|| < tol``. DRM iterates leave ``D`` and run in R^(nm):
+    ``z`` of ``(z + R_W(R_D(z))) / 2``, whose reflections ``R_D(z)`` are the
+    textbook DRM iterates, stopping on ``||P_D(z) - P_W(R_D(z))|| < tol``,
+    which equals its fixed-point residual ``||z^(k+1) - z^k||``.
+    ``final_point`` and the recorded iterates are points of R^(nm);
+    ``final_point`` is the diagonal point where the last gap was measured:
+    ``lift(x)`` for CRM and MAP, the shadow ``P_D(z)`` for DRM.
     """
-    D = DiagonalSubspace(W.block_dim, W.m)
-    return _drive(W, D, D.project(as_point(z0, W.dim)), config)
+    z0 = as_point(z0, W.dim)
+    if config.method is Method.DRM:
+        D = DiagonalSubspace(W.block_dim, W.m)
+        return _drive(_TwoSets(W, D), D.project(z0), config)
+    return _drive(_Diagonal(W), z0.reshape(W.m, W.block_dim).mean(axis=0), config)

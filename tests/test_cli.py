@@ -105,3 +105,10 @@ def test_bad_tolerance_is_a_usage_error(tmp_path, capsys):
     assert err == ["crmfeas: error: tol must be positive and finite, got nan",
                    "crmfeas: error: tol must be positive and finite, got 0.0",
                    "crmfeas: error: max_iter must be positive"]
+
+
+def test_empty_grid_is_a_usage_error(capsys):
+    assert main(["bench", "soc", "--n", "20", "--instances", "0"]) == 1
+    assert main(["bench", "poly", "--n", "15", "--starts", "0"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["crmfeas: error: instance and start counts must be positive"] * 2

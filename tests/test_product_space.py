@@ -1,7 +1,11 @@
 """Product-space lifting, projections, the CRM-prod step, and the prod driver."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy import linalg as la
 
 from crmfeas.errors import DimensionMismatch, NotDiagonal, NotInAffine
@@ -17,6 +21,7 @@ from crmfeas.product_space import (
     run_prod,
 )
 from crmfeas.sets import AffineSubspace, Ball, Box, Halfspace, SecondOrderCone
+from conftest import ANCHORED_KINDS, anchored_point, anchored_set
 
 TWO_BALLS = ProductSet([Ball([-1.0, 0.0], 1.0), Ball([1.0, 0.0], 1.0)])
 OVERLAP = ProductSet([Ball([-1.0, 0.0], 1.25), Ball([1.0, 0.0], 1.25)])
@@ -266,3 +271,87 @@ class TestRunProd:
     def test_serial_method_rejected(self):
         with pytest.raises(ValueError):
             run_prod(OVERLAP, np.zeros(4), SolverConfig(method="SerialCRM"))
+
+
+def _assert_matches_reference(W, z0, cfg):
+    """run_prod (CRM and MAP in R^n) against the R^(nm) driver run(W, D)."""
+    fast = run_prod(W, z0, cfg)
+    ref = run(W, DiagonalSubspace(W.block_dim, W.m), z0, cfg)
+    assert (fast.iterations, fast.status) == (ref.iterations, ref.status)
+    scale = 1.0 + la.norm(ref.final_point)
+    assert la.norm(fast.final_point - ref.final_point) <= 1e-10 * scale
+    return fast
+
+
+def _assert_steps_match_crm_prod_step(W, trace):
+    for z, z_next in zip(trace.iterates, trace.iterates[1:]):
+        assert la.norm(z_next - crm_prod_step(W, z)) <= 1e-12 * (1.0 + la.norm(z))
+
+
+def _poly_case(index, start):
+    inst = gen_polyhedral_instance(200, derive_seed(137, 1, index))
+    z0 = gen_start(inst, derive_seed(137, 2, index, start), min_gap=1e-6).projected
+    return ProductSet(inst.sets), z0
+
+
+class TestIterationInRn:
+    """CRM and MAP of run_prod iterate x in R^n; they must retrace run(W, D)."""
+
+    def test_poly_grid_starts_match_the_product_space_driver(self):
+        # the reference polyhedral grid: instance 0 of base seed 137 (m = 57)
+        crm = SolverConfig(method=Method.CRM, tol=1e-6, record_trace=True)
+        for j in range(20):
+            W, z0 = _poly_case(0, j)
+            trace = _assert_matches_reference(W, z0, crm)
+            assert trace.status is Status.CONVERGED
+            _assert_steps_match_crm_prod_step(W, trace)
+        # MAP takes about a thousand R^(nm) iterations per start; three suffice
+        for j in range(3):
+            W, z0 = _poly_case(0, j)
+            trace = _assert_matches_reference(W, z0, SolverConfig(method=Method.MAP, tol=1e-6))
+            assert trace.status is Status.CONVERGED
+
+    @pytest.mark.parametrize("index", [2, 7])
+    def test_m171_instances_match_the_product_space_driver(self, index):
+        W, z0 = _poly_case(index, 0)
+        assert W.m == 171
+        trace = _assert_matches_reference(
+            W, z0, SolverConfig(method=Method.CRM, tol=1e-6, record_trace=True))
+        assert trace.status is Status.CONVERGED
+        _assert_steps_match_crm_prod_step(W, trace)
+        # the first 300 MAP iterations, of 4,656 (instance 2) and 6,518 (instance 7)
+        trace = _assert_matches_reference(W, z0, SolverConfig(method=Method.MAP, max_iter=300))
+        assert trace.status is Status.MAX_ITER
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 6),
+           kinds=st.lists(st.sampled_from(ANCHORED_KINDS), min_size=1, max_size=6))
+    def test_catalog_products_match_the_product_space_driver(self, seed, dim, kinds):
+        rng = np.random.default_rng(seed)
+        anchor = anchored_point(rng, dim, "soc")  # a point of every factor kind
+        W = ProductSet([anchored_set(rng, kind, anchor) for kind in kinds])
+        z0 = lift(anchor + 3.0 * rng.standard_normal(dim), W.m)
+        trace = _assert_matches_reference(
+            W, z0, SolverConfig(method=Method.CRM, max_iter=2000, record_trace=True))
+        _assert_steps_match_crm_prod_step(W, trace)
+        _assert_matches_reference(W, z0, SolverConfig(method=Method.MAP, max_iter=2000))
+
+    @pytest.mark.parametrize("method", [Method.CRM, Method.MAP])
+    def test_memory_stays_at_one_lifted_point(self, method):
+        # halfspaces through a common point, n = 200 and m = 10^4: one vector
+        # of R^(nm) takes 16 MB, which the lifted final point needs anyway
+        rng = np.random.default_rng(6)
+        n, m = 200, 10_000
+        x = rng.standard_normal(n)
+        A = rng.standard_normal((m, n))
+        W = ProductSet([Halfspace(a, float(a @ x) + 0.1) for a in A])
+        z0 = lift(x + 5.0 * rng.standard_normal(n), m)
+        del A
+        tracemalloc.start()
+        try:
+            trace = run_prod(W, z0, SolverConfig(method=method, max_iter=50))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert trace.iterations > 0 and trace.final_point.shape == (n * m,)
+        assert peak < 1.25 * 8 * n * m
