@@ -31,6 +31,7 @@ __all__ = [
     "make_stats",
     "performance_profile",
     "profile_from_records",
+    "check_grid_size",
     "bench_soc",
     "bench_polyhedral_prod",
     "export",
@@ -220,10 +221,15 @@ def _grid_unit(args) -> list[RunRecord]:
     return records
 
 
-def _run_grid(kind, num_instances, starts_per_instance, n, tol, max_iter,
-              base_seed, jobs, record_gaps) -> BenchResult:
+def check_grid_size(num_instances: int, starts_per_instance: int) -> None:
+    """Raise ``ValueError`` unless a grid has at least one instance and one start."""
     if num_instances < 1 or starts_per_instance < 1:
         raise ValueError("instance and start counts must be positive")
+
+
+def _run_grid(kind, num_instances, starts_per_instance, n, tol, max_iter,
+              base_seed, jobs, record_gaps) -> BenchResult:
+    check_grid_size(num_instances, starts_per_instance)
     units = []
     for i in range(num_instances):
         instance_seed = derive_seed(base_seed, _INSTANCE_TAG, i)

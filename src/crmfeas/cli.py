@@ -133,8 +133,8 @@ def main(argv=None) -> int:
         return _cmd_profile(args)
     try:  # reject a bad --tol, --max-iter or grid size before any work
         SolverConfig(tol=args.tol, max_iter=args.max_iter)
-        if args.command == "bench" and min(args.instances, args.starts) < 1:
-            raise ValueError("instance and start counts must be positive")
+        if args.command == "bench":
+            bench_mod.check_grid_size(args.instances, args.starts)
     except ValueError as exc:
         print(f"crmfeas: error: {exc}", file=sys.stderr)
         return 1

@@ -159,31 +159,37 @@ def crm_step(K: ConvexSet, U: ConvexSet, z) -> np.ndarray:
 
 
 class _TwoSets:
-    """``K ∩ U`` as :func:`_drive` sees a problem.
+    """``K ∩ U`` as :func:`_drive` sees a problem, for one method.
 
-    ``measure(z, method)`` returns ``(y, gap, data)``: the point the method
-    tracks, its gap, and what ``step(z, y, data, method)`` reuses; here
-    ``data`` is a projection onto ``K``. ``lift`` maps a point to the one
-    the trace reports (the identity here).
+    ``measure(z)`` returns ``(y, gap, data)``: the point the method tracks,
+    its gap, and what ``step(z, y, data)`` reuses; here ``data`` is a
+    projection onto ``K``. ``lift`` maps a point to the one the trace
+    reports (the identity here).
     """
 
-    def __init__(self, K: ConvexSet, U: ConvexSet):
+    def __init__(self, K: ConvexSet, U: ConvexSet, method: Method):
         self.K = K
         self.U = U
+        self.measure = self._measure_shadow if method is Method.DRM else self._measure_iterate
+        self.step = {Method.CRM: self._crm_step, Method.MAP: self._map_step,
+                     Method.DRM: self._drm_step}[method]
 
-    def measure(self, z, method):
-        if method is Method.DRM:
-            y = self.U.project(z)
-            pk = self.K.project(2.0 * y - z)
-        else:
-            y, pk = z, self.K.project(z)
+    def _measure_iterate(self, z):
+        pk = self.K.project(z)
+        return z, float(la.norm(z - pk)), pk
+
+    def _measure_shadow(self, z):
+        y = self.U.project(z)
+        pk = self.K.project(2.0 * y - z)
         return y, float(la.norm(y - pk)), pk
 
-    def step(self, z, y, pk, method):
-        if method is Method.MAP:
-            return self.U.project(pk)
-        if method is Method.CRM:
-            return _crm_from_projection(z, pk, self.U)
+    def _crm_step(self, z, y, pk):
+        return _crm_from_projection(z, pk, self.U)
+
+    def _map_step(self, z, y, pk):
+        return self.U.project(pk)
+
+    def _drm_step(self, z, y, pk):
         return z + pk - y
 
     def lift(self, z):
@@ -193,13 +199,13 @@ class _TwoSets:
 def _drive(problem, z: np.ndarray, config: SolverConfig) -> IterationTrace:
     """Iterate the configured method from ``z`` until the gap drops below tol.
 
-    ``problem`` supplies the gap and the step: ``_TwoSets`` for ``K ∩ U`` or
-    the product space's ``_Diagonal``, whose CRM and MAP iterates are points
-    of R^n lifted onto ``D``. For ``K ∩ U`` each iteration measures the gap
-    ``||y - pk||`` between ``y``, the point of ``U`` the method tracks, and a
-    projection ``pk`` onto ``K`` that the next step reuses. CRM and MAP
-    iterates stay in ``U``: ``y = z`` and
-    ``pk = P_K(z)``. DRM runs the reflected form ``z -> (z + R_K(R_U(z))) / 2``:
+    ``problem``, built for the configured method, supplies the gap and the
+    step: ``_TwoSets`` for ``K ∩ U`` or the product space's ``_Diagonal``,
+    whose CRM and MAP iterates are points of R^n lifted onto ``D``. For
+    ``K ∩ U`` each iteration measures the gap ``||y - pk||`` between ``y``,
+    the point of ``U`` the method tracks, and a projection ``pk`` onto ``K``
+    that the next step reuses. CRM and MAP iterates stay in ``U``: ``y = z``
+    and ``pk = P_K(z)``. DRM runs the reflected form ``z -> (z + R_K(R_U(z))) / 2``:
     ``y = P_U(z)``, ``pk = P_K(2y - z)`` and ``z -> z + pk - y``. From a start
     in ``U``, ``R_U`` maps its iterates onto those of the textbook
     ``(z + R_U(R_K(z))) / 2``, and ``P_U R_U = P_U`` gives both the same gaps.
@@ -217,9 +223,8 @@ def _drive(problem, z: np.ndarray, config: SolverConfig) -> IterationTrace:
     an overflowing gap alone is not fatal, as the next MAP or DRM iterate may
     come back.
     """
-    method = config.method
     measure, step, lift = problem.measure, problem.step, problem.lift
-    stall_check = method is Method.MAP
+    stall_check = config.method is Method.MAP  # one fixed-point rule for every problem
     gaps: list[float] = []
     iterates: list[np.ndarray] | None = [lift(z)] if config.record_trace else None
     iterations = 0
@@ -227,7 +232,7 @@ def _drive(problem, z: np.ndarray, config: SolverConfig) -> IterationTrace:
 
     while True:
         try:
-            y, g, data = measure(z, method)
+            y, g, data = measure(z)
         except ValueError:  # a projection met a non-finite entry
             gaps.append(math.nan)
             status = Status.NONFINITE
@@ -245,7 +250,7 @@ def _drive(problem, z: np.ndarray, config: SolverConfig) -> IterationTrace:
             break
         prev = z
         try:
-            z = step(z, y, data, method)
+            z = step(z, y, data)
         except DegenerateConfiguration:
             status = Status.DEGENERATE
             break
@@ -278,4 +283,4 @@ def run(K: ConvexSet, U: ConvexSet, z0, config: SolverConfig) -> IterationTrace:
     """
     if not isinstance(K, ConvexSet):
         raise ValueError(f"K must be a single ConvexSet, not {type(K).__name__}")
-    return _drive(_TwoSets(K, U), U.project(as_point(z0, U.dim)), config)
+    return _drive(_TwoSets(K, U, config.method), U.project(as_point(z0, U.dim)), config)

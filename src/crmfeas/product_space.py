@@ -159,6 +159,13 @@ def crm_prod_step(W: ProductSet, z) -> np.ndarray:
     return crm_step(W, DiagonalSubspace(W.block_dim, W.m), z)
 
 
+def _check_finite(x: np.ndarray) -> None:
+    """Raise ``ValueError`` if ``x`` has a NaN or infinite entry."""
+    # x @ x is finite unless x has a non-finite or a huge entry; only then look closer
+    if not math.isfinite(float(x @ x)) and not np.isfinite(x).all():
+        raise ValueError("iterate has non-finite entries")
+
+
 class _Diagonal:
     """``W ∩ D`` for :func:`crmfeas.methods._drive`, on diagonal iterates
     ``z = lift(x)`` kept as ``x in R^n``.
@@ -172,25 +179,26 @@ class _Diagonal:
     extrapolated parallel projection method (Pierra 1984; Combettes 1994).
     """
 
-    def __init__(self, W: ProductSet):
+    def __init__(self, W: ProductSet, method: Method):
         self.W = W
+        self.step = self._map_step if method is Method.MAP else self._crm_step
 
-    def measure(self, x, method):
+    def measure(self, x):
+        _check_finite(x)  # as P_W(lift(x)) checks its argument in R^(nm)
         total, sq = self.W._projection_sums(x)
-        g = math.sqrt(sq)
-        # a non-finite entry of x always makes the gap NaN or infinite
-        if not math.isfinite(g) and not np.all(np.isfinite(x)):
-            raise ValueError("iterate has non-finite entries")
-        return x, g, (total, sq)
+        return x, math.sqrt(sq), (total, sq)
 
-    def step(self, x, y, data, method):
+    def _map_step(self, x, y, data):
+        return data[0] / self.W.m
+
+    def _crm_step(self, x, y, data):
         total, sq = data
         m = self.W.m
-        if method is Method.MAP:
-            return total / m
         d = 2.0 * (total / m - x)
         dd = m * float(d @ d)
-        return x + _crm_coefficient(4.0 * sq, dd, dd, math.sqrt(m) * float(la.norm(x))) * d
+        x = x + _crm_coefficient(4.0 * sq, dd, dd, math.sqrt(m) * float(la.norm(x))) * d
+        _check_finite(x)  # as P_D(z + t d) checks its argument in R^(nm)
+        return x
 
     def lift(self, x):
         return np.tile(x, self.W.m)
@@ -214,5 +222,5 @@ def run_prod(W: ProductSet, z0, config: SolverConfig) -> IterationTrace:
     z0 = as_point(z0, W.dim)
     if config.method is Method.DRM:
         D = DiagonalSubspace(W.block_dim, W.m)
-        return _drive(_TwoSets(W, D), D.project(z0), config)
-    return _drive(_Diagonal(W), z0.reshape(W.m, W.block_dim).mean(axis=0), config)
+        return _drive(_TwoSets(W, D, Method.DRM), D.project(z0), config)
+    return _drive(_Diagonal(W, config.method), z0.reshape(W.m, W.block_dim).mean(axis=0), config)

@@ -1,5 +1,7 @@
 """Step operators, comparison/Fejér structure, and the iteration driver."""
 
+import itertools
+
 import numpy as np
 import pytest
 from numpy import linalg as la
@@ -7,7 +9,7 @@ from numpy import linalg as la
 from crmfeas.errors import NotInAffine
 from crmfeas.instances import derive_seed, gen_soc_instance, gen_start
 from crmfeas.methods import Method, SolverConfig, Status, crm_step, run
-from crmfeas.product_space import ProductSet, lift, restrict, run_prod
+from crmfeas.product_space import DiagonalSubspace, ProductSet, lift, restrict, run_prod
 from crmfeas.sets import AffineSubspace, Ball, Box, Halfspace, Hyperplane
 from conftest import (
     ANCHORED_KINDS,
@@ -243,17 +245,25 @@ class TestDriver:
         assert (drm.status, drm.iterations) == (Status.CONVERGED, 2)
 
     def test_nonfinite_status_in_the_product_space(self):
-        W = ProductSet([BALL, Halfspace([0.0, 1.0], 0.5)])
-        with np.errstate(over="ignore", invalid="ignore"):
-            # the blockwise mean of the start overflows: no gap can be measured
-            for method in Method:
-                trace = run_prod(W, lift([1e308, 0.5], 2), SolverConfig(method=method))
-                assert trace.status is Status.NONFINITE
-                assert trace.iterations == 0 and np.isnan(trace.gaps[0])
-            # MAP-prod comes back from gaps that overflow, and converges
-            trace = run_prod(W, lift([1e200, 0.5], 2), SolverConfig(method=Method.MAP))
-        assert trace.status is Status.CONVERGED
-        assert np.isinf(trace.gaps[0]) and trace.iterations > 1
+        D = DiagonalSubspace(2, 2)
+        for W in (ProductSet([BALL, Halfspace([0.0, 1.0], 0.5)]),
+                  ProductSet([Halfspace([1.0, 0.0], 0.0), Halfspace([1.0, 1.0], 0.0)])):
+            with np.errstate(over="ignore", invalid="ignore"):
+                # the blockwise mean of the start overflows: no gap can be measured
+                for method, x0 in itertools.product(Method, ([1e308, 0.5], [-1e308, 0.5])):
+                    trace = run_prod(W, lift(x0, 2), SolverConfig(method=method))
+                    assert trace.status is Status.NONFINITE
+                    assert trace.iterations == 0 and np.isnan(trace.gaps[0])
+                # the gap overflows: the first CRM step overflows too, and the run
+                # stops there as in R^(nm), while MAP-prod comes back and converges
+                z0 = lift([1e200, 0.5], 2)
+                for method in (Method.CRM, Method.MAP):
+                    cfg = SolverConfig(method=method)
+                    trace, ref = run_prod(W, z0, cfg), run(W, D, z0, cfg)
+                    assert (trace.status, trace.iterations) == (ref.status, ref.iterations)
+                    assert len(trace.gaps) == len(ref.gaps) == trace.iterations + 1
+                    assert np.isinf(trace.gaps[0])
+            assert ref.status is Status.CONVERGED and ref.iterations > 1
 
     def test_map_projects_onto_u_once_per_iteration(self):
         # MAP iterates lie in U, so the stopping gap needs no projection onto U
