@@ -1,6 +1,7 @@
 """Step operators, comparison/Fejér structure, and the iteration driver."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from crmfeas.errors import NotInAffine
 from crmfeas.instances import derive_seed, gen_soc_instance, gen_start
 from crmfeas.methods import Method, SolverConfig, Status, crm_step, run
 from crmfeas.product_space import DiagonalSubspace, ProductSet, lift, restrict, run_prod
-from crmfeas.sets import AffineSubspace, Ball, Box, Halfspace, Hyperplane
+from crmfeas.sets import AffineSubspace, Ball, Box, Halfspace, Hyperplane, SecondOrderCone
 from conftest import (
     ANCHORED_KINDS,
     anchored_affine,
@@ -232,17 +233,51 @@ class TestDriver:
         assert trace.gaps[-1] >= cfg.tol
 
     def test_nonfinite_status_when_the_gap_overflows(self):
-        # the start is finite, but ||z - P_K(z)||^2 overflows
-        U = AffineSubspace([[0.0, 1.0]], [0.5])
-        z0 = [1e200, 0.5]
-        with np.errstate(over="ignore", invalid="ignore"):
-            crm = run(BALL, U, z0, SolverConfig(method=Method.CRM))
-            map_ = run(BALL, U, z0, SolverConfig(method=Method.MAP))
-            drm = run(BALL, U, z0, SolverConfig(method=Method.DRM))
-        assert crm.status is Status.NONFINITE
-        assert len(crm.gaps) == crm.iterations + 1
-        assert (map_.status, map_.iterations) == (Status.CONVERGED, 1)
-        assert (drm.status, drm.iterations) == (Status.CONVERGED, 2)
+        inf, nan = math.inf, math.nan
+        # (K, U, z0, scale of the rounding of the gaps, expected traces); ball ∩
+        # {y = 0.5}: the start is finite, but ||z - P_K(z)||^2 overflows, and the
+        # first step lands at unit scale
+        ball_line = (BALL, AffineSubspace([[0.0, 1.0]], [0.5]), [1e200, 0.5], 1.0, {
+            Method.CRM: (Status.NONFINITE, 0, [inf]),
+            Method.MAP: (Status.CONVERGED, 1, [inf, 0.0]),
+            Method.DRM: (Status.CONVERGED, 2, [inf, 0.5, 0.0]),
+        })
+        # SOC ∩ {A x = b} in R^6 with rank 4 > n/2, from starts along one ray
+        A = np.random.default_rng(5).standard_normal((4, 6))
+        U = AffineSubspace(A, A @ [3.0, 1.0, 0.5, -1.0, 0.2, 0.3])
+        assert U.rank == 4
+        ray = np.array([1.0, 0.3, -0.2, 0.1, 0.4, -0.5])
+        soc = SecondOrderCone(6)
+        cases = [ball_line, (soc, U, 1e154 * ray, 1e154, {
+            # huge but finite: no circumcenter in floating point
+            Method.CRM: (Status.DEGENERATE, 0, [1.2624953449198822e153]),
+            Method.MAP: (Status.MAX_ITER, 3, [1.2624953449198822e153, 1.123401264762107e153,
+                                              1.018618347532659e153, 9.371345240871125e152]),
+            Method.DRM: (Status.MAX_ITER, 3, [1.2624953449198818e153, 1.1701481924680493e153,
+                                              1.0524872808639976e153, 9.202523631030325e152]),
+        }), (soc, U, -1e154 * ray, 1e154, {
+            # the gap is finite, ||R_K(z) - z||^2 overflows inside the CRM step
+            Method.CRM: (Status.NONFINITE, 0, [1.1537947059153571e154]),
+            Method.MAP: (Status.MAX_ITER, 3, [1.1537947059153571e154, 2.9094624075658264e152,
+                                              1.0205992473080898e152, 5.979665487506524e151]),
+            # the last gap is rounding of iterates near 1e153
+            Method.DRM: (Status.MAX_ITER, 3, [1.1537947059153571e154, 4.1298343200241487e152,
+                                              4.434527450422499e151, 1.801621935728339e137]),
+        }), (soc, U, 1e155 * ray, 1e155, {
+            # ||u||^2 overflows inside P_K: the gap is NaN; the MAP and CRM steps
+            # reject P_K(z), the DRM step does not and its next gap cannot be measured
+            Method.CRM: (Status.NONFINITE, 0, [nan]),
+            Method.MAP: (Status.NONFINITE, 0, [nan]),
+            Method.DRM: (Status.NONFINITE, 1, [nan, nan]),
+        })]
+        for K, U, z0, scale, expected in cases:
+            for method, (status, iterations, gaps) in expected.items():
+                with np.errstate(over="ignore", invalid="ignore"):
+                    trace = run(K, U, z0, SolverConfig(method=method, max_iter=3))
+                assert (trace.status, trace.iterations) == (status, iterations), (z0, method)
+                assert len(trace.gaps) == len(gaps)
+                assert np.allclose(trace.gaps, gaps, rtol=1e-12, atol=1e-12 * scale,
+                                   equal_nan=True), (z0, method)
 
     def test_nonfinite_status_in_the_product_space(self):
         D = DiagonalSubspace(2, 2)
