@@ -27,7 +27,7 @@ from .circumcenter import RESIDUAL_TOL
 # not called here; perfbench/tracing.py wraps the name in every module binding it
 from .circumcenter import circumcenter  # noqa: F401
 from .errors import DegenerateConfiguration, NotInAffine
-from .sets import ConvexSet, as_point
+from .sets import ConvexSet, _check_finite, as_point
 
 __all__ = [
     "Method",
@@ -138,12 +138,15 @@ def _crm_from_projection(z: np.ndarray, pk: np.ndarray, U: ConvexSet) -> np.ndar
     """CRM update given ``pk = P_K(z)``; assumes z in U (see ``_crm_coefficient``).
 
     The circumcenter lies in ``U`` in exact arithmetic; projecting it back
-    keeps rounding from carrying later iterates off ``U``.
+    keeps rounding from carrying later iterates off ``U``. Raises
+    ``ValueError`` when either point projected onto ``U`` has a non-finite
+    entry.
     """
     u = 2.0 * (pk - z)
-    d = U.project(z + u) - z
-    t = _crm_coefficient(float(u @ u), float(d @ u), float(d @ d), float(la.norm(z)))
-    return U.project(z + t * d) if t else z
+    d = U._project(_check_finite(z + u)) - z
+    t = _crm_coefficient(float(u.dot(u)), float(d.dot(u)), float(d.dot(d)),
+                         math.sqrt(z.dot(z)))
+    return U._project(_check_finite(z + t * d)) if t else z
 
 
 def crm_step(K: ConvexSet, U: ConvexSet, z) -> np.ndarray:
@@ -162,9 +165,11 @@ class _TwoSets:
     """``K ∩ U`` as :func:`_drive` sees a problem, for one method.
 
     ``measure(z)`` returns ``(y, gap, data)``: the point the method tracks,
-    its gap, and what ``step(z, y, data)`` reuses; here ``data`` is a
+    its gap, and what ``step(z, y, gap, data)`` reuses; here ``data`` is a
     projection onto ``K``. ``lift`` maps a point to the one the trace
-    reports (the identity here).
+    reports (the identity here). Both call the sets' ``_project`` on vectors
+    known to be finite, and check for non-finite entries only where the
+    public ``project`` would have rejected one that is not.
     """
 
     def __init__(self, K: ConvexSet, U: ConvexSet, method: Method):
@@ -175,21 +180,30 @@ class _TwoSets:
                      Method.DRM: self._drm_step}[method]
 
     def _measure_iterate(self, z):
-        pk = self.K.project(z)
-        return z, float(la.norm(z - pk)), pk
+        pk = self.K._project(z)
+        r = z - pk
+        g = math.sqrt(r.dot(r))
+        if not math.isfinite(g):  # a finite gap proves z finite
+            _check_finite(z)
+        return z, g, pk
 
     def _measure_shadow(self, z):
-        y = self.U.project(z)
-        pk = self.K.project(2.0 * y - z)
-        return y, float(la.norm(y - pk)), pk
+        y = self.U._project(z)
+        # 2y - z is non-finite when z is or when it overflows; a box or a cone
+        # can project it back to finite points, so the gap proves nothing here
+        pk = self.K._project(_check_finite(2.0 * y - z))
+        r = y - pk
+        return y, math.sqrt(r.dot(r)), pk
 
-    def _crm_step(self, z, y, pk):
+    def _crm_step(self, z, y, g, pk):
         return _crm_from_projection(z, pk, self.U)
 
-    def _map_step(self, z, y, pk):
-        return self.U.project(pk)
+    def _map_step(self, z, y, g, pk):
+        if not math.isfinite(g):  # a finite gap proves pk finite
+            _check_finite(pk)
+        return self.U._project(pk)
 
-    def _drm_step(self, z, y, pk):
+    def _drm_step(self, z, y, g, pk):
         return z + pk - y
 
     def lift(self, z):
@@ -217,7 +231,13 @@ def _drive(problem, z: np.ndarray, config: SolverConfig) -> IterationTrace:
 
     A MAP iterate that repeats bitwise with a gap of at least tol is a fixed
     point of ``P_U P_K`` off ``K``, which certifies ``K ∩ U = ∅``
-    (Cheney-Goldstein); the run ends ``DEGENERATE``. A run ends ``NONFINITE``
+    (Cheney-Goldstein); the run ends ``DEGENERATE``.
+
+    Inputs are validated at the entry points (``run``, ``run_prod``); inside
+    the loop the problem projects with the sets' unchecked ``_project`` and
+    looks for non-finite entries only where the public ``project`` would
+    have rejected a vector: on a non-finite gap, on the points a CRM step
+    projects, and on the reflected point of DRM. A run ends ``NONFINITE``
     when a measurement or a step meets a non-finite entry (a gap it prevents
     is recorded as NaN) or when ``max_iter`` is reached on a non-finite gap;
     an overflowing gap alone is not fatal, as the next MAP or DRM iterate may
@@ -250,7 +270,7 @@ def _drive(problem, z: np.ndarray, config: SolverConfig) -> IterationTrace:
             break
         prev = z
         try:
-            z = step(z, y, data)
+            z = step(z, y, g, data)
         except DegenerateConfiguration:
             status = Status.DEGENERATE
             break

@@ -24,7 +24,7 @@ from .circumcenter import circumcenter  # noqa: F401
 from .errors import DimensionMismatch, NotDiagonal
 from .methods import (IterationTrace, Method, SolverConfig, _crm_coefficient, _drive,
                       _TwoSets, crm_step)
-from .sets import ConvexSet, Halfspace, as_point
+from .sets import ConvexSet, Halfspace, _check_finite, as_point
 
 __all__ = [
     "ProductSet",
@@ -116,8 +116,9 @@ class DiagonalSubspace(ConvexSet):
         self.dim = self.n * self.m
 
     def _project(self, z):
-        mean = z.reshape(self.m, self.n).mean(axis=0)
-        return np.tile(mean, self.m)
+        out = np.empty((self.m, self.n))
+        out[:] = z.reshape(self.m, self.n).mean(axis=0)
+        return out.ravel()
 
     def __repr__(self):
         return f"DiagonalSubspace(n={self.n}, m={self.m})"
@@ -159,13 +160,6 @@ def crm_prod_step(W: ProductSet, z) -> np.ndarray:
     return crm_step(W, DiagonalSubspace(W.block_dim, W.m), z)
 
 
-def _check_finite(x: np.ndarray) -> None:
-    """Raise ``ValueError`` if ``x`` has a NaN or infinite entry."""
-    # x @ x is finite unless x has a non-finite or a huge entry; only then look closer
-    if not math.isfinite(float(x @ x)) and not np.isfinite(x).all():
-        raise ValueError("iterate has non-finite entries")
-
-
 class _Diagonal:
     """``W ∩ D`` for :func:`crmfeas.methods._drive`, on diagonal iterates
     ``z = lift(x)`` kept as ``x in R^n``.
@@ -188,10 +182,10 @@ class _Diagonal:
         total, sq = self.W._projection_sums(x)
         return x, math.sqrt(sq), (total, sq)
 
-    def _map_step(self, x, y, data):
+    def _map_step(self, x, y, g, data):
         return data[0] / self.W.m
 
-    def _crm_step(self, x, y, data):
+    def _crm_step(self, x, y, g, data):
         total, sq = data
         m = self.W.m
         d = 2.0 * (total / m - x)

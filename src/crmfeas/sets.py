@@ -8,6 +8,8 @@ multiple threads.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from numpy import linalg as la
 
@@ -47,6 +49,15 @@ def as_point(x, dim: int | None = None) -> np.ndarray:
     if dim is not None and p.size != dim:
         raise DimensionMismatch(f"expected dimension {dim}, got {p.size}")
     return p
+
+
+def _check_finite(x: np.ndarray) -> np.ndarray:
+    """Return the vector ``x``; raise ``ValueError``, as ``as_point`` does, if it
+    has a NaN or infinite entry."""
+    # x.x is finite unless x has a non-finite or a huge entry; only then look closer
+    if not math.isfinite(x.dot(x)) and not np.isfinite(x).all():
+        raise ValueError("point has non-finite entries")
+    return x
 
 
 class ConvexSet:
@@ -117,11 +128,14 @@ class Hyperplane(ConvexSet):
 class AffineSubspace(ConvexSet):
     """Affine subspace ``{x : A x = b}``.
 
-    The projector is cached at construction: a thin SVD of ``A`` yields an
-    orthonormal basis ``V`` of the row space and the minimum-norm particular
-    solution ``x_p``, and then ``P(x) = x - V V^T (x - x_p)``. Singular values
-    below ``1e-12 * sigma_max`` are treated as zero, so rank-deficient (but
-    consistent) systems are handled.
+    The projector is cached at construction from one SVD of ``A``, which
+    yields the minimum-norm particular solution ``x_p`` and one orthonormal
+    basis: for rank ``r <= n / 2`` a basis ``V`` of the row space, with
+    ``P(x) = x - V V^T (x - x_p)``; above that a basis ``N`` of the null
+    space, with ``P(x) = x_p + N N^T x``. A projection then costs
+    ``O(n min(r, n - r))`` and the basis takes ``n min(r, n - r)`` floats.
+    Singular values below ``1e-12 * sigma_max`` are treated as zero, so
+    rank-deficient (but consistent) systems are handled.
 
     Raises
     ------
@@ -145,21 +159,25 @@ class AffineSubspace(ConvexSet):
         self.b = as_point(b, A.shape[0])
         self.dim = A.shape[1]
 
-        U, s, Vt = la.svd(A, full_matrices=False)
-        rank = int(np.sum(s > self.RANK_TOL * s[0])) if s.size else 0
-        self._V = Vt[:rank].T  # n x r orthonormal basis of the row space
-        self._xp = self._V @ ((U[:, :rank].T @ self.b) / s[:rank])
+        n = self.dim
+        # the null space needs all n right singular vectors only when the
+        # rank can exceed n / 2 and the thin SVD gives fewer than n
+        U, s, Vt = la.svd(A, full_matrices=n < 2 * A.shape[0] < 2 * n)
+        self.rank = rank = int(np.sum(s > self.RANK_TOL * s[0])) if s.size else 0
+        self._xp = Vt[:rank].T @ ((U[:, :rank].T @ self.b) / s[:rank])
         residual = float(la.norm(A @ self._xp - self.b))
         if residual > self.CONSISTENCY_TOL * (1.0 + float(la.norm(self.b))):
             raise ValueError(f"inconsistent system A x = b (residual {residual:.3e})")
+        # rows of the basis: V^T (r x n) or N^T ((n - r) x n), copied so that
+        # the full factors are freed
+        self._null = 2 * rank > n
+        self._basis = (Vt[rank:] if self._null else Vt[:rank]).copy()
 
     def _project(self, x):
-        d = x - self._xp
-        return x - self._V @ (self._V.T @ d)
-
-    @property
-    def rank(self) -> int:
-        return self._V.shape[1]
+        B = self._basis
+        if self._null:
+            return self._xp + B.T @ (B @ x)
+        return x - B.T @ (B @ (x - self._xp))
 
     def __repr__(self):
         return f"AffineSubspace(dim={self.dim}, rows={self.A.shape[0]}, rank={self.rank})"

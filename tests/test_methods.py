@@ -27,13 +27,14 @@ SQ5 = np.sqrt(5.0)
 
 
 class CountingAffine(AffineSubspace):
-    """An affine subspace that counts its projections and reflections."""
+    """An affine subspace that counts its projections, checked or not, and
+    its reflections."""
 
     projects = reflects = 0
 
-    def project(self, x):
+    def _project(self, x):
         self.projects += 1
-        return super().project(x)
+        return super()._project(x)
 
     def reflect(self, x):
         self.reflects += 1
@@ -248,6 +249,8 @@ class TestDriver:
         assert U.rank == 4
         ray = np.array([1.0, 0.3, -0.2, 0.1, 0.4, -0.5])
         soc = SecondOrderCone(6)
+        with np.errstate(over="ignore"):  # ||b||^2 overflows in the consistency check
+            near_max = AffineSubspace([[1.0, 0.0]], [1.7e308])
         cases = [ball_line, (soc, U, 1e154 * ray, 1e154, {
             # huge but finite: no circumcenter in floating point
             Method.CRM: (Status.DEGENERATE, 0, [1.2624953449198822e153]),
@@ -269,6 +272,12 @@ class TestDriver:
             Method.CRM: (Status.NONFINITE, 0, [nan]),
             Method.MAP: (Status.NONFINITE, 0, [nan]),
             Method.DRM: (Status.NONFINITE, 1, [nan, nan]),
+        }), (Box([-1e308, -1.0], [1e308, 1.0]), near_max, [0.0, 0.0], 1.0, {
+            # the DRM reflection 2 P_U(z) - z overflows; clipping it onto the box
+            # would give a finite gap
+            Method.CRM: (Status.DEGENERATE, 0, [inf]),
+            Method.MAP: (Status.DEGENERATE, 1, [inf, inf]),
+            Method.DRM: (Status.NONFINITE, 0, [nan]),
         })]
         for K, U, z0, scale, expected in cases:
             for method, (status, iterations, gaps) in expected.items():

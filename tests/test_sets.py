@@ -191,6 +191,37 @@ def test_soc_projection_properties(coords):
     assert la.norm(p - x) <= la.norm(x) + 1e-9  # origin is feasible
 
 
+class TestAffineBasis:
+    """The projector keeps a row-space basis up to rank n / 2 and a null-space
+    basis above; both must give the same projection."""
+
+    N = 8
+
+    def systems(self, rng):
+        """(A, b, rank) for every rank 1..8 in R^8, and a consistent system with
+        more rows than its rank, which is above n / 2."""
+        for rank in range(1, self.N + 1):
+            A = rng.standard_normal((rank, self.N))
+            yield A, A @ rng.standard_normal(self.N), rank
+        A = rng.standard_normal((10, 6)) @ rng.standard_normal((6, self.N))
+        yield A, A @ rng.standard_normal(self.N), 6
+
+    def test_projection_matches_the_pseudoinverse(self, rng):
+        for A, b, rank in self.systems(rng):
+            U = AffineSubspace(A, b)
+            assert U.rank == rank
+            # one basis, of the smaller of the row and the null space
+            assert U._basis.size == self.N * min(rank, self.N - rank)
+            for _ in range(5):
+                x = 10.0 * rng.standard_normal(self.N)
+                p = U.project(x)
+                tol = 1e-12 * (1.0 + la.norm(x))
+                expected = x - la.pinv(A, rcond=1e-10) @ (A @ x - b)
+                assert la.norm(p - expected) <= tol
+                assert la.norm(U.project(p) - p) <= tol
+                assert la.norm(A @ p - b) <= tol * la.norm(A, 2)
+
+
 class TestConstructionErrors:
     def test_zero_normal(self):
         with pytest.raises(ValueError):
