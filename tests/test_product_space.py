@@ -357,3 +357,36 @@ class TestIterationInRn:
             tracemalloc.stop()
         assert trace.iterations > 0 and trace.final_point.shape == (n * m,)
         assert peak < 1.25 * 8 * n * m
+
+
+def _mixed_case(seed, m):
+    """``m`` anchored factors in R^100, the four kinds in turn and then shuffled,
+    with a start off every factor."""
+    rng = np.random.default_rng(seed)
+    anchor = anchored_point(rng, 100, "soc")
+    kinds = [ANCHORED_KINDS[i % len(ANCHORED_KINDS)] for i in range(m)]
+    rng.shuffle(kinds)
+    W = ProductSet([anchored_set(rng, kind, anchor) for kind in kinds])
+    return W, lift(anchor + 3.0 * rng.standard_normal(100), m)
+
+
+# (iterations, status) of CRM, MAP and DRM, pinned so that a change to the
+# mixed-product path cannot pass on converged statuses alone
+MIXED_PINS = {
+    (1, 8): {Method.CRM: (22, Status.CONVERGED), Method.MAP: (268, Status.CONVERGED),
+             Method.DRM: (28, Status.CONVERGED)},
+    (2, 12): {Method.CRM: (35, Status.CONVERGED), Method.MAP: (636, Status.CONVERGED),
+              Method.DRM: (34, Status.CONVERGED)},
+    (3, 16): {Method.CRM: (12, Status.CONVERGED), Method.MAP: (650, Status.CONVERGED),
+              Method.DRM: (34, Status.CONVERGED)},
+    (4, 20): {Method.CRM: (25, Status.CONVERGED), Method.MAP: (860, Status.CONVERGED),
+              Method.DRM: (42, Status.CONVERGED)},
+}
+
+
+@pytest.mark.parametrize("seed, m", sorted(MIXED_PINS))
+def test_mixed_product_iteration_counts_pinned(seed, m):
+    W, z0 = _mixed_case(seed, m)
+    for method, pinned in MIXED_PINS[seed, m].items():
+        trace = run_prod(W, z0, SolverConfig(method=method))
+        assert (trace.iterations, trace.status) == pinned, method
