@@ -24,7 +24,7 @@ from .circumcenter import circumcenter  # noqa: F401
 from .errors import DimensionMismatch, NotDiagonal
 from .methods import (IterationTrace, Method, SolverConfig, _crm_coefficient, _drive,
                       _TwoSets, crm_step)
-from .sets import ConvexSet, Halfspace, _check_finite, as_point
+from .sets import ConvexSet, _check_finite, _row_projector, as_point
 
 __all__ = [
     "ProductSet",
@@ -41,9 +41,12 @@ DIAG_TOL = 1e-8
 class ProductSet(ConvexSet):
     """Cartesian product ``X_1 x ... x X_m`` of same-dimension catalog sets.
 
-    Projection is blockwise and independent per factor; when every factor is
-    a halfspace the blocks are projected in one vectorized sweep (the result
-    does not depend on evaluation order either way).
+    Projection is blockwise and independent per factor. The factors are
+    grouped by class at construction, and each group is projected in one
+    pass (see :func:`crmfeas.sets._row_projector`): halfspaces as the rows of
+    ``A x <= b``, balls and boxes through their stacked parameters,
+    second-order cones row by row, and other sets one at a time. The result
+    does not depend on the order of the factors beyond rounding.
     """
 
     def __init__(self, factors):
@@ -58,43 +61,28 @@ class ProductSet(ConvexSet):
         self.m = len(self.factors)
         self.dim = n * self.m
 
-        self._rows = None
-        if all(isinstance(f, Halfspace) for f in self.factors):
-            A = np.array([f.a for f in self.factors])
-            b = np.array([f.b for f in self.factors])
-            self._rows = (A, b, np.einsum("ij,ij->i", A, A))
+        groups: dict[type, list[int]] = {}
+        for i, f in enumerate(self.factors):
+            groups.setdefault(type(f), []).append(i)
+        self._groups = [(np.array(idx), _row_projector([self.factors[i] for i in idx]))
+                        for idx in groups.values()]
 
     def _project(self, z):
         X = z.reshape(self.m, self.block_dim)
-        if self._rows is not None:
-            A, b, a_sq = self._rows
-            excess = np.maximum(np.einsum("ij,ij->i", A, X) - b, 0.0)
-            return (X - (excess / a_sq)[:, None] * A).ravel()
+        if len(self._groups) == 1:  # every block in one pass, no gather or scatter
+            return self._groups[0][1].project(X).ravel()
         out = np.empty_like(X)
-        for i, f in enumerate(self.factors):
-            out[i] = f._project(X[i])
+        for idx, rows in self._groups:
+            out[idx] = rows.project(X[idx])
         return out.ravel()
 
     def _projection_sums(self, x):
-        """``(sum P_{X_i}(x), sum ||P_{X_i}(x) - x||^2)`` over the factors, for ``x in R^n``.
-
-        Uses O(n) memory besides the halfspace rows: all-halfspace products
-        take one pass (``c = max(A x - b, 0) / ||a_i||^2``, the projections sum
-        to ``m x - A^T c`` and the squared residuals to
-        ``<max(A x - b, 0), c>``), others one factor at a time.
-        """
-        if self._rows is not None:
-            A, b, a_sq = self._rows
-            excess = np.maximum(A @ x - b, 0.0)
-            c = excess / a_sq
-            return self.m * x - c @ A, float(excess @ c)
-        total = np.zeros_like(x)
-        sq = 0.0
-        for f in self.factors:
-            p = f._project(x)
-            total += p
-            r = p - x
-            sq += float(r @ r)
+        """``(sum P_{X_i}(x), sum ||P_{X_i}(x) - x||^2)`` over the factors, for
+        ``x in R^n``, added up group by group."""
+        (total, sq), *rest = [rows.sums(x) for _, rows in self._groups]
+        for t, s in rest:
+            total = total + t
+            sq += s
         return total, sq
 
     def __repr__(self):
@@ -189,8 +177,8 @@ class _Diagonal:
         total, sq = data
         m = self.W.m
         d = 2.0 * (total / m - x)
-        dd = m * float(d @ d)
-        x = x + _crm_coefficient(4.0 * sq, dd, dd, math.sqrt(m) * float(la.norm(x))) * d
+        dd = m * float(d.dot(d))
+        x = x + _crm_coefficient(4.0 * sq, dd, dd, math.sqrt(m) * math.sqrt(x.dot(x))) * d
         _check_finite(x)  # as P_D(z + t d) checks its argument in R^(nm)
         return x
 

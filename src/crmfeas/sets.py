@@ -85,6 +85,30 @@ class ConvexSet:
         return float(la.norm(x - self._project(x))) <= tol
 
 
+class _Rows:
+    """Projector onto each of several sets at once, row by row.
+
+    ``project(X)`` maps row ``i`` of ``X`` to its projection onto the
+    ``i``-th set, where ``X`` is a ``(k, n)`` array or one point of R^n taken
+    as every row; ``sums(x)`` returns ``(sum_i P_i(x), sum_i ||P_i(x) - x||^2)``.
+    This generic form calls each set's ``_project`` in turn; the catalog
+    kinds with a vectorized form subclass it (see ``_row_projector``).
+    """
+
+    def __init__(self, sets):
+        self.sets = list(sets)
+
+    def project(self, X):
+        X = np.broadcast_to(X, (len(self.sets), X.shape[-1]))
+        return np.array([s._project(x) for s, x in zip(self.sets, X)])
+
+    def sums(self, x):
+        # the rows add up in order, as the blocks of P_W(lift(x)) do in P_D
+        P = self.project(x)
+        R = (P - x).ravel()
+        return P.sum(axis=0), float(R.dot(R))
+
+
 class Halfspace(ConvexSet):
     """Halfspace ``{x : a^T x <= b}`` with nonzero normal ``a``."""
 
@@ -104,6 +128,28 @@ class Halfspace(ConvexSet):
 
     def __repr__(self):
         return f"Halfspace(dim={self.dim}, b={self.b})"
+
+
+class _HalfspaceRows(_Rows):
+    """Halfspaces ``a_i^T x <= b_i`` as the rows of ``A x <= b``: with
+    ``c = max(A x - b, 0) / ||a_i||^2`` the projections of ``x`` sum to
+    ``k x - A^T c`` and their squared residuals to ``<max(A x - b, 0), c>``,
+    in O(k + n) memory besides ``A``."""
+
+    def __init__(self, halfspaces):
+        super().__init__(halfspaces)
+        self.A = np.array([h.a for h in halfspaces])
+        self.b = np.array([h.b for h in halfspaces])
+        self.a_sq = np.einsum("ij,ij->i", self.A, self.A)
+
+    def project(self, X):
+        excess = np.maximum(np.einsum("ij,ij->i", self.A, X) - self.b, 0.0)
+        return X - (excess / self.a_sq)[:, None] * self.A
+
+    def sums(self, x):
+        excess = np.maximum(self.A @ x - self.b, 0.0)
+        c = excess / self.a_sq
+        return self.b.size * x - c @ self.A, float(excess @ c)
 
 
 class Hyperplane(ConvexSet):
@@ -204,6 +250,25 @@ class Ball(ConvexSet):
         return f"Ball(dim={self.dim}, radius={self.radius})"
 
 
+class _BallRows(_Rows):
+    """Balls with stacked centers and radii."""
+
+    def __init__(self, balls):
+        super().__init__(balls)
+        self.C = np.array([b.center for b in balls])
+        self.r = np.array([b.radius for b in balls])
+
+    def project(self, X):
+        D = X - self.C
+        dist = np.sqrt(np.einsum("ij,ij->i", D, D))
+        # c + (r / dist) (x - c) outside the ball; c + (x - c) is not always x,
+        # so the rows inside are copied
+        D *= (self.r / np.maximum(dist, self.r))[:, None]
+        D += self.C
+        np.copyto(D, X, where=(dist <= self.r)[:, None])
+        return D
+
+
 class Box(ConvexSet):
     """Axis-aligned box ``{x : lower <= x <= upper}`` (componentwise)."""
 
@@ -219,6 +284,19 @@ class Box(ConvexSet):
 
     def __repr__(self):
         return f"Box(dim={self.dim})"
+
+
+class _BoxRows(_Rows):
+    """Boxes with stacked bounds. ``lower <= upper``, so ``min(max(X, lower),
+    upper)`` is ``np.clip`` at a fraction of its call overhead."""
+
+    def __init__(self, boxes):
+        super().__init__(boxes)
+        self.lower = np.array([b.lower for b in boxes])
+        self.upper = np.array([b.upper for b in boxes])
+
+    def project(self, X):
+        return np.minimum(np.maximum(X, self.lower), self.upper)
 
 
 class SecondOrderCone(ConvexSet):
@@ -250,6 +328,43 @@ class SecondOrderCone(ConvexSet):
 
     def __repr__(self):
         return f"SecondOrderCone(n={self.n})"
+
+
+class _ConeRows(_Rows):
+    """Second-order cones of one dimension, which are all the same set: the
+    sums weight one projection by the count, and ``project`` applies the
+    closed form to every row."""
+
+    def project(self, X):
+        t, U = X[:, 0], X[:, 1:]
+        nu = np.sqrt(np.einsum("ij,ij->i", U, U))
+        out = np.array(X)
+        out[(nu <= -t) & (nu > t)] = 0.0  # the polar cone, apex excluded
+        mid = nu > np.abs(t)  # so nu > 0 where it divides
+        s = 0.5 * (t[mid] + nu[mid])
+        out[mid, 0] = s
+        out[mid, 1:] = (s / nu[mid])[:, None] * U[mid]
+        return out
+
+    def sums(self, x):
+        k = len(self.sets)
+        p = self.sets[0]._project(x)
+        r = p - x
+        return k * p, k * float(r.dot(r))
+
+
+_ROWS = {Halfspace: _HalfspaceRows, Ball: _BallRows, Box: _BoxRows,
+         SecondOrderCone: _ConeRows}
+
+
+def _row_projector(sets) -> _Rows:
+    """One row-wise projector for a nonempty list of sets of one class.
+
+    Halfspaces, balls, boxes and second-order cones are projected in
+    vectorized passes over their stacked parameters; other sets, subclasses
+    included, one at a time through their own ``_project``.
+    """
+    return _ROWS.get(type(sets[0]), _Rows)(sets)
 
 
 # --- JSON codec -------------------------------------------------------------

@@ -21,7 +21,7 @@ from crmfeas.product_space import (
     run_prod,
 )
 from crmfeas.sets import AffineSubspace, Ball, Box, Halfspace, SecondOrderCone
-from conftest import ANCHORED_KINDS, anchored_point, anchored_set
+from conftest import ANCHORED_KINDS, anchored_affine, anchored_point, anchored_set
 
 TWO_BALLS = ProductSet([Ball([-1.0, 0.0], 1.0), Ball([1.0, 0.0], 1.0)])
 OVERLAP = ProductSet([Ball([-1.0, 0.0], 1.25), Ball([1.0, 0.0], 1.25)])
@@ -99,8 +99,7 @@ class TestProjections:
     def test_halfspace_fast_path_matches_generic(self, rng):
         halfspaces = [Halfspace(rng.standard_normal(4) + 0.1, float(rng.standard_normal()))
                       for _ in range(6)]
-        W = ProductSet(halfspaces)
-        assert W._rows is not None
+        W = ProductSet(halfspaces)  # one group: the rows of A x <= b
         for _ in range(25):
             z = 3.0 * rng.standard_normal(24)
             fast = W.project(z)
@@ -108,6 +107,45 @@ class TestProjections:
                 [h.project(z[4 * i:4 * (i + 1)]) for i, h in enumerate(halfspaces)]
             )
             assert la.norm(fast - slow) <= 1e-12 * (1 + la.norm(z))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 6),
+           extra=st.lists(st.sampled_from(ANCHORED_KINDS + ("hyperplane", "affine")),
+                          max_size=6))
+    def test_grouped_projections_match_each_factor(self, seed, dim, extra):
+        # two or more factors of every catalog kind, so cones repeat, plus
+        # hyperplanes and affine subspaces, which are projected one at a time
+        rng = np.random.default_rng(seed)
+        anchor = anchored_point(rng, dim, "soc")
+        kinds = list(ANCHORED_KINDS) * 2 + extra
+        rng.shuffle(kinds)
+        factors = [anchored_affine(rng, anchor) if kind == "affine"
+                   else anchored_set(rng, kind, anchor) for kind in kinds]
+        ball = next(f for f in factors if isinstance(f, Ball))
+        box = next(f for f in factors if isinstance(f, Box))
+        on_face = anchor.copy()
+        on_face[0] = box.lower[0]
+        apex, polar_axis = np.zeros(dim), -np.eye(dim)[0]  # both with ||u|| = 0
+        points = [anchor + 3.0 * rng.standard_normal(dim) for _ in range(4)]
+        points += [anchor, ball.center, on_face, apex, polar_axis, np.eye(dim)[0]]
+
+        products = [(ProductSet(factors), factors)]
+        for kind in set(kinds):  # one group each
+            group = [f for f, k in zip(factors, kinds) if k == kind]
+            products.append((ProductSet(group), group))
+        for W, sets in products:
+            for x in points:
+                ps = [f._project(x) for f in sets]
+                tol = 1e-12 * (1.0 + la.norm(x))
+                total, sq = W._projection_sums(x)
+                assert la.norm(total - sum(ps)) <= tol
+                assert abs(sq - sum(float((p - x) @ (p - x)) for p in ps)) <= tol
+                z = lift(x, W.m)
+                assert la.norm(W.project(z) - np.concatenate(ps)) <= 1e-12 * (1.0 + la.norm(z))
+            blocks = anchor + 3.0 * rng.standard_normal((W.m, dim))
+            expected = np.concatenate([f._project(x) for f, x in zip(sets, blocks)])
+            z = blocks.ravel()
+            assert la.norm(W.project(z) - expected) <= 1e-12 * (1.0 + la.norm(z))
 
     def test_mixed_dimension_factors_rejected(self):
         with pytest.raises(DimensionMismatch):
