@@ -79,8 +79,9 @@ class ProductSet(ConvexSet):
     def _projection_sums(self, x):
         """``(sum P_{X_i}(x), sum ||P_{X_i}(x) - x||^2)`` over the factors, for
         ``x in R^n``, added up group by group."""
-        (total, sq), *rest = [rows.sums(x) for _, rows in self._groups]
-        for t, s in rest:
+        total, sq = self._groups[0][1].sums(x)
+        for _, rows in self._groups[1:]:
+            t, s = rows.sums(x)
             total = total + t
             sq += s
         return total, sq

@@ -88,11 +88,13 @@ class ConvexSet:
 class _Rows:
     """Projector onto each of several sets at once, row by row.
 
-    ``project(X)`` maps row ``i`` of ``X`` to its projection onto the
-    ``i``-th set, where ``X`` is a ``(k, n)`` array or one point of R^n taken
-    as every row; ``sums(x)`` returns ``(sum_i P_i(x), sum_i ||P_i(x) - x||^2)``.
-    This generic form calls each set's ``_project`` in turn; the catalog
-    kinds with a vectorized form subclass it (see ``_row_projector``).
+    ``project(X)`` maps row ``i`` of a ``(k, n)`` array ``X`` to its
+    projection onto the ``i``-th set; ``sums(x)`` returns
+    ``(sum_i P_i(x), sum_i ||P_i(x) - x||^2)`` for one point ``x``. This
+    generic form calls each set's ``_project`` in turn; the catalog kinds with
+    a vectorized form subclass it (see ``_row_projector``). The default
+    ``sums`` passes ``x`` itself as ``X``, to be taken as every row, so a
+    subclass that keeps it must broadcast ``X``.
     """
 
     def __init__(self, sets):

@@ -113,11 +113,11 @@ class TestProjections:
            extra=st.lists(st.sampled_from(ANCHORED_KINDS + ("hyperplane", "affine")),
                           max_size=6))
     def test_grouped_projections_match_each_factor(self, seed, dim, extra):
-        # two or more factors of every catalog kind, so cones repeat, plus
+        # two or more factors of every catalog kind, so cones repeat, and
         # hyperplanes and affine subspaces, which are projected one at a time
         rng = np.random.default_rng(seed)
         anchor = anchored_point(rng, dim, "soc")
-        kinds = list(ANCHORED_KINDS) * 2 + extra
+        kinds = list(ANCHORED_KINDS) * 2 + ["hyperplane", "affine"] + extra
         rng.shuffle(kinds)
         factors = [anchored_affine(rng, anchor) if kind == "affine"
                    else anchored_set(rng, kind, anchor) for kind in kinds]
@@ -130,7 +130,7 @@ class TestProjections:
         points += [anchor, ball.center, on_face, apex, polar_axis, np.eye(dim)[0]]
 
         products = [(ProductSet(factors), factors)]
-        for kind in set(kinds):  # one group each
+        for kind in sorted(set(kinds)):  # one group each
             group = [f for f, k in zip(factors, kinds) if k == kind]
             products.append((ProductSet(group), group))
         for W, sets in products:
