@@ -364,7 +364,7 @@ def _row_projector(sets) -> _Rows:
 
     Halfspaces, balls, boxes and second-order cones are projected in
     vectorized passes over their stacked parameters; other sets, subclasses
-    included, one at a time through their own ``_project``.
+    of these four included, one at a time through their own ``_project``.
     """
     return _ROWS.get(type(sets[0]), _Rows)(sets)
 
