@@ -14,6 +14,7 @@ from crmfeas.sets import (
     Halfspace,
     Hyperplane,
     SecondOrderCone,
+    _row_projector,
     as_point,
     set_from_dict,
     set_to_dict,
@@ -189,6 +190,110 @@ def test_soc_projection_properties(coords):
     assert p[0] >= la.norm(p[1:]) - 1e-9 * (1.0 + abs(p[0]))  # lands in the cone
     assert la.norm(cone.project(p) - p) <= 1e-9 * (1.0 + la.norm(p))
     assert la.norm(p - x) <= la.norm(x) + 1e-9  # origin is feasible
+
+
+def _former_projection(s, x):
+    """The projection by the formula each catalog kernel had before it was
+    rewritten in fewer numpy calls; the reference for the bitwise pins."""
+    with np.errstate(all="ignore"):
+        if isinstance(s, SecondOrderCone):
+            t, u = x[0], x[1:]
+            nu = float(la.norm(u))
+            if nu <= t:
+                return x
+            if nu <= -t:
+                return np.zeros_like(x)
+            scale = 0.5 * (t + nu)
+            out = np.empty_like(x)
+            out[0] = scale
+            out[1:] = (scale / nu) * u
+            return out
+        if isinstance(s, Ball):
+            d = x - s.center
+            dist = float(la.norm(d))
+            return x if dist <= s.radius else s.center + (s.radius / dist) * d
+        if isinstance(s, Box):
+            return np.clip(x, s.lower, s.upper)
+        r = float(s.a @ x) - s.b
+        if isinstance(s, Halfspace) and r <= 0.0:
+            return x
+        return x - (r / s._a_sq) * s.a
+
+
+def _assert_former_bits(s, x):
+    with np.errstate(over="ignore"):  # numpy reports an overflowing x . x, as before
+        p = s._project(x)
+    former = _former_projection(s, x)
+    assert (p is x) == (former is x), s
+    assert np.array_equal(p, former, equal_nan=True), s
+    assert np.array_equal(np.signbit(p), np.signbit(former)), s  # -0.0 vs 0.0
+
+
+def _former_halfspace_residuals(rows, x):
+    # the second of _HalfspaceRows.sums, sum_i ||P_i(x) - x||^2
+    excess = np.maximum(rows.A @ x - rows.b, 0.0)
+    return float(excess @ (excess / rows.a_sq))
+
+
+class TestKernelsKeepTheirFormerBits:
+    """Each catalog kernel gives bitwise what its former formula gave. Besides
+    an overflowing squared norm, the kernels raise no ``RuntimeWarning`` (the
+    suite makes one an error); the former cone kernel warned on ``inf / inf``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(vectors=st.integers(2, 12).flatmap(lambda n: st.lists(
+               st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n),
+               min_size=4, max_size=4)),
+           x_exp=st.integers(-150, 200), set_exp=st.integers(-150, 200))
+    def test_random_points(self, vectors, x_exp, set_exp):
+        x, c, w, a = (np.array(v) for v in vectors)
+        x = x * 10.0 ** x_exp
+        c, w = c * 10.0 ** set_exp, np.abs(w) * 10.0 ** set_exp
+        a[0] += 2.0  # a normal of norm at least 1
+        b = float(c @ a)
+        for s in (SecondOrderCone(x.size), Ball(c, 10.0 ** set_exp),
+                  Box(c - w, c + w), Box(c, c), Halfspace(a, b), Hyperplane(a, b)):
+            _assert_former_bits(s, x)
+        rows = _row_projector([Halfspace(a, b), Halfspace(-a, b), Halfspace(a, b - 1.0)])
+        with np.errstate(over="ignore"):
+            assert rows.sums(x)[1] == _former_halfspace_residuals(rows, x)
+
+    @pytest.mark.parametrize("x", [
+        [0.0, 0.0, 0.0],  # the apex
+        [-0.0, 0.0, -0.0],
+        [-2.0, 1.0, 0.0],  # the polar cone
+        [-5.0, 3.0, -4.0],  # its boundary
+        [5.0, 3.0, -4.0],  # ||u|| = t
+        [-1.0, 0.0, 0.0],  # ||u|| = 0
+        [1.0, -0.0, 0.0],
+        [0.0, 3.0, 4.0],
+        [1e200, -1e200, 1e200],  # ||u|| overflows
+        [-1e200, 1e-300, 0.0],
+    ])
+    def test_cone_edge_points(self, x):
+        _assert_former_bits(SecondOrderCone(3), np.array(x))
+
+    def test_a_point_of_the_cone_is_returned_as_is(self):
+        x = np.array([5.0, 3.0, -4.0])
+        assert SecondOrderCone(3)._project(x) is x
+
+    @pytest.mark.parametrize("x", [[1.0, -2.0], [1.0, -1.5], [1.3, -1.6], [4.0, 2.0]])
+    def test_ball_center_sphere_and_outside(self, x):
+        _assert_former_bits(Ball([1.0, -2.0], 0.5), np.array(x))
+
+    @pytest.mark.parametrize("x", [
+        [0.0, -0.0, 0.0, -0.0], [-0.0, 0.0, -0.0, 0.0],
+        [-1.0, 1.0, -0.0, 3.0], [2.0, -2.0, 1.0, -0.0],
+    ])
+    def test_box_faces_and_signed_zeros(self, x):
+        box = Box([0.0, -0.0, -0.0, -1.0], [0.0, 0.0, 1.0, -0.0])
+        _assert_former_bits(box, np.array(x))
+
+    @pytest.mark.parametrize("x", [[2.0, 5.0], [2.0 + 1e-15, -3.0], [1.0, 0.0], [3.0, 1.0]])
+    def test_halfspace_boundary(self, x):
+        for s in (Halfspace([1.0, 0.0], 2.0), Hyperplane([1.0, 0.0], 2.0),
+                  Halfspace([0.6, 0.8], 1.2)):
+            _assert_former_bits(s, np.array(x))
 
 
 class TestAffineBasis:
