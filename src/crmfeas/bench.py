@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import json
 import statistics
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -71,7 +70,6 @@ class RunStats:
     """Aggregate iteration statistics for one method."""
 
     method: str
-    iteration_counts: list[int]
     mean: float
     min: int
     median: float
@@ -122,16 +120,7 @@ def make_stats(method: str, records, max_iter: int) -> RunStats:
     failures = sum(1 for r in records if r.status != Status.CONVERGED.value)
     counts = [r.iterations if r.status == Status.CONVERGED.value else max_iter
               for r in records]
-    s = summarize(counts)
-    return RunStats(
-        method=method,
-        iteration_counts=counts,
-        mean=s["mean"],
-        min=s["min"],
-        median=s["median"],
-        max=s["max"],
-        failures=failures,
-    )
+    return RunStats(method=method, **summarize(counts), failures=failures)
 
 
 def performance_profile(costs, methods) -> list[ProfileCurve]:
@@ -239,6 +228,8 @@ def _run_grid(kind, num_instances, starts_per_instance, n, tol, max_iter,
         units.append((kind, n, tol, max_iter, instance_seed, start_seeds, record_gaps))
 
     if jobs > 1:
+        # imported here, so that `import crmfeas` does not load multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             chunks = list(pool.map(_grid_unit, units))
     else:
@@ -358,7 +349,7 @@ def export_profile(curves, format: str, path) -> None:
             raise ValueError(f"unknown format {format!r}")
 
 
-def export_summary_json(result: BenchResult, path, profiles=None) -> None:
+def export_summary_json(result: BenchResult, path, profiles) -> None:
     doc = {
         "schema": 1,
         "kind": result.kind,
@@ -374,9 +365,8 @@ def export_summary_json(result: BenchResult, path, profiles=None) -> None:
             }
             for s in result.stats
         ],
+        "profile": _profile_doc(profiles),
     }
-    if profiles is not None:
-        doc["profile"] = _profile_doc(profiles)
     with open(path, "w", encoding="utf-8") as f:
         json.dump(doc, f, indent=2)
         f.write("\n")

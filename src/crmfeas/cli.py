@@ -12,6 +12,7 @@ import json
 import sys
 
 from . import bench as bench_mod
+from .errors import ParseError, SchemaVersionMismatch
 from .instances import Kind, gen_start, read_problem
 from .methods import Method, SolverConfig, Status, run
 from .product_space import ProductSet, restrict, run_prod
@@ -66,8 +67,7 @@ def _print_stats(result) -> None:
         print(f"{s.method:<10} {s.mean:>10.3f} {s.min:>6d} {s.median:>8.1f} {s.max:>6d} {s.failures:>9d}")
 
 
-def _cmd_solve(args) -> int:
-    instance = read_problem(args.problem)
+def _cmd_solve(args, instance) -> int:
     start = gen_start(instance, args.seed, min_gap=args.tol)
     cfg = SolverConfig(tol=args.tol, max_iter=args.max_iter, method=Method(args.method),
                        record_trace=False)
@@ -131,14 +131,16 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     if args.command == "profile":
         return _cmd_profile(args)
-    try:  # reject a bad --tol, --max-iter or grid size before any work
+    try:  # reject a bad --tol, --max-iter, grid size or problem file before any work
         SolverConfig(tol=args.tol, max_iter=args.max_iter)
         if args.command == "bench":
             bench_mod.check_grid_size(args.instances, args.starts)
-    except ValueError as exc:
+        else:
+            instance = read_problem(args.problem)
+    except (OSError, ValueError, ParseError, SchemaVersionMismatch) as exc:
         print(f"crmfeas: error: {exc}", file=sys.stderr)
         return 1
-    return _cmd_solve(args) if args.command == "solve" else _cmd_bench(args)
+    return _cmd_solve(args, instance) if args.command == "solve" else _cmd_bench(args)
 
 
 if __name__ == "__main__":

@@ -29,6 +29,7 @@ from numpy import linalg as la
 
 from .errors import (
     BadDimension,
+    DimensionMismatch,
     ExhaustedRejection,
     ParseError,
     SchemaVersionMismatch,
@@ -254,9 +255,9 @@ def write_problem(instance: ProblemInstance, path) -> None:
         "m": instance.m,
         "seed": instance.seed,
         "sets": [set_to_dict(s) for s in instance.sets],
-        "affine": None
-        if instance.affine is None
-        else {"A": instance.affine.A.tolist(), "b": instance.affine.b.tolist()},
+        # the affine part is always an affine subspace, so its object has no "type"
+        "affine": None if instance.affine is None
+        else {k: v for k, v in set_to_dict(instance.affine).items() if k != "type"},
         "certificate": None
         if instance.certificate is None
         else instance.certificate.tolist(),
@@ -284,6 +285,8 @@ def read_problem(path) -> ProblemInstance:
             doc = json.load(f)
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"problem file is not UTF-8: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("problem file must contain a JSON object")
     schema = _field(doc, "schema")
@@ -301,14 +304,9 @@ def read_problem(path) -> ProblemInstance:
     sets = [set_from_dict(d) for d in sets_raw]
 
     affine_raw = doc.get("affine")
-    affine = None
-    if affine_raw is not None:
-        if not isinstance(affine_raw, dict) or "A" not in affine_raw or "b" not in affine_raw:
-            raise ParseError("field 'affine' must be an object with 'A' and 'b'")
-        try:
-            affine = AffineSubspace(affine_raw["A"], affine_raw["b"])
-        except ValueError as exc:
-            raise ParseError(f"invalid affine part: {exc}") from exc
+    if affine_raw is not None and not isinstance(affine_raw, dict):
+        raise ParseError("field 'affine' must be an object")
+    affine = None if affine_raw is None else set_from_dict({**affine_raw, "type": "affine"})
 
     cert = doc.get("certificate")
     try:
@@ -321,5 +319,5 @@ def read_problem(path) -> ProblemInstance:
             seed=int(_field(doc, "seed")),
             certificate=None if cert is None else np.asarray(cert, dtype=float),
         )
-    except ValueError as exc:
+    except (TypeError, ValueError, OverflowError, DimensionMismatch) as exc:
         raise ParseError(f"inconsistent problem file: {exc}") from exc

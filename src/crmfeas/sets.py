@@ -111,25 +111,35 @@ class _Rows:
         return P.sum(axis=0), float(R.dot(R))
 
 
-class Halfspace(ConvexSet):
-    """Halfspace ``{x : a^T x <= b}`` with nonzero normal ``a``."""
+class _Normal(ConvexSet):
+    """A set ``{x : a^T x <= b}`` or ``{x : a^T x = b}``: a finite normal ``a``
+    whose squared norm is positive and finite, and a finite offset ``b``."""
 
     def __init__(self, a, b: float):
         self.a = as_point(a)
-        if not np.any(self.a):
-            raise ValueError("halfspace normal must be nonzero")
         self.b = float(b)
+        if not math.isfinite(self.b):
+            raise ValueError("offset b must be finite")
+        with np.errstate(over="ignore"):
+            self._a_sq = float(self.a.dot(self.a))
+        # a tiny normal's square underflows to 0, so projecting divides by
+        # zero; a huge one's overflows to inf, so every point projects to itself
+        if not 0.0 < self._a_sq < math.inf:
+            raise ValueError("normal must have a positive and finite squared norm")
         self.dim = self.a.size
-        self._a_sq = float(self.a @ self.a)
+
+    def __repr__(self):
+        return f"{type(self).__name__}(dim={self.dim}, b={self.b})"
+
+
+class Halfspace(_Normal):
+    """Halfspace ``{x : a^T x <= b}`` with nonzero normal ``a``."""
 
     def _project(self, x):
         r = float(self.a.dot(x)) - self.b
         if r <= 0.0:
             return x
         return x - (r / self._a_sq) * self.a
-
-    def __repr__(self):
-        return f"Halfspace(dim={self.dim}, b={self.b})"
 
 
 class _HalfspaceRows(_Rows):
@@ -154,23 +164,12 @@ class _HalfspaceRows(_Rows):
         return self.b.size * x - c @ self.A, float(excess.dot(c))
 
 
-class Hyperplane(ConvexSet):
+class Hyperplane(_Normal):
     """Hyperplane ``{x : a^T x = b}`` with nonzero normal ``a``."""
-
-    def __init__(self, a, b: float):
-        self.a = as_point(a)
-        if not np.any(self.a):
-            raise ValueError("hyperplane normal must be nonzero")
-        self.b = float(b)
-        self.dim = self.a.size
-        self._a_sq = float(self.a @ self.a)
 
     def _project(self, x):
         r = float(self.a.dot(x)) - self.b
         return x - (r / self._a_sq) * self.a
-
-    def __repr__(self):
-        return f"Hyperplane(dim={self.dim}, b={self.b})"
 
 
 class AffineSubspace(ConvexSet):
@@ -237,7 +236,7 @@ class Ball(ConvexSet):
     def __init__(self, center, radius: float):
         self.center = as_point(center)
         self.radius = float(radius)
-        if self.radius <= 0:
+        if not self.radius > 0:  # NaN fails this too
             raise ValueError("radius must be positive")
         self.dim = self.center.size
 
@@ -290,15 +289,14 @@ class Box(ConvexSet):
 
 
 class _BoxRows(_Rows):
-    """Boxes with stacked bounds, clipped as ``Box._project`` clips one."""
+    """Boxes with stacked bounds, clipped by ``Box._project`` itself."""
 
     def __init__(self, boxes):
         super().__init__(boxes)
         self.lower = np.array([b.lower for b in boxes])
         self.upper = np.array([b.upper for b in boxes])
 
-    def project(self, X):
-        return np.minimum(np.maximum(X, self.lower), self.upper)
+    project = Box._project
 
 
 class SecondOrderCone(ConvexSet):
@@ -372,59 +370,44 @@ def _row_projector(sets) -> _Rows:
 # --- JSON codec -------------------------------------------------------------
 #
 # One object per set: {"type": "halfspace", "a": [...], "b": ...} etc.
-# This is the wire format used inside problem files.
+# This is the wire format used inside problem files. Each wire name maps to
+# its class and the constructor arguments, in order, which the set keeps as
+# attributes of the same names.
+
+_CODEC = {
+    "halfspace": (Halfspace, ("a", "b")),
+    "hyperplane": (Hyperplane, ("a", "b")),
+    "affine": (AffineSubspace, ("A", "b")),
+    "ball": (Ball, ("center", "radius")),
+    "box": (Box, ("lower", "upper")),
+    "soc": (SecondOrderCone, ("n",)),
+}
+
 
 def set_to_dict(s: ConvexSet) -> dict:
     """Serialize a set descriptor to a JSON-compatible dict."""
-    if isinstance(s, Halfspace):
-        return {"type": "halfspace", "a": s.a.tolist(), "b": s.b}
-    if isinstance(s, Hyperplane):
-        return {"type": "hyperplane", "a": s.a.tolist(), "b": s.b}
-    if isinstance(s, AffineSubspace):
-        return {"type": "affine", "A": s.A.tolist(), "b": s.b.tolist()}
-    if isinstance(s, Ball):
-        return {"type": "ball", "center": s.center.tolist(), "radius": s.radius}
-    if isinstance(s, Box):
-        return {"type": "box", "lower": s.lower.tolist(), "upper": s.upper.tolist()}
-    if isinstance(s, SecondOrderCone):
-        return {"type": "soc", "n": s.n}
+    for kind, (cls, fields) in _CODEC.items():
+        if isinstance(s, cls):
+            return {"type": kind, **{f: np.asarray(getattr(s, f)).tolist() for f in fields}}
     raise TypeError(f"cannot serialize set of type {type(s).__name__}")
-
-
-def _require(d: dict, *fields: str) -> list:
-    missing = [f for f in fields if f not in d]
-    if missing:
-        raise ParseError(f"set object missing field(s): {', '.join(missing)}")
-    return [d[f] for f in fields]
 
 
 def set_from_dict(d: dict) -> ConvexSet:
     """Rebuild a set descriptor from its dict form.
 
-    Raises ``ParseError`` on unknown types or missing fields.
+    Raises ``ParseError`` on unknown types, missing fields or values the
+    set's constructor rejects.
     """
     if not isinstance(d, dict) or "type" not in d:
         raise ParseError("set object must be a dict with a 'type' field")
     kind = d["type"]
+    if not isinstance(kind, str) or kind not in _CODEC:
+        raise ParseError(f"unknown set type {kind!r}")
+    cls, fields = _CODEC[kind]
+    missing = [f for f in fields if f not in d]
+    if missing:
+        raise ParseError(f"set object missing field(s): {', '.join(missing)}")
     try:
-        if kind == "halfspace":
-            a, b = _require(d, "a", "b")
-            return Halfspace(a, b)
-        if kind == "hyperplane":
-            a, b = _require(d, "a", "b")
-            return Hyperplane(a, b)
-        if kind == "affine":
-            A, b = _require(d, "A", "b")
-            return AffineSubspace(A, b)
-        if kind == "ball":
-            center, radius = _require(d, "center", "radius")
-            return Ball(center, radius)
-        if kind == "box":
-            lower, upper = _require(d, "lower", "upper")
-            return Box(lower, upper)
-        if kind == "soc":
-            (n,) = _require(d, "n")
-            return SecondOrderCone(n)
-    except (ValueError, DimensionMismatch) as exc:
+        return cls(*(d[f] for f in fields))
+    except (TypeError, ValueError, OverflowError, DimensionMismatch) as exc:
         raise ParseError(f"invalid '{kind}' set object: {exc}") from exc
-    raise ParseError(f"unknown set type {kind!r}")

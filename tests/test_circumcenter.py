@@ -204,12 +204,14 @@ class TestCrmOracle:
             assert la.norm(crm_prod_step(W, z) - circ) <= 1e-10 * (1.0 + la.norm(z))
 
 
-def test_import_leaves_scipy_unloaded():
-    # the package needs numpy only; scipy is not a dependency
+@pytest.mark.parametrize("module", ["scipy", "concurrent.futures.process"])
+def test_import_leaves_scipy_unloaded(module):
+    # the package needs numpy only; scipy is not a dependency, and the process
+    # pool is loaded only by a grid run with more than one job
     src = str(Path(crmfeas.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run(
-        [sys.executable, "-c", "import crmfeas, sys; print('scipy' in sys.modules)"],
+        [sys.executable, "-c", f"import crmfeas, sys; print({module!r} in sys.modules)"],
         capture_output=True, text=True, env=env, check=True,
     )
     assert out.stdout.strip() == "False"

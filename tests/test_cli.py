@@ -112,3 +112,18 @@ def test_empty_grid_is_a_usage_error(capsys):
     assert main(["bench", "poly", "--n", "15", "--starts", "0"]) == 1
     err = capsys.readouterr().err.splitlines()
     assert err == ["crmfeas: error: instance and start counts must be positive"] * 2
+
+
+@pytest.mark.parametrize("content", [
+    None,  # no such file
+    "{not json",
+    '{"schema": 2}',
+    '{"schema": 1, "kind": "polyhedral", "sets": [{"type": "soc", "n": [3]}]}',
+])
+def test_bad_problem_file_is_a_usage_error(tmp_path, capsys, content):
+    problem = tmp_path / "problem.json"
+    if content is not None:
+        problem.write_text(content)
+    assert main(["solve", str(problem)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("crmfeas: error: ")

@@ -164,6 +164,7 @@ class TestProblemFiles:
         assert np.array_equal(back.affine.b, inst.affine.b)
         assert np.array_equal(back.certificate, inst.certificate)
         assert isinstance(back.sets[0], SecondOrderCone) and back.sets[0].n == 20
+        assert list(json.loads(path.read_text())["affine"]) == ["A", "b"]
 
     def test_round_trip_polyhedral(self, tmp_path):
         inst = gen_polyhedral_instance(15, 8)
@@ -202,6 +203,29 @@ class TestProblemFiles:
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         with pytest.raises(ParseError, match="line"):
+            read_problem(path)
+
+    @pytest.mark.parametrize("fields, first_set", [
+        ({"n": [10]}, {}),
+        ({"n": 1e400}, {}),  # read back as inf
+        ({"certificate": [0.0, 1.0]}, {}),
+        ({"certificate": None}, {"b": float("nan")}),
+        ({"certificate": None}, {"b": [1.0, 2.0]}),
+    ])
+    def test_malformed_values_are_parse_errors(self, tmp_path, fields, first_set):
+        path = tmp_path / "p.json"
+        write_problem(gen_polyhedral_instance(10, 1), path)
+        doc = json.loads(path.read_text())
+        doc.update(fields)
+        doc["sets"][0].update(first_set)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError):
+            read_problem(path)
+
+    def test_not_utf8(self, tmp_path):
+        path = tmp_path / "binary.json"
+        path.write_bytes(b"\xff\xfe{")
+        with pytest.raises(ParseError, match="UTF-8"):
             read_problem(path)
 
     def test_corrupted_certificate(self, tmp_path):

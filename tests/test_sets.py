@@ -334,6 +334,17 @@ class TestConstructionErrors:
         with pytest.raises(ValueError):
             Hyperplane([0.0, 0.0], 1.0)
 
+    @pytest.mark.parametrize("cls", [Halfspace, Hyperplane])
+    @pytest.mark.parametrize("a, b", [
+        ([1e-170, 0.0], 0.0),  # a.a underflows to 0
+        ([1e200, 0.0], 0.0),  # a.a overflows to inf
+        ([1.0, 0.0], np.nan),
+        ([1.0, 0.0], np.inf),
+    ])
+    def test_normal_and_offset_must_be_usable(self, cls, a, b):
+        with pytest.raises(ValueError):
+            cls(a, b)
+
     def test_inconsistent_affine_system(self):
         with pytest.raises(ValueError, match="inconsistent"):
             AffineSubspace([[1.0, 0.0], [1.0, 0.0]], [0.0, 1.0])
@@ -350,6 +361,8 @@ class TestConstructionErrors:
     def test_ball_radius(self):
         with pytest.raises(ValueError):
             Ball([0.0], -1.0)
+        with pytest.raises(ValueError):
+            Ball([0.0], np.nan)
 
     def test_soc_dimension(self):
         with pytest.raises(ValueError):
@@ -400,3 +413,21 @@ class TestJsonCodec:
     def test_invalid_values_become_parse_errors(self):
         with pytest.raises(ParseError):
             set_from_dict({"type": "ball", "center": [0.0], "radius": -1.0})
+
+    @pytest.mark.parametrize("kind", [["halfspace"], {"a": 1}, 3, None])
+    def test_type_that_is_not_a_string(self, kind):
+        with pytest.raises(ParseError, match="unknown set type"):
+            set_from_dict({"type": kind, "a": [1.0], "b": 0.0})
+
+    @pytest.mark.parametrize("d", [
+        {"type": "halfspace", "a": [1.0, 0.0], "b": [1, 2]},
+        {"type": "hyperplane", "a": {"x": 1.0}, "b": 0.0},
+        {"type": "soc", "n": [3]},
+        {"type": "soc", "n": float("inf")},
+        {"type": "halfspace", "a": [1e-170, 0.0], "b": 0.0},
+        {"type": "hyperplane", "a": [1.0, 0.0], "b": float("nan")},
+        {"type": "ball", "center": [0.0], "radius": float("nan")},
+    ])
+    def test_malformed_fields_become_parse_errors(self, d):
+        with pytest.raises(ParseError, match="invalid"):
+            set_from_dict(d)
