@@ -1,8 +1,9 @@
 """The CRM step and the iteration driver for the two-set problem K ∩ U.
 
 ``K`` is any closed convex set from the catalog and ``U`` an affine subspace
-(or any set with an affine projector, such as the diagonal subspace of the
-product-space reformulation). Three methods are provided:
+whose projector ``P_U(x) = x_p + L x`` gives its linear part ``L`` as
+``_linear``: an ``AffineSubspace``, or the diagonal subspace of the
+product-space reformulation. Three methods are provided:
 
 * CRM: ``z -> circumcenter{z, R_K(z), R_U R_K(z)}``, for ``z in U``;
 * MAP: ``z -> P_U(P_K(z))``;
@@ -12,12 +13,19 @@ For ``z in U``, ``R_U R_K(z)`` mirrors ``R_K(z)`` through ``U``, so the CRM
 circumcenter lies on the line from ``z`` through ``P_U(R_K(z))`` and the step
 is computed in closed form on that line. One loop drives all three methods
 for both ``run`` and the product-space ``run_prod``.
+
+On a second-order cone ``K`` and an ``AffineSubspace`` ``U``, ``P_K`` only
+rescales a point of ``U`` and rewrites its entry 0, so the CRM and MAP
+iterates from the projected start ``z_0`` never leave the plane
+``x_p + span{z_0 - x_p, L e_0}``; ``run`` keeps them as two coordinates in
+that plane, and an iteration costs scalar arithmetic (see ``_ConeAffine``).
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,7 +35,7 @@ from .circumcenter import RESIDUAL_TOL
 # not called here; perfbench/tracing.py wraps the name in every module binding it
 from .circumcenter import circumcenter  # noqa: F401
 from .errors import DegenerateConfiguration, NotInAffine
-from .sets import ConvexSet, _check_finite, as_point
+from .sets import AffineSubspace, ConvexSet, SecondOrderCone, _check_finite, as_point
 
 __all__ = [
     "Method",
@@ -43,6 +51,11 @@ __all__ = [
 FIXED_POINT_TOL = 1e-14
 # Allowed drift of an iterate from U before crm_step refuses to proceed.
 AFFINE_TOL = 1e-8
+# _ConeAffine runs only while the squared norms of its three vectors add up to
+# less than this, so that no sum of products in its arithmetic overflows
+# where the same run in R^n would not.
+PLANE_HEADROOM = 2.0 ** -20 * sys.float_info.max
+_SQRT_HALF = math.sqrt(0.5)
 
 
 class Method(str, enum.Enum):
@@ -137,13 +150,16 @@ def _crm_coefficient(uu: float, du: float, dd: float, z_norm: float) -> float:
 def _crm_from_projection(z: np.ndarray, pk: np.ndarray, U: ConvexSet) -> np.ndarray:
     """CRM update given ``pk = P_K(z)``; assumes z in U (see ``_crm_coefficient``).
 
-    The circumcenter lies in ``U`` in exact arithmetic; projecting it back
-    keeps rounding from carrying later iterates off ``U``. Raises
-    ``ValueError`` when either point projected onto ``U`` has a non-finite
-    entry.
+    For ``z in U`` the direction ``d = P_U(z + u) - z``, ``u = 2 (pk - z)``,
+    is ``L u``, with ``L`` the linear part of ``P_U``. Taken as ``L u``, it
+    is not the difference of two points of size ``||z||``, whose rounding
+    the step would amplify by ``||u|| / ||d||``. The circumcenter lies in
+    ``U`` in exact arithmetic; projecting it back keeps rounding from
+    carrying later iterates off ``U``. Raises ``ValueError`` when that point
+    has a non-finite entry.
     """
     u = 2.0 * (pk - z)
-    d = U._project(_check_finite(z + u)) - z
+    d = U._linear(u)
     t = _crm_coefficient(float(u.dot(u)), float(d.dot(u)), float(d.dot(d)),
                          math.sqrt(z.dot(z)))
     return U._project(_check_finite(z + t * d)) if t else z
@@ -210,12 +226,96 @@ class _TwoSets:
         return z
 
 
+class _ConeAffine:
+    """``K ∩ U`` for a second-order cone ``K`` and an ``AffineSubspace`` ``U``,
+    for CRM or MAP, on iterates kept as two coordinates in a plane of ``U``.
+
+    Write ``P_U(x) = x_p + L x``, with ``L`` the linear part of ``P_U``. For
+    ``z = (t, u)`` outside both cones ``P_K(z) = alpha z + c e_0``, where
+    ``s = (t + ||u||) / 2``, ``alpha = s / ||u||`` and ``c = s - alpha t``;
+    inside ``K`` ``(alpha, c) = (1, 0)``, inside its polar ``(0, 0)``. For
+    ``z in U``, ``L z = z - x_p``, so MAP's ``P_U(P_K(z))`` is
+    ``x_p + alpha (z - x_p) + c w`` with ``w = L e_0``, and CRM's direction
+    ``d = L(2 (P_K(z) - z))`` is ``2 ((alpha - 1)(z - x_p) + c w)``. Every
+    iterate from the projected start ``z_0`` thus stays in the plane
+    ``x_p + span{e, w}``, ``e = z_0 - x_p``, and is kept as its coordinates
+    ``(beta, gamma)`` with ``z = x_p + beta e + gamma w``. Its entry ``t``
+    and ``||u||^2`` come from the first entries and the Gram matrix of the
+    other entries of ``x_p``, ``e`` and ``w``, and ``||d||^2`` from the Gram
+    matrix of ``e`` and ``w``, so an iteration is scalar arithmetic. The gap
+    is the distance to the cone, ``(||u|| - t) / sqrt(2)`` outside both
+    cones; CRM takes ``<u, u> = 4 gap^2`` and ``<d, u> = <d, d>``, as ``L``
+    is an orthogonal projector. ``lift`` maps coordinates to the point.
+
+    ``fits`` is false when the start leaves the arithmetic no headroom below
+    overflow (see ``PLANE_HEADROOM``); ``run`` then uses ``_TwoSets``.
+    """
+
+    def __init__(self, U: AffineSubspace, z: np.ndarray, method: Method):
+        e0 = np.zeros(U.dim)
+        e0[0] = 1.0
+        self._vectors = V = np.array([U._xp, z - U._xp, U._linear(e0)])
+        T = V[:, 1:]
+        (g00, g01, g02), (_, g11, g12), (_, _, g22) = (T @ T.T).tolist()
+        self._first = f0, f1, f2 = V[:, 0].tolist()
+        self.fits = g00 + g11 + g22 + f0 * f0 + f1 * f1 + f2 * f2 < PLANE_HEADROOM
+        self._tail = (g00, 2.0 * g01, 2.0 * g02, g11, 2.0 * g12, g22)
+        self._plane = (g11 + f1 * f1, 2.0 * (g12 + f1 * f2), g22 + f2 * f2)
+        self._method = method
+
+    @property
+    def step(self):
+        # bound on access: a bound method stored on the instance would make a
+        # reference cycle, and every run's vectors would wait for the cyclic GC
+        return self._map_step if self._method is Method.MAP else self._crm_step
+
+    def measure(self, z):
+        beta, gamma = z
+        f0, f1, f2 = self._first
+        g00, h01, h02, g11, h12, g22 = self._tail
+        t = f0 + beta * f1 + gamma * f2
+        nu2 = g00 + beta * (h01 + beta * g11 + gamma * h12) + gamma * (h02 + gamma * g22)
+        nu = math.sqrt(nu2) if nu2 > 0.0 else 0.0  # nu2 can round below 0 on the axis
+        zz = nu2 + t * t
+        if nu <= t:
+            return z, 0.0, (1.0, 0.0, zz)
+        if nu <= -t:
+            return z, math.sqrt(zz), (0.0, 0.0, zz)
+        s = 0.5 * (t + nu)
+        alpha = s / nu
+        return z, (nu - t) * _SQRT_HALF, (alpha, s - alpha * t, zz)
+
+    def _map_step(self, z, y, g, data):
+        alpha, c, _ = data
+        return alpha * z[0], alpha * z[1] + c
+
+    def _crm_step(self, z, y, g, data):
+        alpha, c, zz = data
+        ee, ew, ww = self._plane
+        p = (alpha - 1.0) * z[0]  # d = 2 (p e + q w)
+        q = (alpha - 1.0) * z[1] + c
+        dd = 4.0 * (p * (p * ee + q * ew) + q * q * ww)
+        t = _crm_coefficient(4.0 * g * g, dd, dd, math.sqrt(zz))
+        if not t:
+            return z
+        beta, gamma = z[0] + 2.0 * t * p, z[1] + 2.0 * t * q
+        if not math.isfinite(beta + gamma):  # where P_U(z + t d) meets a non-finite entry
+            raise ValueError("point has non-finite entries")
+        return beta, gamma
+
+    def lift(self, z):
+        xp, e, w = self._vectors
+        return xp + z[0] * e + z[1] * w
+
+
 def _drive(problem, z: np.ndarray, config: SolverConfig) -> IterationTrace:
     """Iterate the configured method from ``z`` until the gap drops below tol.
 
     ``problem``, built for the configured method, supplies the gap and the
-    step: ``_TwoSets`` for ``K ∩ U`` or the product space's ``_Diagonal``,
-    whose CRM and MAP iterates are points of R^n lifted onto ``D``. For
+    step: ``_TwoSets`` for ``K ∩ U``, ``_ConeAffine`` for CRM and MAP on a
+    cone and an ``AffineSubspace``, whose iterates are two coordinates in a
+    plane of ``U``, or the product space's ``_Diagonal``, whose CRM and MAP
+    iterates are points of R^n lifted onto ``D``. For
     ``K ∩ U`` each iteration measures the gap ``||y - pk||`` between ``y``,
     the point of ``U`` the method tracks, and a projection ``pk`` onto ``K``
     that the next step reuses. CRM and MAP iterates stay in ``U``: ``y = z``
@@ -236,12 +336,15 @@ def _drive(problem, z: np.ndarray, config: SolverConfig) -> IterationTrace:
     Inputs are validated at the entry points (``run``, ``run_prod``); inside
     the loop the problem projects with the sets' unchecked ``_project`` and
     looks for non-finite entries only where the public ``project`` would
-    have rejected a vector: on a non-finite gap, on the points a CRM step
+    have rejected a vector: on a non-finite gap, on the point a CRM step
     projects, and on the reflected point of DRM. A run ends ``NONFINITE``
     when a measurement or a step meets a non-finite entry (a gap it prevents
     is recorded as NaN) or when ``max_iter`` is reached on a non-finite gap;
     an overflowing gap alone is not fatal, as the next MAP or DRM iterate may
-    come back.
+    come back. The entry points call the driver, and project the start,
+    under ``np.errstate(over="ignore", invalid="ignore")``: an overflow shows
+    as the inf or NaN that ends the run in a ``Status``, never as a
+    ``RuntimeWarning``, which a warning filter would raise.
     """
     measure, step, lift = problem.measure, problem.step, problem.lift
     stall_check = config.method is Method.MAP  # one fixed-point rule for every problem
@@ -299,8 +402,19 @@ def run(K: ConvexSet, U: ConvexSet, z0, config: SolverConfig) -> IterationTrace:
     DRM iterates ``z`` of ``(z + R_K(R_U(z))) / 2``, whose reflections
     ``R_U(z)`` are the textbook DRM iterates, and stops on
     ``||P_U(z) - P_K(R_U(z))|| < tol``; its ``final_point`` is the shadow
-    ``P_U(z)``. See ``_drive``.
+    ``P_U(z)``. See ``_drive``. CRM and MAP on a ``SecondOrderCone`` and an
+    ``AffineSubspace`` (exactly these classes) run in a plane of ``U`` (see
+    ``_ConeAffine``), unless the start is within a factor ``2^20`` of
+    overflow.
     """
     if not isinstance(K, ConvexSet):
         raise ValueError(f"K must be a single ConvexSet, not {type(K).__name__}")
-    return _drive(_TwoSets(K, U, config.method), U.project(as_point(z0, U.dim)), config)
+    z0 = as_point(z0, U.dim)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow ends in a Status
+        z = U._project(z0)
+        if (config.method is not Method.DRM and type(K) is SecondOrderCone
+                and type(U) is AffineSubspace):
+            plane = _ConeAffine(U, z, config.method)
+            if plane.fits:
+                return _drive(plane, (1.0, 0.0), config)
+        return _drive(_TwoSets(K, U, config.method), z, config)

@@ -109,6 +109,8 @@ class DiagonalSubspace(ConvexSet):
         out[:] = z.reshape(self.m, self.n).mean(axis=0)
         return out.ravel()
 
+    _linear = _project  # D is a linear subspace: P_D is its own linear part
+
     def __repr__(self):
         return f"DiagonalSubspace(n={self.n}, m={self.m})"
 
@@ -203,7 +205,9 @@ def run_prod(W: ProductSet, z0, config: SolverConfig) -> IterationTrace:
     ``lift(x)`` for CRM and MAP, the shadow ``P_D(z)`` for DRM.
     """
     z0 = as_point(z0, W.dim)
-    if config.method is Method.DRM:
-        D = DiagonalSubspace(W.block_dim, W.m)
-        return _drive(_TwoSets(W, D, Method.DRM), D.project(z0), config)
-    return _drive(_Diagonal(W, config.method), z0.reshape(W.m, W.block_dim).mean(axis=0), config)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow ends in a Status
+        if config.method is Method.DRM:
+            D = DiagonalSubspace(W.block_dim, W.m)
+            return _drive(_TwoSets(W, D, Method.DRM), D._project(z0), config)
+        x = z0.reshape(W.m, W.block_dim).mean(axis=0)
+        return _drive(_Diagonal(W, config.method), x, config)

@@ -226,18 +226,27 @@ class AffineSubspace(ConvexSet):
             return self._xp + B.T @ (B @ x)
         return x - B.T @ (B @ (x - self._xp))
 
+    def _linear(self, v):
+        """The linear part ``L`` of the projector, ``P(x) = x_p + L x``: the
+        orthogonal projector onto the null space of ``A`` (``x_p`` lies in the
+        row space)."""
+        B = self._basis
+        if self._null:
+            return B.T @ (B @ v)
+        return v - B.T @ (B @ v)
+
     def __repr__(self):
         return f"AffineSubspace(dim={self.dim}, rows={self.A.shape[0]}, rank={self.rank})"
 
 
 class Ball(ConvexSet):
-    """Closed Euclidean ball with given center and positive radius."""
+    """Closed Euclidean ball with given center and positive, finite radius."""
 
     def __init__(self, center, radius: float):
         self.center = as_point(center)
         self.radius = float(radius)
-        if not self.radius > 0:  # NaN fails this too
-            raise ValueError("radius must be positive")
+        if not 0.0 < self.radius < math.inf:  # NaN fails this too
+            raise ValueError("radius must be positive and finite")
         self.dim = self.center.size
 
     def _project(self, x):
@@ -309,7 +318,7 @@ class SecondOrderCone(ConvexSet):
     """
 
     def __init__(self, n: int):
-        if int(n) != n or n < 2:
+        if not 2 <= n < math.inf or int(n) != n:
             raise ValueError("second-order cone needs integer dimension n >= 2")
         self.n = int(n)
         self.dim = self.n

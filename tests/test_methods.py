@@ -9,7 +9,7 @@ from numpy import linalg as la
 
 from crmfeas.errors import NotInAffine
 from crmfeas.instances import derive_seed, gen_soc_instance, gen_start
-from crmfeas.methods import Method, SolverConfig, Status, crm_step, run
+from crmfeas.methods import Method, SolverConfig, Status, _drive, _TwoSets, crm_step, run
 from crmfeas.product_space import DiagonalSubspace, ProductSet, lift, restrict, run_prod
 from crmfeas.sets import AffineSubspace, Ball, Box, Halfspace, Hyperplane, SecondOrderCone
 from conftest import (
@@ -39,6 +39,14 @@ class CountingAffine(AffineSubspace):
     def reflect(self, x):
         self.reflects += 1
         return super().reflect(x)
+
+
+def cone_grid_case(i):
+    """``(K, U, z0)`` of instance ``i``, start 0 of the reference cone grid
+    (seed 2024)."""
+    inst = gen_soc_instance(200, derive_seed(2024, 1, i))
+    z0 = gen_start(inst, derive_seed(2024, 2, i, 0), min_gap=1e-6).projected
+    return inst.sets[0], inst.affine, z0
 
 
 def one_step(method):
@@ -281,8 +289,7 @@ class TestDriver:
         })]
         for K, U, z0, scale, expected in cases:
             for method, (status, iterations, gaps) in expected.items():
-                with np.errstate(over="ignore", invalid="ignore"):
-                    trace = run(K, U, z0, SolverConfig(method=method, max_iter=3))
+                trace = run(K, U, z0, SolverConfig(method=method, max_iter=3))
                 assert (trace.status, trace.iterations) == (status, iterations), (z0, method)
                 assert len(trace.gaps) == len(gaps)
                 assert np.allclose(trace.gaps, gaps, rtol=1e-12, atol=1e-12 * scale,
@@ -292,21 +299,20 @@ class TestDriver:
         D = DiagonalSubspace(2, 2)
         for W in (ProductSet([BALL, Halfspace([0.0, 1.0], 0.5)]),
                   ProductSet([Halfspace([1.0, 0.0], 0.0), Halfspace([1.0, 1.0], 0.0)])):
-            with np.errstate(over="ignore", invalid="ignore"):
-                # the blockwise mean of the start overflows: no gap can be measured
-                for method, x0 in itertools.product(Method, ([1e308, 0.5], [-1e308, 0.5])):
-                    trace = run_prod(W, lift(x0, 2), SolverConfig(method=method))
-                    assert trace.status is Status.NONFINITE
-                    assert trace.iterations == 0 and np.isnan(trace.gaps[0])
-                # the gap overflows: the first CRM step overflows too, and the run
-                # stops there as in R^(nm), while MAP-prod comes back and converges
-                z0 = lift([1e200, 0.5], 2)
-                for method in (Method.CRM, Method.MAP):
-                    cfg = SolverConfig(method=method)
-                    trace, ref = run_prod(W, z0, cfg), run(W, D, z0, cfg)
-                    assert (trace.status, trace.iterations) == (ref.status, ref.iterations)
-                    assert len(trace.gaps) == len(ref.gaps) == trace.iterations + 1
-                    assert np.isinf(trace.gaps[0])
+            # the blockwise mean of the start overflows: no gap can be measured
+            for method, x0 in itertools.product(Method, ([1e308, 0.5], [-1e308, 0.5])):
+                trace = run_prod(W, lift(x0, 2), SolverConfig(method=method))
+                assert trace.status is Status.NONFINITE
+                assert trace.iterations == 0 and np.isnan(trace.gaps[0])
+            # the gap overflows: the first CRM step overflows too, and the run
+            # stops there as in R^(nm), while MAP-prod comes back and converges
+            z0 = lift([1e200, 0.5], 2)
+            for method in (Method.CRM, Method.MAP):
+                cfg = SolverConfig(method=method)
+                trace, ref = run_prod(W, z0, cfg), run(W, D, z0, cfg)
+                assert (trace.status, trace.iterations) == (ref.status, ref.iterations)
+                assert len(trace.gaps) == len(ref.gaps) == trace.iterations + 1
+                assert np.isinf(trace.gaps[0])
             assert ref.status is Status.CONVERGED and ref.iterations > 1
 
     def test_map_projects_onto_u_once_per_iteration(self):
@@ -328,13 +334,7 @@ class TestDriver:
 
     @pytest.mark.parametrize("case", ["ball-line", "cone-0", "cone-1", "cone-2"])
     def test_drm_iterates_reflect_onto_the_textbook_sequence(self, case):
-        if case == "ball-line":
-            K, U, z0 = BALL, LINE, Z
-        else:  # instance i, start 0 of the reference cone grid (seed 2024)
-            i = int(case[-1])
-            inst = gen_soc_instance(200, derive_seed(2024, 1, i))
-            K, U = inst.sets[0], inst.affine
-            z0 = gen_start(inst, derive_seed(2024, 2, i, 0), min_gap=1e-6).projected
+        K, U, z0 = (BALL, LINE, Z) if case == "ball-line" else cone_grid_case(int(case[-1]))
         trace = run(K, U, z0, SolverConfig(method=Method.DRM, record_trace=True))
         assert trace.status is Status.CONVERGED and trace.iterations > 1
         x = U.project(z0)
@@ -375,3 +375,61 @@ class TestDriver:
                 SolverConfig(tol=tol)
         with pytest.raises(ValueError):
             SolverConfig(max_iter=0)
+
+
+class TestConePlane:
+    """CRM and MAP on a second-order cone and an ``AffineSubspace`` run on two
+    coordinates in the plane of ``U`` that their iterates never leave."""
+
+    @staticmethod
+    def assert_same_run(K, U, z0, method):
+        cfg = SolverConfig(method=method, max_iter=2000, record_trace=True)
+        plane = run(K, U, z0, cfg)
+        ref = _drive(_TwoSets(K, U, method), U.project(z0), cfg)
+        assert (plane.status, plane.iterations) == (ref.status, ref.iterations)
+        assert len(plane.iterates) == len(ref.iterates)
+        for a, b in zip([plane.final_point, *plane.iterates], [ref.final_point, *ref.iterates]):
+            assert la.norm(a - b) <= 1e-12 * (1.0 + la.norm(b))
+
+    # U projects through its row space up to rank 100 and its null space above
+    @pytest.mark.parametrize("i, null", [(0, False), (1, False), (3, False),
+                                         (4, True), (5, True), (6, True)])
+    @pytest.mark.parametrize("method", [Method.CRM, Method.MAP])
+    def test_cone_grid_runs_match_the_generic_path(self, i, null, method):
+        K, U, z0 = cone_grid_case(i)
+        assert U._null is null
+        self.assert_same_run(K, U, z0, method)
+
+    def test_anchored_draws_match_the_generic_path(self):
+        for seed in range(300):
+            rng = np.random.default_rng(seed)
+            anchor = anchored_point(rng, int(rng.integers(2, 9)), "soc")
+            U = anchored_affine(rng, anchor)
+            z0 = point_in_affine(rng, U, anchor, spread=3.0)
+            for method in (Method.CRM, Method.MAP):
+                self.assert_same_run(SecondOrderCone(anchor.size), U, z0, method)
+
+    def test_only_the_start_is_projected_onto_u(self, monkeypatch):
+        calls = []
+        project = AffineSubspace._project
+
+        def counting_project(self, x):
+            calls.append(x)
+            return project(self, x)
+
+        monkeypatch.setattr(AffineSubspace, "_project", counting_project)
+        for i in (0, 4):  # a row-space and a null-space basis
+            K, U, z0 = cone_grid_case(i)
+            for method, projections in ((Method.CRM, 0), (Method.MAP, 0), (Method.DRM, 1)):
+                calls.clear()
+                trace = run(K, U, z0, SolverConfig(method=method))
+                assert trace.status is Status.CONVERGED and trace.iterations > 1
+                # DRM's iterates leave U: it projects once per visited iterate
+                assert len(calls) == 1 + projections * (trace.iterations + 1)
+
+    def test_a_subclass_of_affine_subspace_keeps_the_generic_path(self):
+        K, U, z0 = cone_grid_case(0)
+        counting = CountingAffine(U.A, U.b)
+        trace = run(K, counting, z0, SolverConfig(method=Method.MAP))
+        assert trace.status is Status.CONVERGED and trace.iterations > 1
+        assert counting.projects == trace.iterations + 1  # one per step, one for the start

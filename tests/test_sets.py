@@ -364,9 +364,19 @@ class TestConstructionErrors:
         with pytest.raises(ValueError):
             Ball([0.0], np.nan)
 
+    def test_ball_radius_must_be_finite(self):
+        # an infinite radius made the stacked ball projection divide inf by inf
+        with pytest.raises(ValueError):
+            Ball([0.0, 0.0], np.inf)
+
     def test_soc_dimension(self):
         with pytest.raises(ValueError):
             SecondOrderCone(1)
+
+    def test_soc_dimension_must_be_finite(self):
+        # ValueError like every other bad dimension, not OverflowError from int(inf)
+        with pytest.raises(ValueError):
+            SecondOrderCone(float("inf"))
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
