@@ -14,7 +14,6 @@ from .errors import (
     EmptyInput,
     ExhaustedRejection,
     FeasibilityError,
-    InconsistentIntersection,
     NotDiagonal,
     NotInAffine,
     ParseError,
@@ -32,7 +31,7 @@ from .sets import (
     set_from_dict,
     set_to_dict,
 )
-from .circumcenter import CircumcenterResult, circumcenter, crm_oracle, supporting_hyperplane
+from .circumcenter import CircumcenterResult, circumcenter
 from .methods import (
     IterationTrace,
     Method,

@@ -21,10 +21,6 @@ class NotDiagonal(FeasibilityError):
     """Blocks of a product-space point disagree beyond tolerance."""
 
 
-class InconsistentIntersection(FeasibilityError):
-    """A stacked linear system has no solution; the intersection may be empty."""
-
-
 class BadDimension(FeasibilityError):
     """Instance generator called with an unsupported dimension."""
 

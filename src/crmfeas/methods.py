@@ -15,10 +15,11 @@ is computed in closed form on that line. One loop drives all three methods
 for both ``run`` and the product-space ``run_prod``.
 
 On a second-order cone ``K`` and an ``AffineSubspace`` ``U``, ``P_K`` only
-rescales a point of ``U`` and rewrites its entry 0, so the CRM and MAP
-iterates from the projected start ``z_0`` never leave the plane
-``x_p + span{z_0 - x_p, L e_0}``; ``run`` keeps them as two coordinates in
-that plane, and an iteration costs scalar arithmetic (see ``_ConeAffine``).
+rescales a point and rewrites its entry 0, so the CRM and MAP iterates from
+the projected start ``z_0`` never leave the plane
+``x_p + span{z_0 - x_p, L e_0}``, and the DRM iterates never leave
+``span{x_p, z_0 - x_p, L e_0, e_0}``; ``run`` keeps them as two or four
+coordinates, and an iteration costs scalar arithmetic (see ``_ConeAffine``).
 """
 
 from __future__ import annotations
@@ -55,6 +56,9 @@ AFFINE_TOL = 1e-8
 # less than this, so that no sum of products in its arithmetic overflows
 # where the same run in R^n would not.
 PLANE_HEADROOM = 2.0 ** -20 * sys.float_info.max
+# A MAP iterate that stops moving certifies an empty intersection only when
+# its gap exceeds this multiple of the iterate's largest entry (see _drive).
+STALL_FLOOR = 2.0 ** -40
 _SQRT_HALF = math.sqrt(0.5)
 
 
@@ -228,7 +232,7 @@ class _TwoSets:
 
 class _ConeAffine:
     """``K ∩ U`` for a second-order cone ``K`` and an ``AffineSubspace`` ``U``,
-    for CRM or MAP, on iterates kept as two coordinates in a plane of ``U``.
+    on iterates kept as coordinates in a span of at most four vectors.
 
     Write ``P_U(x) = x_p + L x``, with ``L`` the linear part of ``P_U``. For
     ``z = (t, u)`` outside both cones ``P_K(z) = alpha z + c e_0``, where
@@ -245,13 +249,27 @@ class _ConeAffine:
     matrix of ``e`` and ``w``, so an iteration is scalar arithmetic. The gap
     is the distance to the cone, ``(||u|| - t) / sqrt(2)`` outside both
     cones; CRM takes ``<u, u> = 4 gap^2`` and ``<d, u> = <d, d>``, as ``L``
-    is an orthogonal projector. ``lift`` maps coordinates to the point.
+    is an orthogonal projector.
+
+    DRM iterates leave ``U`` but not ``span{x_p, e, w, e_0}``, as ``L x_p = 0``,
+    ``L e = e`` and ``L w = w``; they are kept as ``(a, beta, gamma, delta)``
+    with ``z = a x_p + beta e + gamma w + delta e_0``, from ``(1, 1, 0, 0)``.
+    The shadow ``y = P_U(z) = x_p + beta e + (gamma + delta) w`` is a point of
+    the plane, the reflection ``v = 2 y - z`` has coordinates
+    ``(2 - a, beta, gamma + 2 delta, -delta)``, and the step
+    ``z + P_K(v) - y`` and the gap ``||y - P_K(v)||`` need no further Gram
+    entries, since the tail of ``e_0`` is zero. An iterate that grows on an
+    empty problem can round that gap to 0, so a gap below ``tol`` counts only
+    if the R^n shadow measure of ``_TwoSets`` at ``lift(y)`` confirms it;
+    otherwise the gap recorded is that measure.
+    ``lift`` maps coordinates, of the plane or of the span, to the point.
 
     ``fits`` is false when the start leaves the arithmetic no headroom below
     overflow (see ``PLANE_HEADROOM``); ``run`` then uses ``_TwoSets``.
     """
 
-    def __init__(self, U: AffineSubspace, z: np.ndarray, method: Method):
+    def __init__(self, K: SecondOrderCone, U: AffineSubspace, z: np.ndarray,
+                 config: SolverConfig):
         e0 = np.zeros(U.dim)
         e0[0] = 1.0
         self._vectors = V = np.array([U._xp, z - U._xp, U._linear(e0)])
@@ -261,15 +279,22 @@ class _ConeAffine:
         self.fits = g00 + g11 + g22 + f0 * f0 + f1 * f1 + f2 * f2 < PLANE_HEADROOM
         self._tail = (g00, 2.0 * g01, 2.0 * g02, g11, 2.0 * g12, g22)
         self._plane = (g11 + f1 * f1, 2.0 * (g12 + f1 * f2), g22 + f2 * f2)
-        self._method = method
+        self._method = config.method
+        self.start = (1.0, 1.0, 0.0, 0.0) if config.method is Method.DRM else (1.0, 0.0)
+        self.K, self.U, self._tol = K, U, config.tol  # to confirm a DRM gap in R^n
+
+    # bound on access: a bound method stored on the instance would make a
+    # reference cycle, and every run's vectors would wait for the cyclic GC
+    @property
+    def measure(self):
+        return self._measure_shadow if self._method is Method.DRM else self._measure_iterate
 
     @property
     def step(self):
-        # bound on access: a bound method stored on the instance would make a
-        # reference cycle, and every run's vectors would wait for the cyclic GC
-        return self._map_step if self._method is Method.MAP else self._crm_step
+        return {Method.CRM: self._crm_step, Method.MAP: self._map_step,
+                Method.DRM: self._drm_step}[self._method]
 
-    def measure(self, z):
+    def _measure_iterate(self, z):
         beta, gamma = z
         f0, f1, f2 = self._first
         g00, h01, h02, g11, h12, g22 = self._tail
@@ -284,6 +309,37 @@ class _ConeAffine:
         s = 0.5 * (t + nu)
         alpha = s / nu
         return z, (nu - t) * _SQRT_HALF, (alpha, s - alpha * t, zz)
+
+    def _measure_shadow(self, z):
+        a, beta, gamma, delta = z
+        f0, f1, f2 = self._first
+        g00, h01, h02, g11, h12, g22 = self._tail
+        yw = gamma + delta  # y = x_p + beta e + yw w
+        p, r = 2.0 - a, gamma + 2.0 * delta  # v = p x_p + beta e + r w - delta e_0
+        if not math.isfinite(p + beta + r + delta):  # as _TwoSets checks 2y - z
+            raise ValueError("point has non-finite entries")
+        t = p * f0 + beta * f1 + r * f2 - delta
+        nu2 = p * p * g00 + beta * (p * h01 + beta * g11 + r * h12) + r * (p * h02 + r * g22)
+        nu = math.sqrt(nu2) if nu2 > 0.0 else 0.0
+        if nu <= t:
+            alpha, c, s = 1.0, 0.0, t
+        elif nu <= -t:
+            alpha = c = s = 0.0
+        else:
+            s = 0.5 * (t + nu)
+            alpha = s / nu
+            c = s - alpha * t
+        # y - P_K(v): first entry, then the coordinates of its tail
+        q0 = f0 + beta * f1 + yw * f2 - s
+        qa, qb, qc = 1.0 - alpha * p, beta - alpha * beta, yw - alpha * r
+        qq = qa * qa * g00 + qb * (qa * h01 + qb * g11 + qc * h12) + qc * (qa * h02 + qc * g22)
+        g = math.sqrt(q0 * q0 + max(qq, 0.0))
+        y = beta, yw
+        if g < self._tol:
+            rn = _TwoSets._measure_shadow(self, self.lift(y))[1]
+            if not rn < self._tol:
+                g = rn
+        return y, g, (alpha, c, p, r)
 
     def _map_step(self, z, y, g, data):
         alpha, c, _ = data
@@ -303,19 +359,29 @@ class _ConeAffine:
             raise ValueError("point has non-finite entries")
         return beta, gamma
 
+    def _drm_step(self, z, y, g, data):
+        a, beta, gamma, delta = z
+        alpha, c, p, r = data  # z + P_K(v) - y
+        return a - 1.0 + alpha * p, alpha * beta, alpha * r - delta, delta + c - alpha * delta
+
     def lift(self, z):
         xp, e, w = self._vectors
-        return xp + z[0] * e + z[1] * w
+        if len(z) == 2:  # a point of the plane
+            return xp + z[0] * e + z[1] * w
+        a, beta, gamma, delta = z
+        x = a * xp + beta * e + gamma * w
+        x[0] += delta
+        return x
 
 
 def _drive(problem, z: np.ndarray, config: SolverConfig) -> IterationTrace:
     """Iterate the configured method from ``z`` until the gap drops below tol.
 
     ``problem``, built for the configured method, supplies the gap and the
-    step: ``_TwoSets`` for ``K ∩ U``, ``_ConeAffine`` for CRM and MAP on a
-    cone and an ``AffineSubspace``, whose iterates are two coordinates in a
-    plane of ``U``, or the product space's ``_Diagonal``, whose CRM and MAP
-    iterates are points of R^n lifted onto ``D``. For
+    step: ``_TwoSets`` for ``K ∩ U``, ``_ConeAffine`` for a cone and an
+    ``AffineSubspace``, whose iterates are coordinates in a plane of ``U``
+    (DRM: in a span of four vectors), or the product space's ``_Diagonal``,
+    whose CRM and MAP iterates are points of R^n lifted onto ``D``. For
     ``K ∩ U`` each iteration measures the gap ``||y - pk||`` between ``y``,
     the point of ``U`` the method tracks, and a projection ``pk`` onto ``K``
     that the next step reuses. CRM and MAP iterates stay in ``U``: ``y = z``
@@ -331,7 +397,9 @@ def _drive(problem, z: np.ndarray, config: SolverConfig) -> IterationTrace:
 
     A MAP iterate that repeats bitwise with a gap of at least tol is a fixed
     point of ``P_U P_K`` off ``K``, which certifies ``K ∩ U = ∅``
-    (Cheney-Goldstein); the run ends ``DEGENERATE``.
+    (Cheney-Goldstein); the run ends ``DEGENERATE``. The gap must also exceed
+    ``STALL_FLOOR`` times the largest entry of the lifted iterate: a gap
+    below that may be the rounding of the iterate, which stops it too.
 
     Inputs are validated at the entry points (``run``, ``run_prod``); inside
     the loop the problem projects with the sets' unchecked ``_project`` and
@@ -365,7 +433,8 @@ def _drive(problem, z: np.ndarray, config: SolverConfig) -> IterationTrace:
             status = Status.CONVERGED
             break
         # the gap comparison is the cheap test; the iterate decides
-        if stall_check and iterations and g == gaps[-2] and np.array_equal(z, prev):
+        if (stall_check and iterations and g == gaps[-2] and np.array_equal(z, prev)
+                and g > STALL_FLOOR * np.max(np.abs(lift(z)))):
             status = Status.DEGENERATE
             break
         if iterations >= config.max_iter:
@@ -402,8 +471,9 @@ def run(K: ConvexSet, U: ConvexSet, z0, config: SolverConfig) -> IterationTrace:
     DRM iterates ``z`` of ``(z + R_K(R_U(z))) / 2``, whose reflections
     ``R_U(z)`` are the textbook DRM iterates, and stops on
     ``||P_U(z) - P_K(R_U(z))|| < tol``; its ``final_point`` is the shadow
-    ``P_U(z)``. See ``_drive``. CRM and MAP on a ``SecondOrderCone`` and an
-    ``AffineSubspace`` (exactly these classes) run in a plane of ``U`` (see
+    ``P_U(z)``. See ``_drive``. All three methods on a ``SecondOrderCone``
+    and an ``AffineSubspace`` (exactly these classes) run on coordinates, CRM
+    and MAP in a plane of ``U`` and DRM in a span of four vectors (see
     ``_ConeAffine``), unless the start is within a factor ``2^20`` of
     overflow.
     """
@@ -412,9 +482,8 @@ def run(K: ConvexSet, U: ConvexSet, z0, config: SolverConfig) -> IterationTrace:
     z0 = as_point(z0, U.dim)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow ends in a Status
         z = U._project(z0)
-        if (config.method is not Method.DRM and type(K) is SecondOrderCone
-                and type(U) is AffineSubspace):
-            plane = _ConeAffine(U, z, config.method)
-            if plane.fits:
-                return _drive(plane, (1.0, 0.0), config)
+        if type(K) is SecondOrderCone and type(U) is AffineSubspace:
+            cone = _ConeAffine(K, U, z, config)
+            if cone.fits:
+                return _drive(cone, cone.start, config)
         return _drive(_TwoSets(K, U, config.method), z, config)

@@ -14,7 +14,7 @@ import pytest
 from numpy import linalg as la
 
 from crmfeas.bench import bench_polyhedral_prod, bench_soc
-from crmfeas.circumcenter import circumcenter, crm_oracle
+from crmfeas.circumcenter import circumcenter
 from crmfeas.errors import DegenerateConfiguration
 from crmfeas.instances import derive_seed, gen_polyhedral_instance, gen_soc_instance, gen_start
 from crmfeas.methods import Method, SolverConfig, Status, crm_step, run
@@ -27,6 +27,7 @@ from conftest import (
     anchored_set,
     point_in_affine,
 )
+from oracle import crm_oracle
 
 SOC_SEED = 2024
 POLY_SEED = 137

@@ -12,17 +12,8 @@ from hypothesis import strategies as st
 from numpy import linalg as la
 
 import crmfeas
-from crmfeas.circumcenter import (
-    circumcenter,
-    crm_oracle,
-    supporting_hyperplane,
-)
-from crmfeas.errors import (
-    DegenerateConfiguration,
-    DimensionMismatch,
-    InconsistentIntersection,
-    NotInAffine,
-)
+from crmfeas.circumcenter import circumcenter
+from crmfeas.errors import DegenerateConfiguration, DimensionMismatch, NotInAffine
 from crmfeas.instances import derive_seed, gen_polyhedral_instance, gen_start
 from crmfeas.methods import crm_step
 from crmfeas.product_space import DiagonalSubspace, ProductSet, crm_prod_step
@@ -34,6 +25,7 @@ from conftest import (
     anchored_set,
     point_in_affine,
 )
+from oracle import InconsistentIntersection, crm_oracle, supporting_hyperplane
 
 
 class TestCircumcenter:

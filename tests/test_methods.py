@@ -315,6 +315,15 @@ class TestDriver:
                 assert np.isinf(trace.gaps[0])
             assert ref.status is Status.CONVERGED and ref.iterations > 1
 
+    def test_map_stall_needs_a_gap_above_the_rounding_of_the_iterate(self):
+        # {x1 <= 0} x {x1 + x2 <= 0} meet; from this start the Cimmino iterate
+        # stops moving at [-2.5e153, 2.5e153], a point of both halfspaces, with
+        # a gap of 2.6e137 that is only its rounding: no proof of emptiness
+        W = ProductSet([Halfspace([1.0, 0.0], 0.0), Halfspace([1.0, 1.0], 0.0)])
+        trace = run_prod(W, lift([1e154, 1e154], 2), SolverConfig(method=Method.MAP, max_iter=200))
+        assert (trace.status, trace.iterations) == (Status.MAX_ITER, 200)
+        assert 0.0 < trace.gaps[-1] < 1e-15 * la.norm(trace.final_point)
+
     def test_map_projects_onto_u_once_per_iteration(self):
         # MAP iterates lie in U, so the stopping gap needs no projection onto U
         U = CountingAffine([[0.0, 1.0]], [1.0])  # y = 1
@@ -335,7 +344,9 @@ class TestDriver:
     @pytest.mark.parametrize("case", ["ball-line", "cone-0", "cone-1", "cone-2"])
     def test_drm_iterates_reflect_onto_the_textbook_sequence(self, case):
         K, U, z0 = (BALL, LINE, Z) if case == "ball-line" else cone_grid_case(int(case[-1]))
-        trace = run(K, U, z0, SolverConfig(method=Method.DRM, record_trace=True))
+        cfg = SolverConfig(method=Method.DRM, record_trace=True)
+        # the R^n iteration, which run replaces by coordinates on the cone cases
+        trace = _drive(_TwoSets(K, U, Method.DRM), U.project(z0), cfg)
         assert trace.status is Status.CONVERGED and trace.iterations > 1
         x = U.project(z0)
         for z, g in zip(trace.iterates, trace.gaps):
@@ -345,6 +356,7 @@ class TestDriver:
             x = 0.5 * (x + U.reflect(K.reflect(x)))  # textbook DRM step
         # the final point is the shadow of the last iterate
         assert np.array_equal(trace.final_point, U.project(trace.iterates[-1]))
+        TestConePlane.assert_same_run(K, U, z0, Method.DRM, trace)
 
     # several sets meeting U are one product-space problem, U as the last factor
     def test_serial_driver(self):
@@ -379,13 +391,16 @@ class TestDriver:
 
 class TestConePlane:
     """CRM and MAP on a second-order cone and an ``AffineSubspace`` run on two
-    coordinates in the plane of ``U`` that their iterates never leave."""
+    coordinates in the plane of ``U`` that their iterates never leave, and DRM
+    on four coordinates in ``span{x_p, z_0 - x_p, L e_0, e_0}``."""
 
     @staticmethod
-    def assert_same_run(K, U, z0, method):
+    def assert_same_run(K, U, z0, method, ref=None):
+        """``run`` matches the R^n iteration ``ref`` (run here if not given)."""
         cfg = SolverConfig(method=method, max_iter=2000, record_trace=True)
         plane = run(K, U, z0, cfg)
-        ref = _drive(_TwoSets(K, U, method), U.project(z0), cfg)
+        if ref is None:
+            ref = _drive(_TwoSets(K, U, method), U.project(z0), cfg)
         assert (plane.status, plane.iterations) == (ref.status, ref.iterations)
         assert len(plane.iterates) == len(ref.iterates)
         for a, b in zip([plane.final_point, *plane.iterates], [ref.final_point, *ref.iterates]):
@@ -394,7 +409,7 @@ class TestConePlane:
     # U projects through its row space up to rank 100 and its null space above
     @pytest.mark.parametrize("i, null", [(0, False), (1, False), (3, False),
                                          (4, True), (5, True), (6, True)])
-    @pytest.mark.parametrize("method", [Method.CRM, Method.MAP])
+    @pytest.mark.parametrize("method", [Method.CRM, Method.MAP, Method.DRM])
     def test_cone_grid_runs_match_the_generic_path(self, i, null, method):
         K, U, z0 = cone_grid_case(i)
         assert U._null is null
@@ -406,7 +421,7 @@ class TestConePlane:
             anchor = anchored_point(rng, int(rng.integers(2, 9)), "soc")
             U = anchored_affine(rng, anchor)
             z0 = point_in_affine(rng, U, anchor, spread=3.0)
-            for method in (Method.CRM, Method.MAP):
+            for method in Method:
                 self.assert_same_run(SecondOrderCone(anchor.size), U, z0, method)
 
     def test_only_the_start_is_projected_onto_u(self, monkeypatch):
@@ -420,12 +435,28 @@ class TestConePlane:
         monkeypatch.setattr(AffineSubspace, "_project", counting_project)
         for i in (0, 4):  # a row-space and a null-space basis
             K, U, z0 = cone_grid_case(i)
-            for method, projections in ((Method.CRM, 0), (Method.MAP, 0), (Method.DRM, 1)):
+            for method, confirm in ((Method.CRM, 0), (Method.MAP, 0), (Method.DRM, 1)):
                 calls.clear()
                 trace = run(K, U, z0, SolverConfig(method=method))
                 assert trace.status is Status.CONVERGED and trace.iterations > 1
-                # DRM's iterates leave U: it projects once per visited iterate
-                assert len(calls) == 1 + projections * (trace.iterations + 1)
+                # no projection per iteration; DRM confirms its last gap in R^n
+                assert len(calls) == 1 + confirm
+
+    # both intersections are empty; at this scale P_U cancels in R^n, where
+    # the first DRM run ended converged at [0, 0, 0] after 2 iterations, and
+    # the coordinate gap of the second rounds to 0 at iteration 24,173
+    @pytest.mark.parametrize("A, b, scale, max_iter", [
+        ([[1.0, 0.0, 0.0]], [-1.0], 1e100, 2000),
+        ([[1.0, -1.0, 0.0], [0.0, 0.0, 1.0]], [-1.0, 0.0], 1e150, 30_000),
+    ], ids=["apex", "parallel-ray"])
+    def test_drm_never_converges_on_an_empty_problem_far_out(self, A, b, scale, max_iter):
+        K, U = SecondOrderCone(3), AffineSubspace(A, b)
+        cfg = SolverConfig(method=Method.DRM, max_iter=max_iter)
+        trace = run(K, U, scale * np.array([0.3, 2.0, 1.0]), cfg)
+        assert (trace.status, trace.iterations) == (Status.MAX_ITER, max_iter)
+        assert min(trace.gaps) >= cfg.tol
+        y = trace.final_point  # the shadow stays in U
+        assert la.norm(U.project(y) - y) <= 1e-12 * (1.0 + la.norm(y))
 
     def test_a_subclass_of_affine_subspace_keeps_the_generic_path(self):
         K, U, z0 = cone_grid_case(0)
