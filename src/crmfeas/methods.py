@@ -122,21 +122,28 @@ def _check_in_affine(U: ConvexSet, z: np.ndarray) -> None:
         raise NotInAffine("iterate is not in the affine set U")
 
 
+class _FixedPoint(DegenerateConfiguration):
+    """``z`` is a fixed point of the CRM step (see ``_crm_coefficient``)."""
+
+
 def _crm_coefficient(uu: float, du: float, dd: float, z_norm: float) -> float:
     """The CRM rule: ``t`` such that ``z + t d`` is the circumcenter of ``z``,
     ``z + u`` and ``z + 2d - u``, from ``uu = <u, u>``, ``du = <d, u>``,
     ``dd = <d, d>`` and ``z_norm = ||z||``.
 
     Here ``u = R_K(z) - z`` and ``d = P_U(R_K(z)) - z`` for ``z in U``, and
-    ``2 t <d, u> = ||u||^2``. ``t = 0`` when ``z`` is a fixed point for
-    practical purposes. As in :func:`crmfeas.circumcenter.circumcenter`, the
-    configuration is degenerate when no equidistant point exists:
-    ``<d, u> <= 0``, or the equidistance equations ``2 <v_i, t d> = ||v_i||^2``
-    of ``v_1 = u`` and ``v_2 = 2d - u`` miss by more than ``RESIDUAL_TOL``
-    times one plus the largest pairwise distance of the three points.
+    ``2 t <d, u> = ||u||^2``. ``_FixedPoint`` is raised when ``z`` is a fixed
+    point for practical purposes: ``crm_step`` then returns ``z``, and the
+    driver, which steps only on a gap of at least tol, ends the run
+    ``DEGENERATE``, as ``z`` would repeat forever. As in
+    :func:`crmfeas.circumcenter.circumcenter`, the configuration is
+    degenerate when no equidistant point exists: ``<d, u> <= 0``, or the
+    equidistance equations ``2 <v_i, t d> = ||v_i||^2`` of ``v_1 = u`` and
+    ``v_2 = 2d - u`` miss by more than ``RESIDUAL_TOL`` times one plus the
+    largest pairwise distance of the three points.
     """
     if math.sqrt(uu) < FIXED_POINT_TOL * (1.0 + z_norm):
-        return 0.0
+        raise _FixedPoint("R_K(z) - z is within rounding of z")
     if du <= 0.0:
         raise DegenerateConfiguration("R_K(z) - z has no component along U")
     t = uu / (2.0 * du)
@@ -166,7 +173,7 @@ def _crm_from_projection(z: np.ndarray, pk: np.ndarray, U: ConvexSet) -> np.ndar
     d = U._linear(u)
     t = _crm_coefficient(float(u.dot(u)), float(d.dot(u)), float(d.dot(d)),
                          math.sqrt(z.dot(z)))
-    return U._project(_check_finite(z + t * d)) if t else z
+    return U._project(_check_finite(z + t * d))
 
 
 def crm_step(K: ConvexSet, U: ConvexSet, z) -> np.ndarray:
@@ -178,7 +185,10 @@ def crm_step(K: ConvexSet, U: ConvexSet, z) -> np.ndarray:
     """
     z = as_point(z, U.dim)
     _check_in_affine(U, z)
-    return _crm_from_projection(z, K.project(z), U)
+    try:
+        return _crm_from_projection(z, K.project(z), U)
+    except _FixedPoint:
+        return z
 
 
 class _TwoSets:
@@ -352,8 +362,6 @@ class _ConeAffine:
         q = (alpha - 1.0) * z[1] + c
         dd = 4.0 * (p * (p * ee + q * ew) + q * q * ww)
         t = _crm_coefficient(4.0 * g * g, dd, dd, math.sqrt(zz))
-        if not t:
-            return z
         beta, gamma = z[0] + 2.0 * t * p, z[1] + 2.0 * t * q
         if not math.isfinite(beta + gamma):  # where P_U(z + t d) meets a non-finite entry
             raise ValueError("point has non-finite entries")
@@ -381,10 +389,11 @@ def _drive(problem, z: np.ndarray, config: SolverConfig) -> IterationTrace:
     step: ``_TwoSets`` for ``K ∩ U``, ``_ConeAffine`` for a cone and an
     ``AffineSubspace``, whose iterates are coordinates in a plane of ``U``
     (DRM: in a span of four vectors), or the product space's ``_Diagonal``,
-    whose CRM and MAP iterates are points of R^n lifted onto ``D``. For
-    ``K ∩ U`` each iteration measures the gap ``||y - pk||`` between ``y``,
-    the point of ``U`` the method tracks, and a projection ``pk`` onto ``K``
-    that the next step reuses. CRM and MAP iterates stay in ``U``: ``y = z``
+    whose CRM and MAP iterates are points of R^n lifted onto ``D``, and
+    ``_HalfspaceDRM``, whose DRM iterates on a product of halfspaces are
+    pairs in R^n x R^m. For ``K ∩ U`` each iteration measures the gap
+    ``||y - pk||`` between ``y``, the point of ``U`` the method tracks, and a
+    projection ``pk`` onto ``K`` that the next step reuses. CRM and MAP iterates stay in ``U``: ``y = z``
     and ``pk = P_K(z)``. DRM runs the reflected form ``z -> (z + R_K(R_U(z))) / 2``:
     ``y = P_U(z)``, ``pk = P_K(2y - z)`` and ``z -> z + pk - y``. From a start
     in ``U``, ``R_U`` maps its iterates onto those of the textbook
@@ -399,7 +408,10 @@ def _drive(problem, z: np.ndarray, config: SolverConfig) -> IterationTrace:
     point of ``P_U P_K`` off ``K``, which certifies ``K ∩ U = ∅``
     (Cheney-Goldstein); the run ends ``DEGENERATE``. The gap must also exceed
     ``STALL_FLOOR`` times the largest entry of the lifted iterate: a gap
-    below that may be the rounding of the iterate, which stops it too.
+    below that may be the rounding of the iterate, which stops it too. A CRM
+    iterate whose gap is within rounding of its norm is a fixed point of the
+    step (see ``_crm_coefficient``) and would repeat forever; that run ends
+    ``DEGENERATE`` at once.
 
     Inputs are validated at the entry points (``run``, ``run_prod``); inside
     the loop the problem projects with the sets' unchecked ``_project`` and

@@ -9,7 +9,9 @@ and the driver of :mod:`crmfeas.methods` apply with ``K := W`` and
 
 On the diagonal the product-space MAP and CRM are Cimmino's method and
 Pierra's extrapolated parallel projection method in R^n, and ``run_prod``
-runs them in that form (see ``_Diagonal``).
+runs them in that form (see ``_Diagonal``). On a product of halfspaces the
+DRM iterates keep blocks ``x + s_i a_i``, and ``run_prod`` runs DRM on the
+pair ``(x, s)`` (see ``_HalfspaceDRM``).
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .circumcenter import circumcenter  # noqa: F401
 from .errors import DimensionMismatch, NotDiagonal
 from .methods import (IterationTrace, Method, SolverConfig, _crm_coefficient, _drive,
                       _TwoSets, crm_step)
-from .sets import ConvexSet, _check_finite, _row_projector, as_point
+from .sets import ConvexSet, _check_finite, _HalfspaceRows, _row_projector, as_point
 
 __all__ = [
     "ProductSet",
@@ -189,6 +191,44 @@ class _Diagonal:
         return np.tile(x, self.W.m)
 
 
+class _HalfspaceDRM:
+    """DRM on ``W ∩ D`` for :func:`crmfeas.methods._drive`, when every factor
+    of ``W`` is a ``Halfspace``, on iterates ``z`` with blocks
+    ``z_i = x + s_i a_i`` kept as the pair ``(x, s)``, ``x in R^n`` and
+    ``s in R^m``.
+
+    The step goes from ``(x, s)`` to ``(y, -c)``, with ``y`` the shadow
+    ``P_D(z)`` and the gap from a Gram expansion (see ``_HalfspaceRows.drm``),
+    so an iteration takes three products with ``A`` and no vector of R^(nm).
+    The expansion can round the gap of an iterate that grows on an empty
+    product to 0, so a gap below ``tol`` counts only if ``dist(lift(y), W)``,
+    at most the gap in exact arithmetic, is below ``tol`` too; otherwise that
+    distance is recorded as the gap. ``lift`` maps an iterate ``(x, s)`` or a
+    shadow ``y`` to its point of R^(nm).
+    """
+
+    def __init__(self, W: ProductSet, tol: float):
+        self.W, self._rows, self._tol = W, W._groups[0][1], tol
+
+    def measure(self, z):
+        y, c, gg = self._rows.drm(*z)
+        g = 0.0 if gg < 0.0 else math.sqrt(gg)  # NaN stays NaN
+        if g < self._tol:
+            dist = math.sqrt(self.W._projection_sums(y)[1])
+            if not dist < self._tol:
+                g = dist
+        return y, g, c
+
+    def step(self, z, y, g, c):
+        return y, -c
+
+    def lift(self, z):
+        if isinstance(z, tuple):
+            x, s = z
+            return (x + s[:, None] * self._rows.A).ravel()
+        return np.tile(z, self.W.m)
+
+
 def run_prod(W: ProductSet, z0, config: SolverConfig) -> IterationTrace:
     """Drive a product-space method from ``z0`` (projected onto ``D`` first).
 
@@ -196,18 +236,25 @@ def run_prod(W: ProductSet, z0, config: SolverConfig) -> IterationTrace:
     ``U := D``. CRM and MAP iterates stay in ``D``, so they run in R^n on the
     block mean ``x`` (Pierra's EPPM and Cimmino's method, see ``_Diagonal``),
     equal to the R^(nm) iteration up to rounding, and stop on
-    ``||z - P_W(z)|| < tol``. DRM iterates leave ``D`` and run in R^(nm):
-    ``z`` of ``(z + R_W(R_D(z))) / 2``, whose reflections ``R_D(z)`` are the
-    textbook DRM iterates, stopping on ``||P_D(z) - P_W(R_D(z))|| < tol``,
-    which equals its fixed-point residual ``||z^(k+1) - z^k||``.
+    ``||z - P_W(z)|| < tol``. DRM iterates leave ``D``: ``z`` of
+    ``(z + R_W(R_D(z))) / 2``, whose reflections ``R_D(z)`` are the textbook
+    DRM iterates, stopping on ``||P_D(z) - P_W(R_D(z))|| < tol``, which
+    equals its fixed-point residual ``||z^(k+1) - z^k||``. When every factor
+    of ``W`` is a ``Halfspace`` (exactly that class) they run as pairs
+    ``(x, s)`` in R^n x R^m (see ``_HalfspaceDRM``), equal to the R^(nm)
+    iteration up to rounding, from ``(mean of z0's blocks, 0)``; any other
+    product runs them in R^(nm).
     ``final_point`` and the recorded iterates are points of R^(nm);
     ``final_point`` is the diagonal point where the last gap was measured:
     ``lift(x)`` for CRM and MAP, the shadow ``P_D(z)`` for DRM.
     """
     z0 = as_point(z0, W.dim)
+    halfspaces = len(W._groups) == 1 and type(W._groups[0][1]) is _HalfspaceRows
     with np.errstate(over="ignore", invalid="ignore"):  # overflow ends in a Status
-        if config.method is Method.DRM:
+        if config.method is Method.DRM and not halfspaces:
             D = DiagonalSubspace(W.block_dim, W.m)
             return _drive(_TwoSets(W, D, Method.DRM), D._project(z0), config)
         x = z0.reshape(W.m, W.block_dim).mean(axis=0)
+        if config.method is Method.DRM:
+            return _drive(_HalfspaceDRM(W, config.tol), (x, np.zeros(W.m)), config)
         return _drive(_Diagonal(W, config.method), x, config)

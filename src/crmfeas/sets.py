@@ -146,7 +146,18 @@ class _HalfspaceRows(_Rows):
     """Halfspaces ``a_i^T x <= b_i`` as the rows of ``A x <= b``: with
     ``c = max(A x - b, 0) / ||a_i||^2`` the projections of ``x`` sum to
     ``k x - A^T c`` and their squared residuals to ``<max(A x - b, 0), c>``,
-    in O(k + n) memory besides ``A``."""
+    in O(k + n) memory besides ``A``.
+
+    ``drm(x, s)`` measures a product-space DRM iterate whose blocks are
+    ``z_i = x + s_i a_i`` in the same memory. Its shadow, the block mean,
+    is ``y = x + d`` with ``d = A^T s / k``. The reflected blocks
+    ``v_i = 2 y - z_i`` have ``a_i^T v_i = (A (y + d))_i - s_i ||a_i||^2``
+    and project to ``v_i - c_i a_i`` with ``c = max(a_i^T v_i - b_i, 0) /
+    ||a_i||^2``, so the next iterate ``z + P_W(v) - y`` has blocks
+    ``y - c_i a_i``. The gap blocks ``y - P(v_i) = (s_i + c_i) a_i - d`` give
+    the squared gap ``k ||d||^2 - 2 <s + c, A d> + sum (s_i + c_i)^2 ||a_i||^2``.
+    It returns ``y``, ``c`` and that squared gap, which can round to 0 or
+    below on an iterate far larger than its gap."""
 
     def __init__(self, halfspaces):
         super().__init__(halfspaces)
@@ -162,6 +173,16 @@ class _HalfspaceRows(_Rows):
         excess = np.maximum(self.A @ x - self.b, 0.0)
         c = excess / self.a_sq
         return self.b.size * x - c @ self.A, float(excess.dot(c))
+
+    def drm(self, x, s):
+        d = (s @ self.A) / self.b.size
+        y = x + d
+        v = _check_finite(y + d)  # 2 y - x, as the reflection through D is checked
+        c = np.maximum(self.A @ v - s * self.a_sq - self.b, 0.0) / self.a_sq
+        r = s + c
+        gg = (self.b.size * float(d.dot(d)) - 2.0 * float(r.dot(self.A @ d))
+              + float((r * r).dot(self.a_sq)))
+        return y, c, gg
 
 
 class Hyperplane(_Normal):

@@ -241,6 +241,29 @@ class TestDriver:
         assert trace.iterations <= most
         assert trace.gaps[-1] >= cfg.tol
 
+    # empty problems from far-out starts, where the gap is within rounding of
+    # the iterate's norm, so the CRM step returns the iterate itself; each ran
+    # to max_iter on that repeated iterate (at unit scale the first ends
+    # degenerate too), through the vector, cone-plane and product paths
+    @pytest.mark.parametrize("K, U, z0, gap", [
+        (Halfspace([1.0, 0.0, 0.0], -5.0), AffineSubspace([[1.0, 0.0, 0.0]], [0.0]),
+         1e100 * np.array([0.3, 2.0, 1.0]), 5.0),
+        (SecondOrderCone(3), AffineSubspace([[1.0, -1.0, 0.0], [0.0, 0.0, 1.0]], [-1.0, 0.0]),
+         1e150 * np.array([0.3, 2.0, 1.0]), None),
+        (ProductSet([Halfspace([1.0, 0.0], -1.0), Halfspace([-1.0, 0.0], -1.0)]), None,
+         lift([0.0, 1e20], 2), math.sqrt(2.0)),
+    ], ids=["halfspace", "cone", "prod-halfspaces"])
+    def test_crm_ends_degenerate_at_a_fixed_point_off_k(self, K, U, z0, gap):
+        cfg = SolverConfig(max_iter=2000)
+        trace = run(K, U, z0, cfg) if U is not None else run_prod(K, z0, cfg)
+        assert (trace.status, trace.iterations) == (Status.DEGENERATE, 0)
+        assert trace.gaps[0] >= cfg.tol
+        if gap is not None:
+            assert trace.gaps == [gap]
+        if U is not None:  # the public step still returns z at its fixed point
+            z = U.project(z0)
+            assert crm_step(K, U, z) is z
+
     def test_nonfinite_status_when_the_gap_overflows(self):
         inf, nan = math.inf, math.nan
         # (K, U, z0, scale of the rounding of the gaps, expected traces); ball ∩

@@ -10,7 +10,7 @@ from numpy import linalg as la
 
 from crmfeas.errors import DimensionMismatch, NotDiagonal, NotInAffine
 from crmfeas.instances import derive_seed, gen_polyhedral_instance, gen_start
-from crmfeas.methods import Method, SolverConfig, Status, run
+from crmfeas.methods import Method, SolverConfig, Status, _drive, _TwoSets, run
 from crmfeas.product_space import (
     DIAG_TOL,
     DiagonalSubspace,
@@ -332,8 +332,26 @@ def _poly_case(index, start):
     return ProductSet(inst.sets), z0
 
 
+def _assert_drm_matches_reference(W, z0, cfg):
+    """DRM-prod on a product of halfspaces, kept as ``(x, s)``, against the
+    R^(nm) iteration; with a recorded trace, iterate by iterate."""
+    fast = run_prod(W, z0, cfg)
+    D = DiagonalSubspace(W.block_dim, W.m)
+    ref = _drive(_TwoSets(W, D, Method.DRM), D._project(z0), cfg)
+    assert (fast.iterations, fast.status) == (ref.iterations, ref.status)
+    scale = 1.0 + la.norm(ref.final_point)
+    assert la.norm(fast.final_point - ref.final_point) <= 1e-10 * scale
+    if cfg.record_trace:
+        assert len(fast.iterates) == len(ref.iterates)
+        for a, b in zip(fast.iterates, ref.iterates):
+            assert la.norm(a - b) <= 1e-12 * (1.0 + la.norm(b))
+    return fast
+
+
 class TestIterationInRn:
-    """CRM and MAP of run_prod iterate x in R^n; they must retrace run(W, D)."""
+    """CRM and MAP of run_prod iterate x in R^n, and DRM on a product of
+    halfspaces iterates (x, s) in R^n x R^m; they must retrace the R^(nm)
+    iteration."""
 
     def test_poly_grid_starts_match_the_product_space_driver(self):
         # the reference polyhedral grid: instance 0 of base seed 137 (m = 57)
@@ -361,6 +379,29 @@ class TestIterationInRn:
         trace = _assert_matches_reference(W, z0, SolverConfig(method=Method.MAP, max_iter=300))
         assert trace.status is Status.MAX_ITER
 
+    def test_poly_grid_drm_matches_the_product_space_driver(self):
+        cfg = SolverConfig(method=Method.DRM, tol=1e-6, record_trace=True)
+        for index, start in [(0, j) for j in range(20)] + [(2, 0), (7, 0)]:
+            W, z0 = _poly_case(index, start)
+            assert W.m == (57 if index == 0 else 171)
+            trace = _assert_drm_matches_reference(W, z0, cfg)
+            assert trace.status is Status.CONVERGED
+
+    # a fixed sequence of draws, as for the catalog products below
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 6), m=st.integers(1, 8),
+           shift=st.sampled_from([0.0, -1.0]))
+    def test_halfspace_products_drm_matches_the_product_space_driver(self, seed, dim, m,
+                                                                     shift):
+        # halfspaces through a common point, or, shifted, a product that may be empty
+        rng = np.random.default_rng(seed)
+        anchor = anchored_point(rng, dim, "halfspace")
+        factors = [anchored_set(rng, "halfspace", anchor) for _ in range(m)]
+        W = ProductSet([Halfspace(h.a, h.b + shift * la.norm(h.a)) for h in factors])
+        z0 = lift(anchor + 3.0 * rng.standard_normal(dim), m)
+        _assert_drm_matches_reference(
+            W, z0, SolverConfig(method=Method.DRM, max_iter=500, record_trace=True))
+
     # the two paths round differently, so a gap within rounding of tol could
     # split them on some draw; a fixed sequence of draws keeps the test repeatable
     @settings(max_examples=40, deadline=None, derandomize=True)
@@ -376,7 +417,7 @@ class TestIterationInRn:
         _assert_steps_match_crm_prod_step(W, trace)
         _assert_matches_reference(W, z0, SolverConfig(method=Method.MAP, max_iter=2000))
 
-    @pytest.mark.parametrize("method", [Method.CRM, Method.MAP])
+    @pytest.mark.parametrize("method", [Method.CRM, Method.MAP, Method.DRM])
     def test_memory_stays_at_one_lifted_point(self, method):
         # halfspaces through a common point, n = 200 and m = 10^4: one vector
         # of R^(nm) takes 16 MB, which the lifted final point needs anyway
@@ -395,6 +436,18 @@ class TestIterationInRn:
             tracemalloc.stop()
         assert trace.iterations > 0 and trace.final_point.shape == (n * m,)
         assert peak < 1.25 * 8 * n * m
+
+    def test_drm_prod_never_converges_on_an_empty_product_far_out(self):
+        # {x1 <= -1} x {-x1 <= -1} is empty; from this start the Gram expansion
+        # of the gap rounds to 0 at iteration 2, where the shadow is still a
+        # distance sqrt(2) from W
+        W = ProductSet([Halfspace([1.0, 0.0], -1.0), Halfspace([-1.0, 0.0], -1.0)])
+        cfg = SolverConfig(method=Method.DRM, max_iter=20_000)
+        trace = run_prod(W, lift([1e12, 3.0], 2), cfg)
+        assert (trace.status, trace.iterations) == (Status.MAX_ITER, 20_000)
+        assert min(trace.gaps) >= cfg.tol
+        assert trace.gaps[-1] == pytest.approx(np.sqrt(2.0), rel=1e-12)
+        restrict(trace.final_point, 2)  # the shadow lies on D
 
 
 def _mixed_case(seed, m):
