@@ -200,11 +200,17 @@ class _TwoSets:
     reports (the identity here). Both call the sets' ``_project`` on vectors
     known to be finite, and check for non-finite entries only where the
     public ``project`` would have rejected one that is not.
+
+    A far-out DRM iterate ``z`` can round its shadow gap below ``tol`` at a
+    shadow ``y`` that is not near ``K``, so such a gap counts only if
+    ``dist(y, K)``, at most the gap in exact arithmetic, is below ``tol``
+    too; otherwise that distance is recorded as the gap.
     """
 
-    def __init__(self, K: ConvexSet, U: ConvexSet, method: Method):
+    def __init__(self, K: ConvexSet, U: ConvexSet, method: Method, tol: float):
         self.K = K
         self.U = U
+        self._tol = tol
         self.measure = self._measure_shadow if method is Method.DRM else self._measure_iterate
         self.step = {Method.CRM: self._crm_step, Method.MAP: self._map_step,
                      Method.DRM: self._drm_step}[method]
@@ -217,13 +223,22 @@ class _TwoSets:
             _check_finite(z)
         return z, g, pk
 
-    def _measure_shadow(self, z):
+    def _shadow_gap(self, z):
         y = self.U._project(z)
         # 2y - z is non-finite when z is or when it overflows; a box or a cone
         # can project it back to finite points, so the gap proves nothing here
         pk = self.K._project(_check_finite(2.0 * y - z))
         r = y - pk
         return y, math.sqrt(r.dot(r)), pk
+
+    def _measure_shadow(self, z):
+        y, g, pk = self._shadow_gap(z)
+        if g < self._tol:
+            r = y - self.K._project(y)
+            dist = math.sqrt(r.dot(r))
+            if not dist < self._tol:
+                g = dist
+        return y, g, pk
 
     def _crm_step(self, z, y, g, pk):
         return _crm_from_projection(z, pk, self.U)
@@ -346,7 +361,7 @@ class _ConeAffine:
         g = math.sqrt(q0 * q0 + max(qq, 0.0))
         y = beta, yw
         if g < self._tol:
-            rn = _TwoSets._measure_shadow(self, self.lift(y))[1]
+            rn = _TwoSets._shadow_gap(self, self.lift(y))[1]
             if not rn < self._tol:
                 g = rn
         return y, g, (alpha, c, p, r)
@@ -389,7 +404,9 @@ def _drive(problem, z: np.ndarray, config: SolverConfig) -> IterationTrace:
     step: ``_TwoSets`` for ``K ∩ U``, ``_ConeAffine`` for a cone and an
     ``AffineSubspace``, whose iterates are coordinates in a plane of ``U``
     (DRM: in a span of four vectors), or the product space's ``_Diagonal``,
-    whose CRM and MAP iterates are points of R^n lifted onto ``D``, and
+    whose CRM and MAP iterates are points of R^n lifted onto ``D``,
+    ``_RowSpace``, whose MAP iterates on a product of halfspaces with
+    independent normals are points ``w`` of R^m with ``x = x_0 + A^T w``, and
     ``_HalfspaceDRM``, whose DRM iterates on a product of halfspaces are
     pairs in R^n x R^m. For ``K ∩ U`` each iteration measures the gap
     ``||y - pk||`` between ``y``, the point of ``U`` the method tracks, and a
@@ -498,4 +515,4 @@ def run(K: ConvexSet, U: ConvexSet, z0, config: SolverConfig) -> IterationTrace:
             cone = _ConeAffine(K, U, z, config)
             if cone.fits:
                 return _drive(cone, cone.start, config)
-        return _drive(_TwoSets(K, U, config.method), z, config)
+        return _drive(_TwoSets(K, U, config.method, config.tol), z, config)

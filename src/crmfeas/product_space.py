@@ -9,9 +9,13 @@ and the driver of :mod:`crmfeas.methods` apply with ``K := W`` and
 
 On the diagonal the product-space MAP and CRM are Cimmino's method and
 Pierra's extrapolated parallel projection method in R^n, and ``run_prod``
-runs them in that form (see ``_Diagonal``). On a product of halfspaces the
-DRM iterates keep blocks ``x + s_i a_i``, and ``run_prod`` runs DRM on the
-pair ``(x, s)`` (see ``_HalfspaceDRM``).
+runs them in that form (see ``_Diagonal``). On a product of halfspaces
+``A x <= b`` with independent normals the MAP iterates stay on
+``x_0 + row(A)``, and ``run_prod`` runs MAP on ``w`` with
+``x = x_0 + A^T w``, one product with ``A A^T`` per iteration (see
+``_RowSpace``). On a product of halfspaces the DRM iterates keep blocks
+``x + s_i a_i``, and ``run_prod`` runs DRM on the pair ``(x, s)`` (see
+``_HalfspaceDRM``).
 """
 
 from __future__ import annotations
@@ -38,6 +42,10 @@ __all__ = [
 ]
 
 DIAG_TOL = 1e-8
+# _RowSpace runs only while this multiple of the largest entry of A x_0 and of
+# b is below tol: the rounding of A x = A x_0 + G w, about 2^-52 of that
+# scale, then stays 2^10 times below tol.
+ROW_HEADROOM = 2.0 ** -42
 
 
 class ProductSet(ConvexSet):
@@ -229,6 +237,53 @@ class _HalfspaceDRM:
         return np.tile(z, self.W.m)
 
 
+class _RowSpace:
+    """MAP on ``W ∩ D`` for :func:`crmfeas.methods._drive`, when the factors
+    of ``W`` are halfspaces with independent normals, on iterates
+    ``x = x_0 + A^T w`` kept as ``w in R^m``.
+
+    Cimmino's step moves ``x`` by ``-A^T c / m`` (see ``_Diagonal``), so the
+    iterates never leave ``x_0 + row(A)``, and ``w`` goes to ``w - c / m``.
+    With ``r_0 = A x_0`` and ``G = A A^T``, ``A x = r_0 + G w`` gives ``c``
+    and the gap (see ``_HalfspaceRows.row_space``): an iteration costs one
+    product with the ``m x m`` matrix ``G`` instead of two with the
+    ``m x n`` matrix ``A``.
+
+    ``fits`` is false, and ``run_prod`` uses ``_Diagonal``, when the normals
+    are dependent (``_HalfspaceRows.gram``) or when the rounding of ``A x``
+    is not far below ``tol`` (``ROW_HEADROOM``). ``x_0`` can still be far
+    larger than ``A x_0`` shows, and ``x_0 + A^T w`` then loses ``w``; so a
+    gap below ``tol`` counts only if the R^n measure at ``x`` confirms it,
+    and otherwise that measure is the gap recorded. ``lift`` maps ``w`` to
+    ``lift(x)``.
+    """
+
+    def __init__(self, W: ProductSet, x0: np.ndarray, tol: float):
+        self.W, self._rows, self._x0, self._tol = W, W._groups[0][1], x0, tol
+        self._r0 = r0 = self._rows.A @ x0
+        scale = abs(r0).max() + abs(self._rows.b).max()
+        # NaN fails the first test; G is built only for a product that fits
+        self.fits = ROW_HEADROOM * scale < tol and self._rows.gram is not None
+
+    def measure(self, w):
+        c, sq = self._rows.row_space(self._r0, w)
+        g = math.sqrt(sq)
+        if g < self._tol:
+            rn = math.sqrt(self.W._projection_sums(self._point(w))[1])
+            if not rn < self._tol:
+                g = rn
+        return w, g, c
+
+    def step(self, w, y, g, c):
+        return w - c / self.W.m
+
+    def _point(self, w):
+        return self._x0 + w @ self._rows.A
+
+    def lift(self, w):
+        return np.tile(self._point(w), self.W.m)
+
+
 def run_prod(W: ProductSet, z0, config: SolverConfig) -> IterationTrace:
     """Drive a product-space method from ``z0`` (projected onto ``D`` first).
 
@@ -236,7 +291,13 @@ def run_prod(W: ProductSet, z0, config: SolverConfig) -> IterationTrace:
     ``U := D``. CRM and MAP iterates stay in ``D``, so they run in R^n on the
     block mean ``x`` (Pierra's EPPM and Cimmino's method, see ``_Diagonal``),
     equal to the R^(nm) iteration up to rounding, and stop on
-    ``||z - P_W(z)|| < tol``. DRM iterates leave ``D``: ``z`` of
+    ``||z - P_W(z)|| < tol``. MAP runs on ``w in R^m`` with
+    ``x = x_0 + A^T w`` instead (see ``_RowSpace``), again equal up to
+    rounding, when every factor of ``W`` is a ``Halfspace`` (exactly that
+    class), the ``m`` normals are independent (so ``m <= n``) and the
+    largest entries of ``A x_0`` and ``b``, with ``x_0`` the block mean of
+    ``z0``, add up to less than ``tol / ROW_HEADROOM``; any other product,
+    or a start farther out, keeps ``x``. DRM iterates leave ``D``: ``z`` of
     ``(z + R_W(R_D(z))) / 2``, whose reflections ``R_D(z)`` are the textbook
     DRM iterates, stopping on ``||P_D(z) - P_W(R_D(z))|| < tol``, which
     equals its fixed-point residual ``||z^(k+1) - z^k||``. When every factor
@@ -253,8 +314,12 @@ def run_prod(W: ProductSet, z0, config: SolverConfig) -> IterationTrace:
     with np.errstate(over="ignore", invalid="ignore"):  # overflow ends in a Status
         if config.method is Method.DRM and not halfspaces:
             D = DiagonalSubspace(W.block_dim, W.m)
-            return _drive(_TwoSets(W, D, Method.DRM), D._project(z0), config)
+            return _drive(_TwoSets(W, D, Method.DRM, config.tol), D._project(z0), config)
         x = z0.reshape(W.m, W.block_dim).mean(axis=0)
         if config.method is Method.DRM:
             return _drive(_HalfspaceDRM(W, config.tol), (x, np.zeros(W.m)), config)
+        if config.method is Method.MAP and halfspaces:
+            rows = _RowSpace(W, x, config.tol)
+            if rows.fits:
+                return _drive(rows, np.zeros(W.m), config)
         return _drive(_Diagonal(W, config.method), x, config)

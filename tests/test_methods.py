@@ -369,7 +369,7 @@ class TestDriver:
         K, U, z0 = (BALL, LINE, Z) if case == "ball-line" else cone_grid_case(int(case[-1]))
         cfg = SolverConfig(method=Method.DRM, record_trace=True)
         # the R^n iteration, which run replaces by coordinates on the cone cases
-        trace = _drive(_TwoSets(K, U, Method.DRM), U.project(z0), cfg)
+        trace = _drive(_TwoSets(K, U, Method.DRM, cfg.tol), U.project(z0), cfg)
         assert trace.status is Status.CONVERGED and trace.iterations > 1
         x = U.project(z0)
         for z, g in zip(trace.iterates, trace.gaps):
@@ -423,7 +423,7 @@ class TestConePlane:
         cfg = SolverConfig(method=method, max_iter=2000, record_trace=True)
         plane = run(K, U, z0, cfg)
         if ref is None:
-            ref = _drive(_TwoSets(K, U, method), U.project(z0), cfg)
+            ref = _drive(_TwoSets(K, U, method, cfg.tol), U.project(z0), cfg)
         assert (plane.status, plane.iterations) == (ref.status, ref.iterations)
         assert len(plane.iterates) == len(ref.iterates)
         for a, b in zip([plane.final_point, *plane.iterates], [ref.final_point, *ref.iterates]):

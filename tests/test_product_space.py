@@ -13,8 +13,11 @@ from crmfeas.instances import derive_seed, gen_polyhedral_instance, gen_start
 from crmfeas.methods import Method, SolverConfig, Status, _drive, _TwoSets, run
 from crmfeas.product_space import (
     DIAG_TOL,
+    ROW_HEADROOM,
     DiagonalSubspace,
     ProductSet,
+    _Diagonal,
+    _RowSpace,
     crm_prod_step,
     lift,
     restrict,
@@ -337,7 +340,7 @@ def _assert_drm_matches_reference(W, z0, cfg):
     R^(nm) iteration; with a recorded trace, iterate by iterate."""
     fast = run_prod(W, z0, cfg)
     D = DiagonalSubspace(W.block_dim, W.m)
-    ref = _drive(_TwoSets(W, D, Method.DRM), D._project(z0), cfg)
+    ref = _drive(_TwoSets(W, D, Method.DRM, cfg.tol), D._project(z0), cfg)
     assert (fast.iterations, fast.status) == (ref.iterations, ref.status)
     scale = 1.0 + la.norm(ref.final_point)
     assert la.norm(fast.final_point - ref.final_point) <= 1e-10 * scale
@@ -349,7 +352,8 @@ def _assert_drm_matches_reference(W, z0, cfg):
 
 
 class TestIterationInRn:
-    """CRM and MAP of run_prod iterate x in R^n, and DRM on a product of
+    """CRM and MAP of run_prod iterate x in R^n (MAP on a product of
+    halfspaces with independent normals: w in R^m), and DRM on a product of
     halfspaces iterates (x, s) in R^n x R^m; they must retrace the R^(nm)
     iteration."""
 
@@ -402,6 +406,41 @@ class TestIterationInRn:
         _assert_drm_matches_reference(
             W, z0, SolverConfig(method=Method.DRM, max_iter=500, record_trace=True))
 
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 8), m=st.integers(1, 8),
+           shift=st.sampled_from([0.0, -1.0]), off=st.sampled_from([3.0, 1e2, 1e4]))
+    def test_halfspace_products_crm_and_map_match_the_product_space_driver(
+            self, seed, dim, m, shift, off):
+        # at most dim random normals are independent, so MAP runs on w; shifted,
+        # the product may be empty
+        rng = np.random.default_rng(seed)
+        anchor = anchored_point(rng, dim, "halfspace")
+        factors = [anchored_set(rng, "halfspace", anchor) for _ in range(min(m, dim))]
+        W = ProductSet([Halfspace(h.a, h.b + shift * la.norm(h.a)) for h in factors])
+        x0 = anchor + off * rng.standard_normal(dim)
+        for method in (Method.CRM, Method.MAP):
+            cfg = SolverConfig(method=method, max_iter=2000)
+            assert _RowSpace(W, x0, cfg.tol).fits
+            _assert_matches_reference(W, lift(x0, W.m), cfg)
+
+    def test_row_space_never_converges_on_a_gap_the_rn_measure_rejects(self):
+        # {x1 + x2 <= -1} x {x3 <= 0} from x0 = [T + s, -T, 0]: A x0 = [s, 0] is
+        # just inside ROW_HEADROOM, but x0 + A^T w rounds w to a multiple of 256,
+        # so the point stays a distance 1/sqrt(2) from W while w converges
+        W = ProductSet([Halfspace([1.0, 1.0, 0.0], -1.0), Halfspace([0.0, 0.0, 1.0], 0.0)])
+        T, s = 2.0**60, 2.0**22
+        x0 = np.array([T + s, -T, 0.0])
+        cfg = SolverConfig(method=Method.MAP, max_iter=500)
+        assert ROW_HEADROOM * (s + 1.0) < cfg.tol < ROW_HEADROOM * 2.0 * s
+        assert _RowSpace(W, x0, cfg.tol).fits
+        trace = run_prod(W, lift(x0, 2), cfg)
+        assert (trace.status, trace.iterations) == (Status.MAX_ITER, 500)
+        assert min(trace.gaps) >= cfg.tol
+        x = restrict(trace.final_point, 2)
+        assert np.sqrt(W._projection_sums(x)[1]) == pytest.approx(np.sqrt(0.5))
+        ref = _drive(_Diagonal(W, Method.MAP), x0, cfg)
+        assert (ref.status, ref.iterations) == (Status.MAX_ITER, 500)
+
     # the two paths round differently, so a gap within rounding of tol could
     # split them on some draw; a fixed sequence of draws keeps the test repeatable
     @settings(max_examples=40, deadline=None, derandomize=True)
@@ -448,6 +487,34 @@ class TestIterationInRn:
         assert min(trace.gaps) >= cfg.tol
         assert trace.gaps[-1] == pytest.approx(np.sqrt(2.0), rel=1e-12)
         restrict(trace.final_point, 2)  # the shadow lies on D
+
+    def test_drm_prod_on_a_mixed_product_never_converges_far_out(self):
+        # {x1 <= -1} x {-x1 <= -1} x a box is empty; from this start the shadow
+        # gap in R^(nm) rounds below tol at a shadow about 1 from each halfspace
+        W = ProductSet([Halfspace([1.0, 0.0], -1.0), Halfspace([-1.0, 0.0], -1.0),
+                        Box([-1e300, -10.0], [1e300, 10.0])])
+        cfg = SolverConfig(method=Method.DRM, max_iter=3000)
+        trace = run_prod(W, lift([1e200, 0.5], 3), cfg)
+        assert (trace.status, trace.iterations) == (Status.MAX_ITER, 3000)
+        assert min(trace.gaps) >= cfg.tol
+
+    # dependent normals: w would drift in the null space of A^T, and MAP's
+    # stall rule would never fire; these run on x in R^n and stall there
+    @pytest.mark.parametrize("normals, b, pinned", [
+        ([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [-1.0, -1.0, 0.0],
+         {Method.MAP: (Status.DEGENERATE, 1837), Method.CRM: (Status.MAX_ITER, 20_000)}),
+        ([[1.0, 1.0, 0.0, 0.0], [-1.0, 0.0, 0.5, 0.0], [0.0, -1.0, -0.5, 0.0]], [-1.0] * 3,
+         {Method.MAP: (Status.DEGENERATE, 75), Method.CRM: (Status.MAX_ITER, 20_000)}),
+        # independent normals, a nonempty product: the control
+        (np.random.default_rng(1).standard_normal((8, 10)), [0.1] * 8,
+         {Method.MAP: (Status.CONVERGED, 212), Method.CRM: (Status.CONVERGED, 20)}),
+    ])
+    def test_map_certifies_empty_products_with_dependent_normals(self, normals, b, pinned):
+        W = ProductSet([Halfspace(a, bi) for a, bi in zip(normals, b)])
+        z0 = lift(np.arange(W.block_dim) + 0.3, W.m)
+        for method, (status, iterations) in pinned.items():
+            trace = run_prod(W, z0, SolverConfig(method=method, max_iter=20_000))
+            assert (trace.status, trace.iterations) == (status, iterations), method
 
 
 def _mixed_case(seed, m):

@@ -327,6 +327,32 @@ class TestAffineBasis:
                 assert la.norm(A @ p - b) <= tol * la.norm(A, 2)
 
 
+class TestHalfspaceGram:
+    """``_HalfspaceRows.gram`` is ``A A^T`` for independent normals, and None
+    for dependent ones, which more normals than dimensions always are."""
+
+    @staticmethod
+    def gram(A):
+        return _row_projector([Halfspace(a, 0.0) for a in A]).gram
+
+    @pytest.mark.parametrize("k, n", [(1, 3), (5, 5), (57, 200), (199, 200)])
+    def test_independent_normals(self, rng, k, n):
+        A = rng.standard_normal((k, n))
+        G = self.gram(A)
+        assert np.array_equal(G, G.T)
+        assert la.norm(G - A @ A.T) <= 1e-14 * la.norm(A) ** 2
+
+    def test_dependent_normals(self, rng):
+        A = rng.standard_normal((4, 6))
+        assert self.gram(rng.standard_normal((7, 6))) is None
+        assert self.gram(np.vstack([A, A[0] - 2.0 * A[2]])) is None
+        assert self.gram([[1.0, 1.0, 0.0, 0.0], [-1.0, 0.0, 0.5, 0.0],
+                          [0.0, -1.0, -0.5, 0.0]]) is None
+        # a normal whose distance from the span of the others is below 2^-10
+        # of its norm counts as dependent
+        assert self.gram(np.vstack([A, A[1] + 1e-4 * rng.standard_normal(6)])) is None
+
+
 class TestConstructionErrors:
     def test_zero_normal(self):
         with pytest.raises(ValueError):
