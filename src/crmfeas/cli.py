@@ -69,8 +69,7 @@ def _print_stats(result) -> None:
 
 def _cmd_solve(args, instance) -> int:
     start = gen_start(instance, args.seed, min_gap=args.tol)
-    cfg = SolverConfig(tol=args.tol, max_iter=args.max_iter, method=Method(args.method),
-                       record_trace=False)
+    cfg = SolverConfig(tol=args.tol, max_iter=args.max_iter, method=Method(args.method))
     if instance.kind is Kind.AFFINE_CONIC:
         trace = run(instance.sets[0], instance.affine, start.projected, cfg)
         point = trace.final_point

@@ -192,26 +192,20 @@ def crm_step(K: ConvexSet, U: ConvexSet, z) -> np.ndarray:
 
 
 class _TwoSets:
-    """``K ∩ U`` as :func:`_drive` sees a problem, for one method.
+    """``K ∩ U`` for :func:`_drive`, for one method, on points of R^n.
 
-    ``measure(z)`` returns ``(y, gap, data)``: the point the method tracks,
-    its gap, and what ``step(z, y, gap, data)`` reuses; here ``data`` is a
-    projection onto ``K``. ``lift`` maps a point to the one the trace
-    reports (the identity here). Both call the sets' ``_project`` on vectors
-    known to be finite, and check for non-finite entries only where the
-    public ``project`` would have rejected one that is not.
-
-    A far-out DRM iterate ``z`` can round its shadow gap below ``tol`` at a
-    shadow ``y`` that is not near ``K``, so such a gap counts only if
-    ``dist(y, K)``, at most the gap in exact arithmetic, is below ``tol``
-    too; otherwise that distance is recorded as the gap.
+    ``data`` is a projection onto ``K``. The problem calls the sets'
+    ``_project`` on vectors known to be finite, and checks for non-finite
+    entries only where the public ``project`` would have rejected one that
+    is not.
     """
 
-    def __init__(self, K: ConvexSet, U: ConvexSet, method: Method, tol: float):
+    def __init__(self, K: ConvexSet, U: ConvexSet, method: Method):
         self.K = K
         self.U = U
-        self._tol = tol
-        self.measure = self._measure_shadow if method is Method.DRM else self._measure_iterate
+        drm = method is Method.DRM
+        self.measure = self._measure_shadow if drm else self._measure_iterate
+        self.dist = self._dist if drm else None
         self.step = {Method.CRM: self._crm_step, Method.MAP: self._map_step,
                      Method.DRM: self._drm_step}[method]
 
@@ -223,7 +217,7 @@ class _TwoSets:
             _check_finite(z)
         return z, g, pk
 
-    def _shadow_gap(self, z):
+    def _measure_shadow(self, z):
         y = self.U._project(z)
         # 2y - z is non-finite when z is or when it overflows; a box or a cone
         # can project it back to finite points, so the gap proves nothing here
@@ -231,14 +225,9 @@ class _TwoSets:
         r = y - pk
         return y, math.sqrt(r.dot(r)), pk
 
-    def _measure_shadow(self, z):
-        y, g, pk = self._shadow_gap(z)
-        if g < self._tol:
-            r = y - self.K._project(y)
-            dist = math.sqrt(r.dot(r))
-            if not dist < self._tol:
-                g = dist
-        return y, g, pk
+    def _dist(self, y):
+        r = y - self.K._project(y)
+        return math.sqrt(r.dot(r))
 
     def _crm_step(self, z, y, g, pk):
         return _crm_from_projection(z, pk, self.U)
@@ -283,10 +272,8 @@ class _ConeAffine:
     the plane, the reflection ``v = 2 y - z`` has coordinates
     ``(2 - a, beta, gamma + 2 delta, -delta)``, and the step
     ``z + P_K(v) - y`` and the gap ``||y - P_K(v)||`` need no further Gram
-    entries, since the tail of ``e_0`` is zero. An iterate that grows on an
-    empty problem can round that gap to 0, so a gap below ``tol`` counts only
-    if the R^n shadow measure of ``_TwoSets`` at ``lift(y)`` confirms it;
-    otherwise the gap recorded is that measure.
+    entries, since the tail of ``e_0`` is zero. ``dist`` is the distance from
+    ``lift(y)`` to ``K``.
     ``lift`` maps coordinates, of the plane or of the span, to the point.
 
     ``fits`` is false when the start leaves the arithmetic no headroom below
@@ -294,7 +281,7 @@ class _ConeAffine:
     """
 
     def __init__(self, K: SecondOrderCone, U: AffineSubspace, z: np.ndarray,
-                 config: SolverConfig):
+                 method: Method):
         e0 = np.zeros(U.dim)
         e0[0] = 1.0
         self._vectors = V = np.array([U._xp, z - U._xp, U._linear(e0)])
@@ -304,15 +291,18 @@ class _ConeAffine:
         self.fits = g00 + g11 + g22 + f0 * f0 + f1 * f1 + f2 * f2 < PLANE_HEADROOM
         self._tail = (g00, 2.0 * g01, 2.0 * g02, g11, 2.0 * g12, g22)
         self._plane = (g11 + f1 * f1, 2.0 * (g12 + f1 * f2), g22 + f2 * f2)
-        self._method = config.method
-        self.start = (1.0, 1.0, 0.0, 0.0) if config.method is Method.DRM else (1.0, 0.0)
-        self.K, self.U, self._tol = K, U, config.tol  # to confirm a DRM gap in R^n
+        self.K, self._method = K, method
+        self.start = (1.0, 1.0, 0.0, 0.0) if method is Method.DRM else (1.0, 0.0)
 
     # bound on access: a bound method stored on the instance would make a
     # reference cycle, and every run's vectors would wait for the cyclic GC
     @property
     def measure(self):
         return self._measure_shadow if self._method is Method.DRM else self._measure_iterate
+
+    @property
+    def dist(self):
+        return self._dist if self._method is Method.DRM else None
 
     @property
     def step(self):
@@ -358,13 +348,12 @@ class _ConeAffine:
         q0 = f0 + beta * f1 + yw * f2 - s
         qa, qb, qc = 1.0 - alpha * p, beta - alpha * beta, yw - alpha * r
         qq = qa * qa * g00 + qb * (qa * h01 + qb * g11 + qc * h12) + qc * (qa * h02 + qc * g22)
-        g = math.sqrt(q0 * q0 + max(qq, 0.0))
-        y = beta, yw
-        if g < self._tol:
-            rn = _TwoSets._shadow_gap(self, self.lift(y))[1]
-            if not rn < self._tol:
-                g = rn
-        return y, g, (alpha, c, p, r)
+        return (beta, yw), math.sqrt(q0 * q0 + max(qq, 0.0)), (alpha, c, p, r)
+
+    def _dist(self, y):
+        x = self.lift(y)
+        r = x - self.K._project(x)
+        return math.sqrt(r.dot(r))
 
     def _map_step(self, z, y, g, data):
         alpha, c, _ = data
@@ -400,26 +389,33 @@ class _ConeAffine:
 def _drive(problem, z: np.ndarray, config: SolverConfig) -> IterationTrace:
     """Iterate the configured method from ``z`` until the gap drops below tol.
 
-    ``problem``, built for the configured method, supplies the gap and the
-    step: ``_TwoSets`` for ``K ∩ U``, ``_ConeAffine`` for a cone and an
-    ``AffineSubspace``, whose iterates are coordinates in a plane of ``U``
-    (DRM: in a span of four vectors), or the product space's ``_Diagonal``,
-    whose CRM and MAP iterates are points of R^n lifted onto ``D``,
-    ``_RowSpace``, whose MAP iterates on a product of halfspaces with
-    independent normals are points ``w`` of R^m with ``x = x_0 + A^T w``, and
-    ``_HalfspaceDRM``, whose DRM iterates on a product of halfspaces are
-    pairs in R^n x R^m. For ``K ∩ U`` each iteration measures the gap
-    ``||y - pk||`` between ``y``, the point of ``U`` the method tracks, and a
-    projection ``pk`` onto ``K`` that the next step reuses. CRM and MAP iterates stay in ``U``: ``y = z``
-    and ``pk = P_K(z)``. DRM runs the reflected form ``z -> (z + R_K(R_U(z))) / 2``:
-    ``y = P_U(z)``, ``pk = P_K(2y - z)`` and ``z -> z + pk - y``. From a start
-    in ``U``, ``R_U`` maps its iterates onto those of the textbook
-    ``(z + R_U(R_K(z))) / 2``, and ``P_U R_U = P_U`` gives both the same gaps.
-    When ``K ∩ U`` is empty the iterates diverge, but the cluster points of
-    the shadow ``y`` are points of ``U`` nearest to ``K`` (Bauschke, Combettes
-    and Luke, 2004). ``final_point`` is ``y`` for every method, the point
-    where the last gap was measured, lifted by the problem like the recorded
-    iterates.
+    ``problem``, built for the configured method, holds iterates in whatever
+    coordinates suit it and supplies four members:
+
+    * ``measure(z)`` returns ``(y, gap, data)``: the point the method tracks,
+      its gap, and what the step reuses;
+    * ``step(z, y, gap, data)`` returns the next iterate;
+    * ``lift(z)`` maps an iterate, or a tracked point ``y``, to the point of
+      R^n (R^(nm) for the product space) that the trace reports;
+    * ``dist(y)`` is the distance from ``lift(y)`` to ``K``, or ``dist`` is
+      None where the gap already is that distance.
+
+    A gap below tol counts only if ``dist(y)``, at most the gap in exact
+    arithmetic, is below tol too; otherwise that distance is recorded as the
+    gap and the run goes on. A gap measured in other coordinates, or at the
+    shadow of an iterate growing on an empty problem, can round below tol.
+
+    For ``K ∩ U`` each iteration measures the gap ``||y - pk||`` between
+    ``y``, the point of ``U`` the method tracks, and a projection ``pk`` onto
+    ``K`` that the next step reuses. CRM and MAP iterates stay in ``U``:
+    ``y = z`` and ``pk = P_K(z)``. DRM runs the reflected form
+    ``z -> (z + R_K(R_U(z))) / 2``: ``y = P_U(z)``, ``pk = P_K(2y - z)`` and
+    ``z -> z + pk - y``. From a start in ``U``, ``R_U`` maps its iterates onto
+    those of the textbook ``(z + R_U(R_K(z))) / 2``, and ``P_U R_U = P_U``
+    gives both the same gaps. When ``K ∩ U`` is empty the iterates diverge,
+    but the cluster points of the shadow ``y`` are points of ``U`` nearest to
+    ``K`` (Bauschke, Combettes and Luke, 2004). ``final_point`` is
+    ``lift(y)`` for every method, the point where the last gap was measured.
 
     A MAP iterate that repeats bitwise with a gap of at least tol is a fixed
     point of ``P_U P_K`` off ``K``, which certifies ``K ∩ U = ∅``
@@ -443,7 +439,8 @@ def _drive(problem, z: np.ndarray, config: SolverConfig) -> IterationTrace:
     as the inf or NaN that ends the run in a ``Status``, never as a
     ``RuntimeWarning``, which a warning filter would raise.
     """
-    measure, step, lift = problem.measure, problem.step, problem.lift
+    measure, step, lift, dist = problem.measure, problem.step, problem.lift, problem.dist
+    tol = config.tol
     stall_check = config.method is Method.MAP  # one fixed-point rule for every problem
     gaps: list[float] = []
     iterates: list[np.ndarray] | None = [lift(z)] if config.record_trace else None
@@ -453,14 +450,18 @@ def _drive(problem, z: np.ndarray, config: SolverConfig) -> IterationTrace:
     while True:
         try:
             y, g, data = measure(z)
+            if g < tol:
+                rn = g if dist is None else dist(y)
+                if rn < tol:
+                    gaps.append(g)
+                    status = Status.CONVERGED
+                    break
+                g = rn
         except ValueError:  # a projection met a non-finite entry
             gaps.append(math.nan)
             status = Status.NONFINITE
             break
         gaps.append(g)
-        if g < config.tol:
-            status = Status.CONVERGED
-            break
         # the gap comparison is the cheap test; the iterate decides
         if (stall_check and iterations and g == gaps[-2] and np.array_equal(z, prev)
                 and g > STALL_FLOOR * np.max(np.abs(lift(z)))):
@@ -512,7 +513,7 @@ def run(K: ConvexSet, U: ConvexSet, z0, config: SolverConfig) -> IterationTrace:
     with np.errstate(over="ignore", invalid="ignore"):  # overflow ends in a Status
         z = U._project(z0)
         if type(K) is SecondOrderCone and type(U) is AffineSubspace:
-            cone = _ConeAffine(K, U, z, config)
+            cone = _ConeAffine(K, U, z, config.method)
             if cone.fits:
                 return _drive(cone, cone.start, config)
-        return _drive(_TwoSets(K, U, config.method, config.tol), z, config)
+        return _drive(_TwoSets(K, U, config.method), z, config)

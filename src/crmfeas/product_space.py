@@ -174,6 +174,8 @@ class _Diagonal:
     extrapolated parallel projection method (Pierra 1984; Combettes 1994).
     """
 
+    dist = None  # the gap is the distance from lift(x) to W
+
     def __init__(self, W: ProductSet, method: Method):
         self.W = W
         self.step = self._map_step if method is Method.MAP else self._crm_step
@@ -208,24 +210,19 @@ class _HalfspaceDRM:
     The step goes from ``(x, s)`` to ``(y, -c)``, with ``y`` the shadow
     ``P_D(z)`` and the gap from a Gram expansion (see ``_HalfspaceRows.drm``),
     so an iteration takes three products with ``A`` and no vector of R^(nm).
-    The expansion can round the gap of an iterate that grows on an empty
-    product to 0, so a gap below ``tol`` counts only if ``dist(lift(y), W)``,
-    at most the gap in exact arithmetic, is below ``tol`` too; otherwise that
-    distance is recorded as the gap. ``lift`` maps an iterate ``(x, s)`` or a
-    shadow ``y`` to its point of R^(nm).
+    ``lift`` maps an iterate ``(x, s)`` or a shadow ``y`` to its point of
+    R^(nm).
     """
 
-    def __init__(self, W: ProductSet, tol: float):
-        self.W, self._rows, self._tol = W, W._groups[0][1], tol
+    def __init__(self, W: ProductSet):
+        self.W, self._rows = W, W._groups[0][1]
 
     def measure(self, z):
         y, c, gg = self._rows.drm(*z)
-        g = 0.0 if gg < 0.0 else math.sqrt(gg)  # NaN stays NaN
-        if g < self._tol:
-            dist = math.sqrt(self.W._projection_sums(y)[1])
-            if not dist < self._tol:
-                g = dist
-        return y, g, c
+        return y, 0.0 if gg < 0.0 else math.sqrt(gg), c  # NaN stays NaN
+
+    def dist(self, y):
+        return math.sqrt(self.W._projection_sums(y)[1])
 
     def step(self, z, y, g, c):
         return y, -c
@@ -252,14 +249,12 @@ class _RowSpace:
     ``fits`` is false, and ``run_prod`` uses ``_Diagonal``, when the normals
     are dependent (``_HalfspaceRows.gram``) or when the rounding of ``A x``
     is not far below ``tol`` (``ROW_HEADROOM``). ``x_0`` can still be far
-    larger than ``A x_0`` shows, and ``x_0 + A^T w`` then loses ``w``; so a
-    gap below ``tol`` counts only if the R^n measure at ``x`` confirms it,
-    and otherwise that measure is the gap recorded. ``lift`` maps ``w`` to
-    ``lift(x)``.
+    larger than ``A x_0`` shows, and ``x_0 + A^T w`` then loses ``w``; ``dist``
+    measures at ``x`` itself. ``lift`` maps ``w`` to ``lift(x)``.
     """
 
     def __init__(self, W: ProductSet, x0: np.ndarray, tol: float):
-        self.W, self._rows, self._x0, self._tol = W, W._groups[0][1], x0, tol
+        self.W, self._rows, self._x0 = W, W._groups[0][1], x0
         self._r0 = r0 = self._rows.A @ x0
         scale = abs(r0).max() + abs(self._rows.b).max()
         # NaN fails the first test; G is built only for a product that fits
@@ -267,12 +262,10 @@ class _RowSpace:
 
     def measure(self, w):
         c, sq = self._rows.row_space(self._r0, w)
-        g = math.sqrt(sq)
-        if g < self._tol:
-            rn = math.sqrt(self.W._projection_sums(self._point(w))[1])
-            if not rn < self._tol:
-                g = rn
-        return w, g, c
+        return w, math.sqrt(sq), c
+
+    def dist(self, w):
+        return math.sqrt(self.W._projection_sums(self._point(w))[1])
 
     def step(self, w, y, g, c):
         return w - c / self.W.m
@@ -314,10 +307,10 @@ def run_prod(W: ProductSet, z0, config: SolverConfig) -> IterationTrace:
     with np.errstate(over="ignore", invalid="ignore"):  # overflow ends in a Status
         if config.method is Method.DRM and not halfspaces:
             D = DiagonalSubspace(W.block_dim, W.m)
-            return _drive(_TwoSets(W, D, Method.DRM, config.tol), D._project(z0), config)
+            return _drive(_TwoSets(W, D, Method.DRM), D._project(z0), config)
         x = z0.reshape(W.m, W.block_dim).mean(axis=0)
         if config.method is Method.DRM:
-            return _drive(_HalfspaceDRM(W, config.tol), (x, np.zeros(W.m)), config)
+            return _drive(_HalfspaceDRM(W), (x, np.zeros(W.m)), config)
         if config.method is Method.MAP and halfspaces:
             rows = _RowSpace(W, x, config.tol)
             if rows.fits:

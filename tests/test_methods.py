@@ -369,7 +369,7 @@ class TestDriver:
         K, U, z0 = (BALL, LINE, Z) if case == "ball-line" else cone_grid_case(int(case[-1]))
         cfg = SolverConfig(method=Method.DRM, record_trace=True)
         # the R^n iteration, which run replaces by coordinates on the cone cases
-        trace = _drive(_TwoSets(K, U, Method.DRM, cfg.tol), U.project(z0), cfg)
+        trace = _drive(_TwoSets(K, U, Method.DRM), U.project(z0), cfg)
         assert trace.status is Status.CONVERGED and trace.iterations > 1
         x = U.project(z0)
         for z, g in zip(trace.iterates, trace.gaps):
@@ -412,6 +412,61 @@ class TestDriver:
             SolverConfig(max_iter=0)
 
 
+class ScriptedProblem:
+    """A problem for ``_drive`` whose iterate ``k`` is the step count and
+    whose gaps and R^n distances are scripted per iterate; ``dists=None``
+    gives ``dist = None``. ``measured`` lists the iterates ``dist`` saw."""
+
+    def __init__(self, gaps, dists):
+        self.gaps, self.dists, self.measured = gaps, dists, []
+        self.dist = None if dists is None else self._dist
+
+    def measure(self, k):
+        return k, self.gaps[k], None
+
+    def _dist(self, k):
+        self.measured.append(k)
+        return self.dists[k]
+
+    def step(self, k, y, g, data):
+        return k + 1
+
+    def lift(self, k):
+        return np.array([float(k)])
+
+
+class TestGapConfirmation:
+    """``_drive`` counts a gap below tol only once ``dist`` confirms it."""
+
+    CFG = SolverConfig(tol=1e-6, max_iter=5, method=Method.CRM)
+
+    def test_a_confirmed_gap_converges_on_the_measured_gap(self):
+        problem = ScriptedProblem([1.0, 1e-9], {1: 1e-7})
+        trace = _drive(problem, 0, self.CFG)
+        assert (trace.status, trace.iterations, trace.gaps) == (Status.CONVERGED, 1, [1.0, 1e-9])
+        assert problem.measured == [1]  # only a gap below tol is confirmed
+        assert np.array_equal(trace.final_point, [1.0])
+
+    def test_an_unconfirmed_gap_records_the_distance_and_goes_on(self):
+        problem = ScriptedProblem([1.0, 1e-9, 0.0], {1: 0.5, 2: 1e-7})
+        trace = _drive(problem, 0, self.CFG)
+        assert (trace.status, trace.iterations, trace.gaps) == (
+            Status.CONVERGED, 2, [1.0, 0.5, 0.0])
+        assert problem.measured == [1, 2]
+
+    def test_a_nan_distance_never_converges(self):
+        problem = ScriptedProblem([1e-9] * 6, dict.fromkeys(range(6), math.nan))
+        trace = _drive(problem, 0, self.CFG)
+        assert (trace.status, trace.iterations) == (Status.NONFINITE, self.CFG.max_iter)
+        assert all(math.isnan(g) for g in trace.gaps) and len(trace.gaps) == 6
+
+    def test_a_missing_dist_is_never_called(self):
+        # calling dist = None would raise TypeError
+        problem = ScriptedProblem([1.0, 1e-9], None)
+        trace = _drive(problem, 0, self.CFG)
+        assert (trace.status, trace.iterations, trace.gaps) == (Status.CONVERGED, 1, [1.0, 1e-9])
+
+
 class TestConePlane:
     """CRM and MAP on a second-order cone and an ``AffineSubspace`` run on two
     coordinates in the plane of ``U`` that their iterates never leave, and DRM
@@ -423,7 +478,7 @@ class TestConePlane:
         cfg = SolverConfig(method=method, max_iter=2000, record_trace=True)
         plane = run(K, U, z0, cfg)
         if ref is None:
-            ref = _drive(_TwoSets(K, U, method, cfg.tol), U.project(z0), cfg)
+            ref = _drive(_TwoSets(K, U, method), U.project(z0), cfg)
         assert (plane.status, plane.iterations) == (ref.status, ref.iterations)
         assert len(plane.iterates) == len(ref.iterates)
         for a, b in zip([plane.final_point, *plane.iterates], [ref.final_point, *ref.iterates]):
@@ -448,22 +503,27 @@ class TestConePlane:
                 self.assert_same_run(SecondOrderCone(anchor.size), U, z0, method)
 
     def test_only_the_start_is_projected_onto_u(self, monkeypatch):
-        calls = []
-        project = AffineSubspace._project
+        calls = dict.fromkeys((AffineSubspace, SecondOrderCone), 0)
 
-        def counting_project(self, x):
-            calls.append(x)
-            return project(self, x)
+        def counting(cls):
+            project = cls._project
 
-        monkeypatch.setattr(AffineSubspace, "_project", counting_project)
+            def counting_project(self, x):
+                calls[cls] += 1
+                return project(self, x)
+            return counting_project
+
+        for cls in calls:
+            monkeypatch.setattr(cls, "_project", counting(cls))
         for i in (0, 4):  # a row-space and a null-space basis
             K, U, z0 = cone_grid_case(i)
             for method, confirm in ((Method.CRM, 0), (Method.MAP, 0), (Method.DRM, 1)):
-                calls.clear()
+                calls.update(dict.fromkeys(calls, 0))
                 trace = run(K, U, z0, SolverConfig(method=method))
                 assert trace.status is Status.CONVERGED and trace.iterations > 1
                 # no projection per iteration; DRM confirms its last gap in R^n
-                assert len(calls) == 1 + confirm
+                # with one projection onto K
+                assert calls == {AffineSubspace: 1, SecondOrderCone: confirm}
 
     # both intersections are empty; at this scale P_U cancels in R^n, where
     # the first DRM run ended converged at [0, 0, 0] after 2 iterations, and
