@@ -21,7 +21,8 @@ from .sets import as_point
 
 __all__ = ["CircumcenterResult", "circumcenter"]
 
-# Residual bound (times scale) above which the configuration has no circumcenter.
+# Residual bound, relative to the largest squared pairwise distance of the
+# points, above which the configuration has no circumcenter.
 RESIDUAL_TOL = 1e-8
 
 
@@ -72,10 +73,13 @@ def circumcenter(points) -> CircumcenterResult:
             raise DimensionMismatch("points have mixed dimensions")
 
     p0 = pts[0]
-    scale = 1.0
+    # the equations are in squared units, so their residual is measured against
+    # the largest squared pairwise distance, at every scale of the points
+    scale = 0.0
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
-            scale = max(scale, 1.0 + float(la.norm(pts[i] - pts[j])))
+            r = pts[i] - pts[j]
+            scale = max(scale, float(r.dot(r)))
 
     if len(pts) == 1:
         return CircumcenterResult(center=p0.copy(), residual=0.0, basis_rank=0)

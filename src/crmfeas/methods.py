@@ -50,7 +50,8 @@ __all__ = [
 # Below this (relative) distance between z and R_K(z) the CRM step is
 # near-singular and z is already a fixed point for practical purposes.
 FIXED_POINT_TOL = 1e-14
-# Allowed drift of an iterate from U before crm_step refuses to proceed.
+# Allowed drift of an iterate from U before crm_step refuses to proceed, and
+# of a DRM shadow before its distance to U counts (see _TwoSets._dist).
 AFFINE_TOL = 1e-8
 # _ConeAffine runs only while the squared norms of its three vectors add up to
 # less than this, so that no sum of products in its arithmetic overflows
@@ -135,12 +136,16 @@ def _crm_coefficient(uu: float, du: float, dd: float, z_norm: float) -> float:
     ``2 t <d, u> = ||u||^2``. ``_FixedPoint`` is raised when ``z`` is a fixed
     point for practical purposes: ``crm_step`` then returns ``z``, and the
     driver, which steps only on a gap of at least tol, ends the run
-    ``DEGENERATE``, as ``z`` would repeat forever. As in
-    :func:`crmfeas.circumcenter.circumcenter`, the configuration is
+    ``DEGENERATE``, as ``z`` would repeat forever. The configuration is
     degenerate when no equidistant point exists: ``<d, u> <= 0``, or the
     equidistance equations ``2 <v_i, t d> = ||v_i||^2`` of ``v_1 = u`` and
     ``v_2 = 2d - u`` miss by more than ``RESIDUAL_TOL`` times one plus the
-    largest pairwise distance of the three points.
+    largest pairwise distance of the three points. That scale is a length
+    with a floor of 1, unlike the largest squared distance that
+    :func:`crmfeas.circumcenter.circumcenter` measures the same squared-unit
+    residuals against. The floor is what ends CRM on an empty ball-and-line
+    or ball-and-plane problem ``DEGENERATE``; a certificate of emptiness
+    (ROADMAP item 3) should take its place.
     """
     if math.sqrt(uu) < FIXED_POINT_TOL * (1.0 + z_norm):
         raise _FixedPoint("R_K(z) - z is within rounding of z")
@@ -227,7 +232,12 @@ class _TwoSets:
 
     def _dist(self, y):
         r = y - self.K._project(y)
-        return math.sqrt(r.dot(r))
+        s = y - self.U._project(y)
+        dk, du = math.sqrt(r.dot(r)), math.sqrt(s.dot(s))
+        # P_U(y) rounds at about 2^-52 ||y||, so a shadow within the drift that
+        # crm_step allows is on U; one farther off, as when P_U(z) of a far-out
+        # z loses x_p to rounding, is not, and its distance to U counts too
+        return dk if du <= AFFINE_TOL * math.sqrt(y.dot(y)) else max(dk, du)
 
     def _crm_step(self, z, y, g, pk):
         return _crm_from_projection(z, pk, self.U)
@@ -263,7 +273,10 @@ class _ConeAffine:
     matrix of ``e`` and ``w``, so an iteration is scalar arithmetic. The gap
     is the distance to the cone, ``(||u|| - t) / sqrt(2)`` outside both
     cones; CRM takes ``<u, u> = 4 gap^2`` and ``<d, u> = <d, d>``, as ``L``
-    is an orthogonal projector.
+    is an orthogonal projector. What depends on ``U`` alone, ``w`` and the
+    entries without ``e``, is computed once per subspace and cached
+    (``AffineSubspace._cone_frame``); a run computes ``e``, its first entry
+    and its three tail products with ``x_p``, ``e`` and ``w``.
 
     DRM iterates leave ``U`` but not ``span{x_p, e, w, e_0}``, as ``L x_p = 0``,
     ``L e = e`` and ``L w = w``; they are kept as ``(a, beta, gamma, delta)``
@@ -282,12 +295,14 @@ class _ConeAffine:
 
     def __init__(self, K: SecondOrderCone, U: AffineSubspace, z: np.ndarray,
                  method: Method):
-        e0 = np.zeros(U.dim)
-        e0[0] = 1.0
-        self._vectors = V = np.array([U._xp, z - U._xp, U._linear(e0)])
-        T = V[:, 1:]
-        (g00, g01, g02), (_, g11, g12), (_, _, g22) = (T @ T.T).tolist()
-        self._first = f0, f1, f2 = V[:, 0].tolist()
+        w, (f0, f2), (g00, g02, g22) = U._cone_frame
+        xp = U._xp
+        e = z - xp
+        t = e[1:]
+        g01, g11, g12 = float(t.dot(xp[1:])), float(t.dot(t)), float(t.dot(w[1:]))
+        f1 = float(e[0])
+        self._vectors = xp, e, w
+        self._first = f0, f1, f2
         self.fits = g00 + g11 + g22 + f0 * f0 + f1 * f1 + f2 * f2 < PLANE_HEADROOM
         self._tail = (g00, 2.0 * g01, 2.0 * g02, g11, 2.0 * g12, g22)
         self._plane = (g11 + f1 * f1, 2.0 * (g12 + f1 * f2), g22 + f2 * f2)
@@ -397,8 +412,10 @@ def _drive(problem, z: np.ndarray, config: SolverConfig) -> IterationTrace:
     * ``step(z, y, gap, data)`` returns the next iterate;
     * ``lift(z)`` maps an iterate, or a tracked point ``y``, to the point of
       R^n (R^(nm) for the product space) that the trace reports;
-    * ``dist(y)`` is the distance from ``lift(y)`` to ``K``, or ``dist`` is
-      None where the gap already is that distance.
+    * ``dist(y)`` is the distance from ``lift(y)`` to ``K``, and where
+      rounding can leave ``lift(y)`` off ``U`` also the distance to ``U``
+      beyond that rounding; or ``dist`` is None where the gap already is
+      that distance.
 
     A gap below tol counts only if ``dist(y)``, at most the gap in exact
     arithmetic, is below tol too; otherwise that distance is recorded as the

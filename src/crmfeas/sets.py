@@ -45,7 +45,7 @@ def as_point(x, dim: int | None = None) -> np.ndarray:
         p = p.reshape(1)
     if p.ndim != 1:
         raise DimensionMismatch(f"expected a vector, got array of shape {p.shape}")
-    if not np.all(np.isfinite(p)):
+    if not np.isfinite(p).all():
         raise ValueError("point has non-finite entries")
     if dim is not None and p.size != dim:
         raise DimensionMismatch(f"expected dimension {dim}, got {p.size}")
@@ -252,6 +252,10 @@ class AffineSubspace(ConvexSet):
     Singular values below ``1e-12 * sigma_max`` are treated as zero, so
     rank-deficient (but consistent) systems are handled.
 
+    The first second-order cone run on the subspace (see
+    ``methods._ConeAffine``) also caches ``_cone_frame``, its constants that
+    depend on the subspace alone: ``n`` more floats, kept for every later run.
+
     Raises
     ------
     ValueError
@@ -302,6 +306,19 @@ class AffineSubspace(ConvexSet):
         if self._null:
             return B.T @ (B @ v)
         return v - B.T @ (B @ v)
+
+    @cached_property
+    def _cone_frame(self):
+        """``(w, (x_p[0], w[0]), (<x_p', x_p'>, <x_p', w'>, <w', w'>))`` with
+        ``w = L e_0``, a prime dropping entry 0: what a run of
+        ``methods._ConeAffine`` needs of the subspace alone. Built on first use
+        and kept (two threads that ask at once each build the same tuple)."""
+        e0 = np.zeros(self.dim)
+        e0[0] = 1.0
+        w = self._linear(e0)
+        T = np.array([self._xp[1:], w[1:]])
+        (g00, g02), (_, g22) = (T @ T.T).tolist()
+        return w, (float(self._xp[0]), float(w[0])), (g00, g02, g22)
 
     def __repr__(self):
         return f"AffineSubspace(dim={self.dim}, rows={self.A.shape[0]}, rank={self.rank})"

@@ -1,0 +1,54 @@
+"""The BENCH file that ``bench_record.py`` writes, on a small run of one workload."""
+
+import importlib.util
+import json
+import os
+import shutil
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+METRICS = {"setup_s", "crm_s", "drm_s", "map_s", "peak_rss_mb"}
+
+
+def load(path):
+    spec = importlib.util.spec_from_file_location("bench_record", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_small_record_of_one_workload_has_every_field(tmp_path):
+    # a copy of the checkout, so that the runs write nothing here
+    for name in ("src", "perfbench"):
+        shutil.copytree(os.path.join(ROOT, name), tmp_path / name,
+                        ignore=shutil.ignore_patterns("out", "__pycache__", "*.egg-info",
+                                                      ".pytest_cache"))
+    shutil.copy(os.path.join(ROOT, "bench_record.py"), tmp_path)
+    path = load(tmp_path / "bench_record.py").record("schema", small=True, workloads=("cone",))
+    assert path == str(tmp_path / "BENCH_schema.json")
+    with open(path, encoding="utf-8") as f:
+        doc = json.load(f)
+
+    assert set(doc) == {"label", "small", "machine", "perfbench", "grids"}
+    assert (doc["label"], doc["small"]) == ("schema", True)
+    assert {"nproc", "python", "numpy", "blas", "threads"} <= set(doc["machine"])
+    cone = doc["perfbench"]["workloads"]["cone"]
+    assert set(doc["perfbench"]["workloads"]) == {"cone"}
+    assert cone["correct"] is True and cone["failed"] == 0 and cone["attempted"] > 0
+    assert set(cone["metrics"]) == set(cone["units"]) == METRICS
+    assert all(v > 0 for v in cone["metrics"].values())
+    assert cone["rounds"] >= 1
+    assert set(cone["iterations_per_round"]) == {"CRM", "DRM", "MAP"}
+    assert (doc["grids"]["soc"]["base_seed"], doc["grids"]["polyhedral_prod"]["base_seed"]) \
+        == (2024, 137)
+    for grid in doc["grids"].values():
+        assert (grid["jobs"], grid["n"]) == (1, 200)
+        assert len(grid["seconds"]) == grid["repeats"]
+        assert grid["median_s"] == sorted(grid["seconds"])[grid["repeats"] // 2]
+        assert len(grid["iterations"]) == 3 and all(k > 0 for k in grid["iterations"].values())
+
+
+def test_a_label_that_is_not_a_file_name_is_refused():
+    with pytest.raises(ValueError):
+        load(os.path.join(ROOT, "bench_record.py")).record("../x")

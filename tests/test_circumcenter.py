@@ -45,6 +45,15 @@ class TestCircumcenter:
         with pytest.raises(DegenerateConfiguration):
             circumcenter([(0.0, 0.0), (2.0, 0.0), (4.0, 0.0)])
 
+    # the residual is in squared units: a length scale, or a floor of 1,
+    # accepts a collinear triple of points closer than 1 apart
+    @pytest.mark.parametrize("s", [1e-100, 1e-5, 1.0, 1e5, 1e100])
+    def test_degeneracy_is_decided_at_every_scale(self, s):
+        with pytest.raises(DegenerateConfiguration):
+            circumcenter([(0.0, 0.0), (s, 0.0), (2.0 * s, 0.0)])
+        res = circumcenter([(0.0, 0.0), (2.0 * s, 0.0), (0.0, 2.0 * s)])
+        assert np.allclose(res.center / s, [1.0, 1.0], rtol=0.0, atol=1e-12)
+
     def test_two_points_midpoint(self):
         res = circumcenter([(0.0, 0.0), (2.0, 0.0)])
         assert np.allclose(res.center, [1.0, 0.0])

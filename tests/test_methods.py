@@ -361,8 +361,9 @@ class TestDriver:
         trace = run(Ball([0.0, 0.5], 1.0), U, [4.0, 1.0], SolverConfig(method=Method.DRM))
         assert trace.status is Status.CONVERGED
         assert trace.iterations > 1
-        # one per visited iterate, one for the start
-        assert (U.projects, U.reflects) == (trace.iterations + 2, 0)
+        # one per visited iterate, one for the start, one confirming the last
+        # shadow's distance to U
+        assert (U.projects, U.reflects) == (trace.iterations + 3, 0)
 
     @pytest.mark.parametrize("case", ["ball-line", "cone-0", "cone-1", "cone-2"])
     def test_drm_iterates_reflect_onto_the_textbook_sequence(self, case):
@@ -525,6 +526,35 @@ class TestConePlane:
                 # with one projection onto K
                 assert calls == {AffineSubspace: 1, SecondOrderCone: confirm}
 
+    def test_the_subspace_set_up_runs_once_per_subspace(self, monkeypatch):
+        inst = gen_soc_instance(200, derive_seed(2024, 1, 4))
+        K, U = inst.sets[0], inst.affine
+        starts = [gen_start(inst, derive_seed(2024, 2, 4, j), min_gap=1e-6).projected
+                  for j in range(3)]
+        calls = []
+        linear = AffineSubspace._linear
+
+        def counting_linear(self, v):
+            calls.append(self)
+            return linear(self, v)
+
+        # on the class itself: run takes the cone path only for exactly AffineSubspace
+        monkeypatch.setattr(AffineSubspace, "_linear", counting_linear)
+        for z0 in starts:
+            for method in (Method.CRM, Method.MAP, Method.DRM):
+                assert run(K, U, z0, SolverConfig(method=method)).status is Status.CONVERGED
+        assert calls == [U]
+
+    @pytest.mark.parametrize("i", range(5))
+    def test_runs_on_a_shared_subspace_equal_runs_on_a_fresh_one(self, i):
+        K, U, z0 = cone_grid_case(i)
+        for method in (Method.MAP, Method.DRM, Method.CRM, Method.MAP, Method.CRM, Method.DRM):
+            cfg = SolverConfig(method=method)
+            shared, fresh = run(K, U, z0, cfg), run(K, AffineSubspace(U.A, U.b), z0, cfg)
+            assert (shared.status, shared.iterations) == (fresh.status, fresh.iterations)
+            assert shared.gaps == fresh.gaps
+            assert np.array_equal(shared.final_point, fresh.final_point)
+
     # both intersections are empty; at this scale P_U cancels in R^n, where
     # the first DRM run ended converged at [0, 0, 0] after 2 iterations, and
     # the coordinate gap of the second rounds to 0 at iteration 24,173
@@ -540,6 +570,16 @@ class TestConePlane:
         assert min(trace.gaps) >= cfg.tol
         y = trace.final_point  # the shadow stays in U
         assert la.norm(U.project(y) - y) <= 1e-12 * (1.0 + la.norm(y))
+
+    # a one-factor product is not exactly a cone, so the same empty problem
+    # runs in R^n; P_U(z) loses x_p to rounding there, and the shadow
+    # [0, 0, 0], in K but 1 off U, ended the run converged after 2 iterations
+    def test_drm_never_converges_far_out_on_a_shadow_rounded_off_u(self):
+        K, U = ProductSet([SecondOrderCone(3)]), AffineSubspace([[1.0, 0.0, 0.0]], [-1.0])
+        cfg = SolverConfig(method=Method.DRM, max_iter=2000)
+        trace = run(K, U, 1e100 * np.array([0.3, 2.0, 1.0]), cfg)
+        assert (trace.status, trace.iterations) == (Status.MAX_ITER, cfg.max_iter)
+        assert min(trace.gaps) >= 1.0  # the shadow's distance to U
 
     def test_a_subclass_of_affine_subspace_keeps_the_generic_path(self):
         K, U, z0 = cone_grid_case(0)

@@ -326,6 +326,22 @@ class TestAffineBasis:
                 assert la.norm(U.project(p) - p) <= tol
                 assert la.norm(A @ p - b) <= tol * la.norm(A, 2)
 
+    def test_cone_frame_is_built_once_from_the_projector(self, rng):
+        e0 = np.eye(self.N)[0]
+        for A, b, _ in self.systems(rng):
+            U = AffineSubspace(A, b)
+            frame = U._cone_frame
+            assert U._cone_frame is frame
+            w, first, gram = frame
+            assert w.shape == (self.N,)  # n floats besides the projector
+            assert la.norm(w - (e0 - la.pinv(A, rcond=1e-10) @ (A @ e0))) <= 1e-12
+            xp, wt = U._xp[1:], w[1:]
+            assert first == (U._xp[0], w[0])
+            # another order of summation than the cached product: rounding
+            # relative to ||x_p||^2, as ||w|| <= 1
+            assert np.allclose(gram, [xp @ xp, xp @ wt, wt @ wt], rtol=0.0,
+                               atol=1e-13 * (1.0 + xp @ xp))
+
 
 class TestHalfspaceGram:
     """``_HalfspaceRows.gram`` is ``A A^T`` for independent normals, and None
