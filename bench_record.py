@@ -1,5 +1,5 @@
-"""Write ``BENCH_<label>.json``: the benchmark's end-to-end metrics and the
-wall time of the paper's two grids, from one command.
+"""Write ``BENCH_<label>.json``: the benchmark's end-to-end metrics, the wall
+time of the paper's two grids and per-layer timings, from one command.
 
     python3 bench_record.py --label L [--small]
 
@@ -9,13 +9,36 @@ For each workload the script runs ``perfbench/run.py`` as it is (seed
 end-to-end metrics, the iteration totals of a round and the machine facts.
 It then times the reference grids ``bench_soc(100, 10)`` and
 ``bench_polyhedral_prod(1, 20)`` at ``n = 200`` with ``jobs=1`` and the base
-seeds of the golden table, with BLAS on one thread, and keeps the median wall time of ``REPEATS`` runs and the
-iteration totals per method, which must repeat exactly. A speed-up that
-changes an iteration count is a change of behaviour, so compare the counts of
-two files before their times.
+seeds of the golden table, with BLAS on one thread. Each of ``REPEATS`` runs
+of a grid is timed beside the benchmark's reference computation
+(``perfbench/calibrate.py``, imported as ``perfbench/worker.py`` imports it):
+the reference runs ``REFERENCE_CALLS`` calls before and after the grid, and
+the mean of the two slowdowns is the repeat's slowdown. One untimed run of
+the grid and of the reference comes first. The file keeps the
+raw wall times and their median, the slowdowns, and the median of the times
+at reference speed (each divided by its slowdown), with the iteration totals
+per method, which must repeat exactly. A speed-up that changes an iteration
+count is a change of behaviour, so compare the counts of two files before
+their times.
 
-``--small`` runs the benchmark's small workloads for 1 s and grids of a few
-runs: a check of the file's shape, not a measurement.
+Caveat: the reference's own speed depends on the glibc malloc threshold. Its
+vectors of 34,200 floats lie above glibc's initial 128 KiB mmap threshold,
+and freeing a larger block raises that threshold, so the reference runs
+faster in a process that has freed large blocks (the grids do) than in a
+fresh one. Times at reference speed compare two files recorded the same way;
+they are not absolute.
+
+The per-layer section holds timeit medians, per call, of the calls one
+iteration of a benchmark run makes, on every instance of the benchmark's
+workloads (``perfbench/workloads.py``) at its first start:
+``ProductSet._projection_sums`` at the block mean and the DRM-prod
+measurement on each ``mixed`` instance, and, as controls that a change to the
+product space leaves alone, the MAP measurement of a cone run on each
+``cone`` instance and of MAP-prod on each ``poly`` instance. Each entry names
+the class whose ``measure`` it timed.
+
+``--small`` runs the benchmark's small workloads for 1 s, grids of a few
+runs and short timings: a check of the file's shape, not a measurement.
 """
 
 from __future__ import annotations
@@ -27,6 +50,7 @@ import re
 import statistics
 import subprocess
 import sys
+import timeit
 from time import perf_counter
 
 ROOT = os.path.dirname(os.path.abspath(__file__))
@@ -37,6 +61,9 @@ REPEATS = 5
 # (instances, starts) of the cone and the polyhedral grid
 GRIDS = {False: ((100, 10), (1, 20)), True: ((2, 2), (1, 2))}
 GRID_SEEDS = (2024, 137)  # the base seeds of the golden table in tests/test_acceptance.py
+REFERENCE_CALLS = {False: 1000, True: 20}  # about 0.3 s and 6 ms at reference speed
+# (calls per timing, timings) of each per-layer median
+LAYER_TIMEIT = {False: (200, 7), True: (5, 3)}
 THREAD_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 
@@ -67,14 +94,24 @@ def run_workload(workload: str, small: bool) -> tuple[dict, dict]:
     return entry, report["machine"]
 
 
-def time_grid(grid, instances: int, starts: int, seed: int) -> dict:
-    """Median wall time of ``REPEATS`` runs of one grid, and its iteration totals."""
-    seconds, totals = [], None
+def time_grid(grid, instances: int, starts: int, seed: int, reference, calls: int) -> dict:
+    """``REPEATS`` runs of one grid, each timed beside ``calls`` calls of the
+    reference before and after it, and the grid's iteration totals."""
+    def run():
+        return grid(num_instances=instances, starts_per_instance=starts, n=200,
+                    base_seed=seed, jobs=1)
+
+    # one untimed run and reference measurement first, so that caches and the
+    # allocator have warmed up before the first timed repeat
+    run()
+    reference.measure(calls)
+    seconds, slowdowns, totals = [], [], None
     for _ in range(REPEATS):
+        before = reference.measure(calls)
         t = perf_counter()
-        result = grid(num_instances=instances, starts_per_instance=starts, n=200,
-                      base_seed=seed, jobs=1)
+        result = run()
         seconds.append(perf_counter() - t)
+        slowdowns.append(0.5 * (before + reference.measure(calls)))
         counts: dict[str, int] = {}
         for r in result.records:
             counts[r.method] = counts.get(r.method, 0) + r.iterations
@@ -82,8 +119,63 @@ def time_grid(grid, instances: int, starts: int, seed: int) -> dict:
             raise RuntimeError(f"iteration totals changed between repeats: {totals} {counts}")
         totals = counts
     return {"instances": instances, "starts": starts, "n": 200, "base_seed": seed, "jobs": 1,
-            "repeats": REPEATS, "median_s": statistics.median(seconds),
-            "seconds": seconds, "iterations": totals}
+            "repeats": REPEATS, "median_s": statistics.median(seconds), "seconds": seconds,
+            "reference_calls": calls, "slowdowns": slowdowns,
+            "median_ref_s": statistics.median(s / d for s, d in zip(seconds, slowdowns)),
+            "iterations": totals}
+
+
+def _median_us(call, number: int, repeats: int) -> float:
+    return statistics.median(timeit.repeat(call, number=number, repeat=repeats)) / number * 1e6
+
+
+def time_layers(small: bool) -> dict:
+    """Per-layer timeit medians, per call in microseconds, on every instance
+    of the benchmark's workloads."""
+    import numpy as np
+    import workloads
+    from crmfeas.methods import Method, SolverConfig, _problem
+    from crmfeas.product_space import _prod_problem
+
+    number, repeats = LAYER_TIMEIT[small]
+    problems = {name: workloads.build(name, small) for name in WORKLOADS}
+
+    def config(method):
+        return SolverConfig(tol=workloads.TOL, max_iter=workloads.MAX_ITER, method=method)
+
+    def layer(control, calls):
+        """One entry from the (instance, callee, call) of every instance."""
+        calls = list(calls)
+        (callee,) = {callee for _, callee, _ in calls}
+        us = [_median_us(call, number, repeats) for _, _, call in calls]
+        return {"callee": callee, "control": control, "instances": [i for i, _, _ in calls],
+                "us": us, "median_us": statistics.median(us)}
+
+    def measured(problem, start):
+        return f"{type(problem).__name__}.measure", lambda: problem.measure(start)
+
+    def sums(p):
+        W = p.W
+        x = p.starts[0].reshape(W.m, W.block_dim).mean(axis=0)
+        return "ProductSet._projection_sums", lambda: W._projection_sums(x)
+
+    def prod(p, method):
+        return measured(*_prod_problem(p.W, p.starts[0], config(method)))
+
+    def cone(p):
+        K, U = p.instance.sets[0], p.instance.affine
+        return measured(*_problem(K, U, p.starts[0], config(Method.MAP)))
+
+    mixed = problems["mixed"]
+    with np.errstate(over="ignore", invalid="ignore"):  # as run and run_prod call them
+        timings = {
+            "mixed.projection_sums": layer(False, ((p.index, *sums(p)) for p in mixed)),
+            "mixed.drm_measure": layer(False, ((p.index, *prod(p, Method.DRM)) for p in mixed)),
+            "cone.map_measure": layer(True, ((p.index, *cone(p)) for p in problems["cone"])),
+            "poly.map_measure": layer(True, ((p.index, *prod(p, Method.MAP))
+                                             for p in problems["poly"])),
+        }
+    return {"unit": "us", "number": number, "repeats": repeats, "timings": timings}
 
 
 def record(label: str, small: bool = False, workloads=WORKLOADS) -> str:
@@ -93,20 +185,24 @@ def record(label: str, small: bool = False, workloads=WORKLOADS) -> str:
     entries, machine = {}, None
     for workload in workloads:
         entries[workload], machine = run_workload(workload, small)
-    if os.path.join(ROOT, "src") not in sys.path:
-        sys.path.insert(0, os.path.join(ROOT, "src"))
+    for path in (os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")):
+        if path not in sys.path:
+            sys.path.insert(0, path)
+    from calibrate import Reference
     from crmfeas.bench import bench_polyhedral_prod, bench_soc
 
     (soc_i, soc_s), (poly_i, poly_s) = GRIDS[small]
     soc_seed, poly_seed = GRID_SEEDS
+    reference, calls = Reference(), REFERENCE_CALLS[small]
     doc = {
         "label": label,
         "small": small,
         "machine": machine,
         "perfbench": {"seed": SEED, "seconds": SECONDS[small], "workloads": entries},
-        "grids": {"soc": time_grid(bench_soc, soc_i, soc_s, soc_seed),
+        "grids": {"soc": time_grid(bench_soc, soc_i, soc_s, soc_seed, reference, calls),
                   "polyhedral_prod": time_grid(bench_polyhedral_prod, poly_i, poly_s,
-                                               poly_seed)},
+                                               poly_seed, reference, calls)},
+        "layers": time_layers(small),
     }
     path = os.path.join(ROOT, f"BENCH_{label}.json")
     with open(path, "w", encoding="utf-8") as f:

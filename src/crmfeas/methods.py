@@ -528,9 +528,15 @@ def run(K: ConvexSet, U: ConvexSet, z0, config: SolverConfig) -> IterationTrace:
         raise ValueError(f"K must be a single ConvexSet, not {type(K).__name__}")
     z0 = as_point(z0, U.dim)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow ends in a Status
-        z = U._project(z0)
-        if type(K) is SecondOrderCone and type(U) is AffineSubspace:
-            cone = _ConeAffine(K, U, z, config.method)
-            if cone.fits:
-                return _drive(cone, cone.start, config)
-        return _drive(_TwoSets(K, U, config.method), z, config)
+        return _drive(*_problem(K, U, z0, config), config)
+
+
+def _problem(K: ConvexSet, U: ConvexSet, z0: np.ndarray, config: SolverConfig):
+    """The problem that ``run`` drives from the checked start ``z0``, and its
+    first iterate; to be called, as ``run`` does, with overflow ignored."""
+    z = U._project(z0)
+    if type(K) is SecondOrderCone and type(U) is AffineSubspace:
+        cone = _ConeAffine(K, U, z, config.method)
+        if cone.fits:
+            return cone, cone.start
+    return _TwoSets(K, U, config.method), z

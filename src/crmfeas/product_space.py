@@ -15,7 +15,10 @@ runs them in that form (see ``_Diagonal``). On a product of halfspaces
 ``x = x_0 + A^T w``, one product with ``A A^T`` per iteration (see
 ``_RowSpace``). On a product of halfspaces the DRM iterates keep blocks
 ``x + s_i a_i``, and ``run_prod`` runs DRM on the pair ``(x, s)`` (see
-``_HalfspaceDRM``).
+``_HalfspaceDRM``). On any other product it runs DRM on ``(m, n)`` arrays
+whose rows are the blocks in the group order of ``W``, so that each group of
+factors is projected into its own row slice (see ``_GroupedDRM``); no
+product-space method runs the two-set problem of :mod:`crmfeas.methods`.
 """
 
 from __future__ import annotations
@@ -28,8 +31,7 @@ from numpy import linalg as la
 # not called here; perfbench/tracing.py wraps the name in every module binding it
 from .circumcenter import circumcenter  # noqa: F401
 from .errors import DimensionMismatch, NotDiagonal
-from .methods import (IterationTrace, Method, SolverConfig, _crm_coefficient, _drive,
-                      _TwoSets, crm_step)
+from .methods import IterationTrace, Method, SolverConfig, _crm_coefficient, _drive, crm_step
 from .sets import ConvexSet, _check_finite, _HalfspaceRows, _row_projector, as_point
 
 __all__ = [
@@ -52,11 +54,18 @@ class ProductSet(ConvexSet):
     """Cartesian product ``X_1 x ... x X_m`` of same-dimension catalog sets.
 
     Projection is blockwise and independent per factor. The factors are
-    grouped by class at construction, and each group is projected in one
+    grouped by class at construction and kept in group order: a permutation
+    of the blocks and one row slice per group. Each group is projected in one
     pass (see :func:`crmfeas.sets._row_projector`): halfspaces as the rows of
     ``A x <= b``, balls and boxes through their stacked parameters,
-    second-order cones row by row, and other sets one at a time. The result
-    does not depend on the order of the factors beyond rounding.
+    second-order cones row by row, and other sets one at a time, each
+    group's kernel writing into its row slice of one group-ordered array
+    (``_project_rows``). ``_project`` gathers the blocks into group order
+    before and back after; ``_projection_sums`` fills that array from one
+    point and reduces it once; DRM-prod on a product that is not all
+    halfspaces iterates in group order (``_GroupedDRM``), not as the
+    two-set problem ``methods._TwoSets``. The result does not depend on the
+    order of the factors beyond rounding.
     """
 
     def __init__(self, factors):
@@ -74,27 +83,51 @@ class ProductSet(ConvexSet):
         groups: dict[type, list[int]] = {}
         for i, f in enumerate(self.factors):
             groups.setdefault(type(f), []).append(i)
-        self._groups = [(np.array(idx), _row_projector([self.factors[i] for i in idx]))
-                        for idx in groups.values()]
+        # the group order: row j of a group-ordered (m, n) array holds block
+        # _order[j], and block i is its row _inverse[i]; both are None when
+        # the group order is the factor order
+        order = [i for idx in groups.values() for i in idx]
+        self._order = self._inverse = None
+        if order != list(range(self.m)):
+            # not argsort, whose first call maps numpy's sort kernels, 0.4 MB
+            self._order, self._inverse = np.array(order), np.empty(self.m, dtype=np.intp)
+            self._inverse[self._order] = np.arange(self.m)
+        self._groups, start = [], 0
+        for idx in groups.values():
+            rows = _row_projector([self.factors[i] for i in idx])
+            self._groups.append((slice(start, start + len(idx)), rows))
+            start += len(idx)
 
     def _project(self, z):
         X = z.reshape(self.m, self.block_dim)
-        if len(self._groups) == 1:  # every block in one pass, no gather or scatter
-            return self._groups[0][1].project(X).ravel()
-        out = np.empty_like(X)
-        for idx, rows in self._groups:
-            out[idx] = rows.project(X[idx])
-        return out.ravel()
+        if self._order is not None:
+            X = X[self._order]
+        return self._to_factor_order(self._project_rows(X)).ravel()
+
+    def _project_rows(self, X):
+        """The projections of the rows of a group-ordered ``(m, n)`` array ``X``,
+        or of one point ``X`` onto every factor, as a new group-ordered array:
+        each group's kernel writes into its own row slice."""
+        P = np.empty((self.m, self.block_dim))
+        for rows_slice, rows in self._groups:
+            rows.project(X if X.ndim == 1 else X[rows_slice], P[rows_slice])
+        return P
+
+    def _to_factor_order(self, X):
+        """A group-ordered ``(m, n)`` array with its rows back in factor order."""
+        return X if self._inverse is None else X[self._inverse]
 
     def _projection_sums(self, x):
         """``(sum P_{X_i}(x), sum ||P_{X_i}(x) - x||^2)`` over the factors, for
-        ``x in R^n``, added up group by group."""
-        total, sq = self._groups[0][1].sums(x)
-        for _, rows in self._groups[1:]:
-            t, s = rows.sums(x)
-            total = total + t
-            sq += s
-        return total, sq
+        ``x in R^n``: one group's own ``sums``, or the rows of
+        ``_project_rows`` added up at once."""
+        if len(self._groups) == 1:
+            return self._groups[0][1].sums(x)
+        P = self._project_rows(x)
+        total = P.sum(axis=0)
+        P -= x
+        R = P.ravel()
+        return total, float(R.dot(R))
 
     def __repr__(self):
         return f"ProductSet(m={self.m}, block_dim={self.block_dim})"
@@ -234,6 +267,44 @@ class _HalfspaceDRM:
         return np.tile(z, self.W.m)
 
 
+class _GroupedDRM:
+    """DRM on ``W ∩ D`` for :func:`crmfeas.methods._drive`, for any product
+    ``W`` that ``_HalfspaceDRM`` does not take, on iterates ``z`` kept as
+    ``(m, n)`` arrays with their blocks in the group order of ``W``.
+
+    The shadow ``P_D(z)`` is the row mean ``y``; ``P``, the projection of
+    ``2 y - z`` onto ``W`` (``ProductSet._project_rows``), gives the gap
+    ``||y - P||`` and the step ``z + P - y``: the R^(nm) iteration with its
+    blocks permuted, and no block gathered or scattered. ``dist`` is the
+    distance from ``lift(y)`` to ``W``. ``lift`` maps an iterate, its rows
+    back in factor order, or a shadow ``y`` to its point of R^(nm).
+    """
+
+    def __init__(self, W: ProductSet):
+        self.W = W
+
+    def measure(self, Z):
+        y = Z.mean(axis=0)
+        V = 2.0 * y - Z
+        _check_finite(V.ravel())  # as the reflection through D is checked
+        P = self.W._project_rows(V)
+        R = np.subtract(y, P, out=V).ravel()
+        return y, math.sqrt(R.dot(R)), P
+
+    def dist(self, y):
+        return math.sqrt(self.W._projection_sums(y)[1])
+
+    def step(self, Z, y, g, P):
+        P += Z  # z + P - y in place: P is this iteration's own projection
+        P -= y
+        return P
+
+    def lift(self, Z):
+        if Z.ndim == 1:
+            return np.tile(Z, self.W.m)
+        return self.W._to_factor_order(Z).ravel()
+
+
 class _RowSpace:
     """MAP on ``W ∩ D`` for :func:`crmfeas.methods._drive`, when the factors
     of ``W`` are halfspaces with independent normals, on iterates
@@ -297,22 +368,31 @@ def run_prod(W: ProductSet, z0, config: SolverConfig) -> IterationTrace:
     of ``W`` is a ``Halfspace`` (exactly that class) they run as pairs
     ``(x, s)`` in R^n x R^m (see ``_HalfspaceDRM``), equal to the R^(nm)
     iteration up to rounding, from ``(mean of z0's blocks, 0)``; any other
-    product runs them in R^(nm).
+    product runs them as ``(m, n)`` arrays with the blocks in the group order
+    of ``W`` (see ``_GroupedDRM``), the R^(nm) iteration with its blocks
+    permuted, from ``m`` rows of that mean, and not as the two-set problem
+    ``methods._TwoSets``.
     ``final_point`` and the recorded iterates are points of R^(nm);
     ``final_point`` is the diagonal point where the last gap was measured:
     ``lift(x)`` for CRM and MAP, the shadow ``P_D(z)`` for DRM.
     """
     z0 = as_point(z0, W.dim)
-    halfspaces = len(W._groups) == 1 and type(W._groups[0][1]) is _HalfspaceRows
     with np.errstate(over="ignore", invalid="ignore"):  # overflow ends in a Status
-        if config.method is Method.DRM and not halfspaces:
-            D = DiagonalSubspace(W.block_dim, W.m)
-            return _drive(_TwoSets(W, D, Method.DRM), D._project(z0), config)
-        x = z0.reshape(W.m, W.block_dim).mean(axis=0)
-        if config.method is Method.DRM:
-            return _drive(_HalfspaceDRM(W), (x, np.zeros(W.m)), config)
-        if config.method is Method.MAP and halfspaces:
-            rows = _RowSpace(W, x, config.tol)
-            if rows.fits:
-                return _drive(rows, np.zeros(W.m), config)
-        return _drive(_Diagonal(W, config.method), x, config)
+        return _drive(*_prod_problem(W, z0, config), config)
+
+
+def _prod_problem(W: ProductSet, z0: np.ndarray, config: SolverConfig):
+    """The problem that ``run_prod`` drives from the checked start ``z0``, and
+    its first iterate; to be called, as ``run_prod`` does, with overflow
+    ignored."""
+    halfspaces = len(W._groups) == 1 and type(W._groups[0][1]) is _HalfspaceRows
+    x = z0.reshape(W.m, W.block_dim).mean(axis=0)
+    if config.method is Method.DRM and halfspaces:
+        return _HalfspaceDRM(W), (x, np.zeros(W.m))
+    if config.method is Method.DRM:
+        return _GroupedDRM(W), np.tile(x, (W.m, 1))
+    if config.method is Method.MAP and halfspaces:
+        rows = _RowSpace(W, x, config.tol)
+        if rows.fits:
+            return rows, np.zeros(W.m)
+    return _Diagonal(W, config.method), x

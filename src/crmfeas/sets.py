@@ -89,25 +89,27 @@ class ConvexSet:
 class _Rows:
     """Projector onto each of several sets at once, row by row.
 
-    ``project(X)`` maps row ``i`` of a ``(k, n)`` array ``X`` to its
-    projection onto the ``i``-th set; ``sums(x)`` returns
-    ``(sum_i P_i(x), sum_i ||P_i(x) - x||^2)`` for one point ``x``. This
-    generic form calls each set's ``_project`` in turn; the catalog kinds with
-    a vectorized form subclass it (see ``_row_projector``). The default
-    ``sums`` passes ``x`` itself as ``X``, to be taken as every row, so a
-    subclass that keeps it must broadcast ``X``.
+    ``project(X, out)`` writes into row ``i`` of ``out`` the projection of row
+    ``i`` of a ``(k, n)`` array ``X`` onto the ``i``-th set, or, for one point
+    ``X`` of R^n, the projections of that point; ``out`` is a ``(k, n)``
+    array, or a row slice of a larger one, that does not overlap ``X``.
+    ``sums(x)`` returns ``(sum_i P_i(x), sum_i ||P_i(x) - x||^2)`` for one
+    point ``x``. This generic form calls each set's ``_project`` in turn;
+    the catalog kinds with a vectorized form subclass it (see
+    ``_row_projector``).
     """
 
     def __init__(self, sets):
         self.sets = list(sets)
 
-    def project(self, X):
-        X = np.broadcast_to(X, (len(self.sets), X.shape[-1]))
-        return np.array([s._project(x) for s, x in zip(self.sets, X)])
+    def project(self, X, out):
+        for i, (s, x) in enumerate(zip(self.sets, np.broadcast_to(X, out.shape))):
+            out[i] = s._project(x)
 
     def sums(self, x):
         # the rows add up in order, as the blocks of P_W(lift(x)) do in P_D
-        P = self.project(x)
+        P = np.empty((len(self.sets), x.size))
+        self.project(x, P)
         R = (P - x).ravel()
         return P.sum(axis=0), float(R.dot(R))
 
@@ -175,9 +177,11 @@ class _HalfspaceRows(_Rows):
         self.b = np.array([h.b for h in halfspaces])
         self.a_sq = np.einsum("ij,ij->i", self.A, self.A)
 
-    def project(self, X):
-        excess = np.maximum(np.einsum("ij,ij->i", self.A, X) - self.b, 0.0)
-        return X - (excess / self.a_sq)[:, None] * self.A
+    def project(self, X, out):
+        r = self.A @ X if X.ndim == 1 else np.einsum("ij,ij->i", self.A, X)
+        excess = np.maximum(r - self.b, 0.0)
+        np.multiply((excess / self.a_sq)[:, None], self.A, out=out)
+        np.subtract(X, out, out=out)
 
     def _residuals(self, r):
         """``c`` and ``sum ||P_i(x) - x||^2`` from ``r = A x``."""
@@ -353,15 +357,14 @@ class _BallRows(_Rows):
         self.C = np.array([b.center for b in balls])
         self.r = np.array([b.radius for b in balls])
 
-    def project(self, X):
-        D = X - self.C
+    def project(self, X, out):
+        D = np.subtract(X, self.C, out=out)
         dist = np.sqrt(np.einsum("ij,ij->i", D, D))
         # c + (r / dist) (x - c) outside the ball; c + (x - c) is not always x,
         # so the rows inside are copied
         D *= (self.r / np.maximum(dist, self.r))[:, None]
         D += self.C
         np.copyto(D, X, where=(dist <= self.r)[:, None])
-        return D
 
 
 class Box(ConvexSet):
@@ -383,14 +386,15 @@ class Box(ConvexSet):
 
 
 class _BoxRows(_Rows):
-    """Boxes with stacked bounds, clipped by ``Box._project`` itself."""
+    """Boxes with stacked bounds, clipped as by ``Box._project``."""
 
     def __init__(self, boxes):
         super().__init__(boxes)
         self.lower = np.array([b.lower for b in boxes])
         self.upper = np.array([b.upper for b in boxes])
 
-    project = Box._project
+    def project(self, X, out):
+        np.minimum(np.maximum(X, self.lower, out=out), self.upper, out=out)
 
 
 class SecondOrderCone(ConvexSet):
@@ -426,19 +430,29 @@ class SecondOrderCone(ConvexSet):
 
 class _ConeRows(_Rows):
     """Second-order cones of one dimension, which are all the same set: the
-    sums weight one projection by the count, and ``project`` applies the
-    closed form to every row."""
+    sums weight one projection by the count, and ``project`` writes the
+    closed form of ``SecondOrderCone._project`` as one scale of each row and
+    its first entry: ``(1, t)`` inside the cone, ``(s / ||u||, s)`` outside
+    both cones (NaN and ``inf`` where ``||u||^2`` overflows, as there), and
+    ``(0, 0)`` in the polar cone, whose rows are then set to ``+0.0``. Its
+    ``||u||`` comes from ``einsum``, which can round differently from the
+    single cone's ``dot``; where the two agree, so do the rows, bitwise."""
 
-    def project(self, X):
+    def project(self, X, out):
+        if X.ndim == 1:  # one point, so one projection
+            out[:] = self.sets[0]._project(X)
+            return
         t, U = X[:, 0], X[:, 1:]
         nu = np.sqrt(np.einsum("ij,ij->i", U, U))
-        out = np.array(X)
-        out[(nu <= -t) & (nu > t)] = 0.0  # the polar cone, apex excluded
-        mid = nu > np.abs(t)  # so nu > 0 where it divides
-        s = 0.5 * (t[mid] + nu[mid])
-        out[mid, 0] = s
-        out[mid, 1:] = (s / nu[mid])[:, None] * U[mid]
-        return out
+        s = 0.5 * (t + nu)
+        inside, mid = nu <= t, nu > np.abs(t)  # mid: nu > 0 where it divides
+        scale = np.where(mid, math.nan, inside)
+        np.divide(s, nu, out=scale, where=mid & (nu < math.inf))
+        np.multiply(X, scale[:, None], out=out)
+        np.copyto(out[:, 0], s, where=mid)
+        polar = ~(inside | mid)
+        if polar.any():  # 0 x keeps the signs of x
+            out[polar] = 0.0
 
     def sums(self, x):
         k = len(self.sets)

@@ -4,6 +4,7 @@ import importlib.util
 import json
 import os
 import shutil
+import statistics
 
 import pytest
 
@@ -30,7 +31,7 @@ def test_small_record_of_one_workload_has_every_field(tmp_path):
     with open(path, encoding="utf-8") as f:
         doc = json.load(f)
 
-    assert set(doc) == {"label", "small", "machine", "perfbench", "grids"}
+    assert set(doc) == {"label", "small", "machine", "perfbench", "grids", "layers"}
     assert (doc["label"], doc["small"]) == ("schema", True)
     assert {"nproc", "python", "numpy", "blas", "threads"} <= set(doc["machine"])
     cone = doc["perfbench"]["workloads"]["cone"]
@@ -47,6 +48,23 @@ def test_small_record_of_one_workload_has_every_field(tmp_path):
         assert len(grid["seconds"]) == grid["repeats"]
         assert grid["median_s"] == sorted(grid["seconds"])[grid["repeats"] // 2]
         assert len(grid["iterations"]) == 3 and all(k > 0 for k in grid["iterations"].values())
+        # each repeat timed beside the benchmark's reference computation
+        assert grid["reference_calls"] > 0
+        assert len(grid["slowdowns"]) == grid["repeats"] and all(s > 0 for s in grid["slowdowns"])
+        at_reference = sorted(s / d for s, d in zip(grid["seconds"], grid["slowdowns"]))
+        assert grid["median_ref_s"] == at_reference[grid["repeats"] // 2]
+
+    layers = doc["layers"]
+    assert (layers["unit"], layers["number"] > 0, layers["repeats"] > 0) == ("us", True, True)
+    assert {name: (t["callee"], t["control"]) for name, t in layers["timings"].items()} == {
+        "mixed.projection_sums": ("ProductSet._projection_sums", False),
+        "mixed.drm_measure": ("_GroupedDRM.measure", False),
+        "cone.map_measure": ("_ConeAffine.measure", True),
+        "poly.map_measure": ("_RowSpace.measure", True),
+    }
+    for t in layers["timings"].values():
+        assert len(t["us"]) == len(t["instances"]) > 0 and all(us > 0 for us in t["us"])
+        assert t["median_us"] == statistics.median(t["us"])
 
 
 def test_a_label_that_is_not_a_file_name_is_refused():

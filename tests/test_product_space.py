@@ -336,8 +336,9 @@ def _poly_case(index, start):
 
 
 def _assert_drm_matches_reference(W, z0, cfg):
-    """DRM-prod on a product of halfspaces, kept as ``(x, s)``, against the
-    R^(nm) iteration; with a recorded trace, iterate by iterate."""
+    """DRM-prod, on a product of halfspaces kept as ``(x, s)`` and on any other
+    product in group order, against the R^(nm) iteration; with a recorded
+    trace, iterate by iterate."""
     fast = run_prod(W, z0, cfg)
     D = DiagonalSubspace(W.block_dim, W.m)
     ref = _drive(_TwoSets(W, D, Method.DRM), D._project(z0), cfg)
@@ -353,9 +354,10 @@ def _assert_drm_matches_reference(W, z0, cfg):
 
 class TestIterationInRn:
     """CRM and MAP of run_prod iterate x in R^n (MAP on a product of
-    halfspaces with independent normals: w in R^m), and DRM on a product of
-    halfspaces iterates (x, s) in R^n x R^m; they must retrace the R^(nm)
-    iteration."""
+    halfspaces with independent normals: w in R^m), DRM on a product of
+    halfspaces iterates (x, s) in R^n x R^m, and DRM on any other product
+    iterates R^(nm) with its blocks in group order; they must retrace the
+    R^(nm) iteration."""
 
     def test_poly_grid_starts_match_the_product_space_driver(self):
         # the reference polyhedral grid: instance 0 of base seed 137 (m = 57)
@@ -455,6 +457,36 @@ class TestIterationInRn:
             W, z0, SolverConfig(method=Method.CRM, max_iter=2000, record_trace=True))
         _assert_steps_match_crm_prod_step(W, trace)
         _assert_matches_reference(W, z0, SolverConfig(method=Method.MAP, max_iter=2000))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 8),
+           single=st.sampled_from(["hyperplane", "affine"]),
+           shift=st.sampled_from([0.0, -10.0]), off=st.sampled_from([3.0, 1e2, 1e4]))
+    def test_mixed_products_match_the_product_space_driver(self, seed, dim, single, shift,
+                                                           off):
+        # two factors of every vectorized kind and one projected on its own,
+        # shuffled, so that the group order permutes the blocks. Shifted 10
+        # normal lengths past the common point, the halfspaces miss the boxes,
+        # and the product is empty but for rare draws. There the R^n CRM and
+        # MAP iterations do not retrace the R^(nm) one, and never did: CRM
+        # never converges and its iterates part under rounding, and MAP's
+        # stall rule can fire iterations apart, or on one path only. Only an
+        # emptiness certificate (ROADMAP item 3) would end both the same way,
+        # so those two are checked on unshifted products only.
+        rng = np.random.default_rng(seed)
+        anchor = anchored_point(rng, dim, "soc")
+        kinds = list(ANCHORED_KINDS) * 2 + [single]
+        rng.shuffle(kinds)
+        factors = [anchored_affine(rng, anchor) if kind == "affine"
+                   else anchored_set(rng, kind, anchor) for kind in kinds]
+        W = ProductSet([Halfspace(f.a, f.b + shift * la.norm(f.a)) if type(f) is Halfspace
+                        else f for f in factors])
+        assert W._order is not None
+        z0 = lift(anchor + off * rng.standard_normal(dim), W.m)
+        for method in (Method.CRM, Method.MAP) if shift == 0.0 else ():
+            _assert_matches_reference(W, z0, SolverConfig(method=method, max_iter=2000))
+        _assert_drm_matches_reference(
+            W, z0, SolverConfig(method=Method.DRM, max_iter=500, record_trace=True))
 
     @pytest.mark.parametrize("method", [Method.CRM, Method.MAP, Method.DRM])
     def test_memory_stays_at_one_lifted_point(self, method):

@@ -1,5 +1,7 @@
 """Projection/reflection catalog: examples, invariants, JSON codec."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,10 @@ from crmfeas.sets import (
     Halfspace,
     Hyperplane,
     SecondOrderCone,
+    _BallRows,
+    _BoxRows,
+    _ConeRows,
+    _HalfspaceRows,
     _row_projector,
     as_point,
     set_from_dict,
@@ -294,6 +300,119 @@ class TestKernelsKeepTheirFormerBits:
         for s in (Halfspace([1.0, 0.0], 2.0), Hyperplane([1.0, 0.0], 2.0),
                   Halfspace([0.6, 0.8], 1.2)):
             _assert_former_bits(s, np.array(x))
+
+
+def _former_rows_projection(rows, X):
+    """``rows.project(X)`` as each row kernel returned it before the kernels
+    wrote into a row slice; the reference for the slice pins."""
+    with np.errstate(all="ignore"):  # the former cone kernel warned on inf / inf
+        if isinstance(rows, _HalfspaceRows):
+            excess = np.maximum(np.einsum("ij,ij->i", rows.A, X) - rows.b, 0.0)
+            return X - (excess / rows.a_sq)[:, None] * rows.A
+        if isinstance(rows, _BallRows):
+            D = X - rows.C
+            dist = np.sqrt(np.einsum("ij,ij->i", D, D))
+            D *= (rows.r / np.maximum(dist, rows.r))[:, None]
+            D += rows.C
+            np.copyto(D, X, where=(dist <= rows.r)[:, None])
+            return D
+        if isinstance(rows, _BoxRows):
+            return np.minimum(np.maximum(X, rows.lower), rows.upper)
+        if isinstance(rows, _ConeRows):
+            t, U = X[:, 0], X[:, 1:]
+            nu = np.sqrt(np.einsum("ij,ij->i", U, U))
+            out = np.array(X)
+            out[(nu <= -t) & (nu > t)] = 0.0
+            mid = nu > np.abs(t)
+            s = 0.5 * (t[mid] + nu[mid])
+            out[mid, 0] = s
+            out[mid, 1:] = (s / nu[mid])[:, None] * U[mid]
+            return out
+        return np.array([s._project(x) for s, x in zip(rows.sets, X)])
+
+
+def _assert_same_bits(p, q):
+    """Equal entries, NaN where NaN, and the same sign on every other entry
+    (-0.0 against 0.0); the sign of a NaN is the platform's."""
+    assert np.array_equal(p, q, equal_nan=True)
+    numbers = ~np.isnan(q)
+    assert np.array_equal(np.signbit(p[numbers]), np.signbit(q[numbers]))
+
+
+def _slice_projection(rows, X):
+    """``rows.project`` written into the middle rows of a larger array, whose
+    rows around the slice must stay as they were."""
+    big = np.full((X.shape[0] + 2, X.shape[1]), 7.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the slice kernels warn on nothing here
+        rows.project(X, big[1:-1])
+    assert np.all(big[0] == 7.0) and np.all(big[-1] == 7.0)
+    return big[1:-1]
+
+
+class TestSliceKernelsKeepTheirBits:
+    """Each row kernel writes into a row slice bitwise what ``rows.project(X)``
+    returned before, signs of zeros included, on rows inside, outside and on
+    the boundary of their sets."""
+
+    # (the sets, one per row; the rows)
+    CASES = {
+        "ball": ([Ball([1.0, -2.0], 0.5)] * 4 + [Ball([0.0, 0.0], 1.0)] * 3,
+                 [[1.0, -2.0], [1.0, -1.5], [1.3, -1.6], [4.0, 2.0],
+                  [-0.0, 0.0], [0.0, -1.0], [-3.0, -0.0]]),
+        "box": ([Box([0.0, -0.0, -0.0, -1.0], [0.0, 0.0, 1.0, -0.0])] * 4
+                + [Box([-1.0, -1.0, -1.0, -1.0], [1.0, 1.0, 1.0, 1.0])] * 2,
+                [[0.0, -0.0, 0.0, -0.0], [-0.0, 0.0, -0.0, 0.0], [-1.0, 1.0, -0.0, 3.0],
+                 [2.0, -2.0, 1.0, -0.0], [1.0, -1.0, 0.5, -0.0], [5.0, -0.0, -7.0, 1.0]]),
+        "halfspace": ([Halfspace([1.0, 0.0], 2.0), Halfspace([0.6, 0.8], 1.2),
+                       Halfspace([-1.0, 0.5], 1.0), Halfspace([1.0, 0.0], 2.0),
+                       Halfspace([0.6, 0.8], 1.2)],
+                      [[2.0, 5.0], [2.0 + 1e-15, -3.0], [-0.0, 0.0], [3.0, 1.0], [1.2, 0.6]]),
+        "soc": ([SecondOrderCone(3)] * 10,
+                [[0.0, 0.0, 0.0], [-0.0, 0.0, -0.0], [-2.0, 1.0, 0.0], [-5.0, 3.0, -4.0],
+                 [5.0, 3.0, -4.0], [-1.0, 0.0, 0.0], [1.0, -0.0, 0.0], [0.0, 3.0, 4.0],
+                 [1e200, -1e200, 1e200], [-1e200, 1e-300, 0.0]]),
+        "hyperplane": ([Hyperplane([1.0, 0.0], 2.0), Hyperplane([0.6, 0.8], 1.2)] * 2,
+                       [[2.0, 5.0], [-0.0, 0.0], [3.0, -1.0], [1.2, 0.6]]),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(CASES))
+    def test_edge_rows(self, kind):
+        sets, X = self.CASES[kind]
+        rows, X = _row_projector(sets), np.array(X)
+        _assert_same_bits(_slice_projection(rows, X), _former_rows_projection(rows, X))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 12), k=st.integers(1, 6),
+           x_exp=st.integers(-150, 200), set_exp=st.integers(-150, 200))
+    def test_random_rows(self, seed, n, k, x_exp, set_exp):
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((k, n)) * 10.0 ** x_exp
+        C = rng.standard_normal((k, n)) * 10.0 ** set_exp
+        w = np.abs(rng.standard_normal((k, n))) * 10.0 ** set_exp
+        A = rng.standard_normal((k, n)) + 2.0 * np.eye(k, n)
+        b = np.einsum("ij,ij->i", A, C)
+        for sets in ([Ball(c, 10.0 ** set_exp) for c in C],
+                     [Box(c - v, c + v) for c, v in zip(C, w)],
+                     [Halfspace(a, bi) for a, bi in zip(A, b)],
+                     [SecondOrderCone(n)] * k,
+                     [Hyperplane(a, bi) for a, bi in zip(A, b)]):
+            rows = _row_projector(sets)
+            _assert_same_bits(_slice_projection(rows, X), _former_rows_projection(rows, X))
+
+    def test_cone_rows_follow_the_single_cone_row_by_row(self):
+        # the apex, the polar axis, the polar cone, ||u|| = t, an overflowing
+        # ||u||, and points outside both cones; their squared norms round
+        # alike in dot and in einsum
+        X = np.array([[0.0, 0.0, 0.0], [-0.0, -0.0, 0.0], [-1.0, 0.0, 0.0],
+                      [-2.0, 1.0, -0.0], [-5.0, 3.0, -4.0], [5.0, 3.0, -4.0],
+                      [5.0, -0.0, -5.0], [1e200, -1e200, 1e200], [-1.0, 1e200, 0.0],
+                      [0.0, 3.0, 4.0], [1.0, -3.0, 4.0], [-1.0, -0.0, 4.0]])
+        cone = SecondOrderCone(3)
+        P = _slice_projection(_row_projector([cone] * len(X)), X)
+        for p, x in zip(P, X):
+            with np.errstate(over="ignore"):  # the single cone's dot reports the overflow
+                _assert_same_bits(p, cone._project(x))
 
 
 class TestAffineBasis:
