@@ -34,8 +34,11 @@ workloads (``perfbench/workloads.py``) at its first start:
 ``ProductSet._projection_sums`` at the block mean and the DRM-prod
 measurement on each ``mixed`` instance, and, as controls that a change to the
 product space leaves alone, the MAP measurement of a cone run on each
-``cone`` instance and of MAP-prod on each ``poly`` instance. Each entry names
-the class whose ``measure`` it timed.
+``cone`` instance and of MAP-prod on each ``poly`` instance. Two more are
+also timed at the block mean of the first start's MAP-prod final point
+(``final_us``), where most balls hold the point: the MAP-prod measurement of
+each ``mixed`` instance, by the run's own problem, and that problem's ball
+kernel alone. Each entry names the callee it timed.
 
 ``--small`` runs the benchmark's small workloads for 1 s, grids of a few
 runs and short timings: a check of the file's shape, not a measurement.
@@ -135,7 +138,8 @@ def time_layers(small: bool) -> dict:
     import numpy as np
     import workloads
     from crmfeas.methods import Method, SolverConfig, _problem
-    from crmfeas.product_space import _prod_problem
+    from crmfeas.product_space import _prod_problem, run_prod
+    from crmfeas.sets import _BallRows
 
     number, repeats = LAYER_TIMEIT[small]
     problems = {name: workloads.build(name, small) for name in WORKLOADS}
@@ -144,12 +148,16 @@ def time_layers(small: bool) -> dict:
         return SolverConfig(tol=workloads.TOL, max_iter=workloads.MAX_ITER, method=method)
 
     def layer(control, calls):
-        """One entry from the (instance, callee, call) of every instance."""
+        """One entry from the (instance, callee, call at the first start[, call
+        at its MAP-prod final point]) of every instance."""
         calls = list(calls)
-        (callee,) = {callee for _, callee, _ in calls}
-        us = [_median_us(call, number, repeats) for _, _, call in calls]
-        return {"callee": callee, "control": control, "instances": [i for i, _, _ in calls],
-                "us": us, "median_us": statistics.median(us)}
+        (callee,) = {c[1] for c in calls}
+        entry = {"callee": callee, "control": control, "instances": [c[0] for c in calls]}
+        for key, k in (("us", 2), ("final_us", 3)):
+            if len(calls[0]) > k:
+                us = [_median_us(c[k], number, repeats) for c in calls]
+                entry[key], entry[f"median_{key}"] = us, statistics.median(us)
+        return entry
 
     def measured(problem, start):
         return f"{type(problem).__name__}.measure", lambda: problem.measure(start)
@@ -162,15 +170,30 @@ def time_layers(small: bool) -> dict:
     def prod(p, method):
         return measured(*_prod_problem(p.W, p.starts[0], config(method)))
 
+    def map_prod(p):
+        """The calls of the measurement and of the ball kernel of the MAP-prod
+        run from the first start, at that start's block mean and at the block
+        mean of the run's final point."""
+        problem, x = _prod_problem(p.W, p.starts[0], config(Method.MAP))
+        final = run_prod(p.W, p.starts[0], config(Method.MAP)).final_point
+        points = x, final.reshape(p.W.m, p.W.block_dim).mean(axis=0)
+        measure = problem.measure
+        ((rows, out),) = [view for view in problem._work[1] if type(view[0]) is _BallRows]
+        return ((p.index, "_Diagonal.measure", *(lambda x=x: measure(x) for x in points)),
+                (p.index, "_BallRows.project", *(lambda x=x: rows.project(x, out) for x in points)))
+
     def cone(p):
         K, U = p.instance.sets[0], p.instance.affine
         return measured(*_problem(K, U, p.starts[0], config(Method.MAP)))
 
     mixed = problems["mixed"]
     with np.errstate(over="ignore", invalid="ignore"):  # as run and run_prod call them
+        maps = [map_prod(p) for p in mixed]
         timings = {
             "mixed.projection_sums": layer(False, ((p.index, *sums(p)) for p in mixed)),
             "mixed.drm_measure": layer(False, ((p.index, *prod(p, Method.DRM)) for p in mixed)),
+            "mixed.map_measure": layer(False, (measure for measure, _ in maps)),
+            "mixed.ball_project": layer(False, (ball for _, ball in maps)),
             "cone.map_measure": layer(True, ((p.index, *cone(p)) for p in problems["cone"])),
             "poly.map_measure": layer(True, ((p.index, *prod(p, Method.MAP))
                                              for p in problems["poly"])),

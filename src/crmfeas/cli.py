@@ -12,7 +12,7 @@ import json
 import sys
 
 from . import bench as bench_mod
-from .errors import ParseError, SchemaVersionMismatch
+from .errors import ExhaustedRejection, ParseError, SchemaVersionMismatch
 from .instances import Kind, gen_start, read_problem
 from .methods import Method, SolverConfig, Status, run
 from .product_space import ProductSet, restrict, run_prod
@@ -67,8 +67,7 @@ def _print_stats(result) -> None:
         print(f"{s.method:<10} {s.mean:>10.3f} {s.min:>6d} {s.median:>8.1f} {s.max:>6d} {s.failures:>9d}")
 
 
-def _cmd_solve(args, instance) -> int:
-    start = gen_start(instance, args.seed, min_gap=args.tol)
+def _cmd_solve(args, instance, start) -> int:
     cfg = SolverConfig(tol=args.tol, max_iter=args.max_iter, method=Method(args.method))
     if instance.kind is Kind.AFFINE_CONIC:
         trace = run(instance.sets[0], instance.affine, start.projected, cfg)
@@ -130,16 +129,21 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     if args.command == "profile":
         return _cmd_profile(args)
-    try:  # reject a bad --tol, --max-iter, grid size or problem file before any work
+    # reject a bad --tol, --max-iter, grid size, dimension or problem file, or a
+    # problem with no infeasible start to draw, before any work
+    try:
         SolverConfig(tol=args.tol, max_iter=args.max_iter)
         if args.command == "bench":
             bench_mod.check_grid_size(args.instances, args.starts)
+            if args.n < 2:  # the instance generators need it
+                raise ValueError(f"dimension --n must be at least 2, got {args.n}")
         else:
             instance = read_problem(args.problem)
-    except (OSError, ValueError, ParseError, SchemaVersionMismatch) as exc:
+            start = gen_start(instance, args.seed, min_gap=args.tol)
+    except (OSError, ValueError, ParseError, SchemaVersionMismatch, ExhaustedRejection) as exc:
         print(f"crmfeas: error: {exc}", file=sys.stderr)
         return 1
-    return _cmd_solve(args, instance) if args.command == "solve" else _cmd_bench(args)
+    return _cmd_solve(args, instance, start) if args.command == "solve" else _cmd_bench(args)
 
 
 if __name__ == "__main__":

@@ -196,7 +196,27 @@ def crm_step(K: ConvexSet, U: ConvexSet, z) -> np.ndarray:
         return z
 
 
-class _TwoSets:
+class _ByMethod:
+    """Binds a problem's ``measure``, ``dist`` and ``step`` for its method
+    ``_method`` on access: ``_measure_shadow``, ``_dist`` and ``_drm_step`` for
+    DRM; ``_measure_iterate``, no ``dist``, and ``_crm_step`` or ``_map_step``
+    otherwise. A bound method stored on the instance would make a reference
+    cycle, and every run's problem would wait for the cyclic GC."""
+
+    @property
+    def measure(self):
+        return self._measure_shadow if self._method is Method.DRM else self._measure_iterate
+
+    @property
+    def dist(self):
+        return self._dist if self._method is Method.DRM else None
+
+    @property
+    def step(self):
+        return getattr(self, f"_{self._method.value.lower()}_step")
+
+
+class _TwoSets(_ByMethod):
     """``K ∩ U`` for :func:`_drive`, for one method, on points of R^n.
 
     ``data`` is a projection onto ``K``. The problem calls the sets'
@@ -208,11 +228,7 @@ class _TwoSets:
     def __init__(self, K: ConvexSet, U: ConvexSet, method: Method):
         self.K = K
         self.U = U
-        drm = method is Method.DRM
-        self.measure = self._measure_shadow if drm else self._measure_iterate
-        self.dist = self._dist if drm else None
-        self.step = {Method.CRM: self._crm_step, Method.MAP: self._map_step,
-                     Method.DRM: self._drm_step}[method]
+        self._method = method
 
     def _measure_iterate(self, z):
         pk = self.K._project(z)
@@ -254,7 +270,7 @@ class _TwoSets:
         return z
 
 
-class _ConeAffine:
+class _ConeAffine(_ByMethod):
     """``K ∩ U`` for a second-order cone ``K`` and an ``AffineSubspace`` ``U``,
     on iterates kept as coordinates in a span of at most four vectors.
 
@@ -308,21 +324,6 @@ class _ConeAffine:
         self._plane = (g11 + f1 * f1, 2.0 * (g12 + f1 * f2), g22 + f2 * f2)
         self.K, self._method = K, method
         self.start = (1.0, 1.0, 0.0, 0.0) if method is Method.DRM else (1.0, 0.0)
-
-    # bound on access: a bound method stored on the instance would make a
-    # reference cycle, and every run's vectors would wait for the cyclic GC
-    @property
-    def measure(self):
-        return self._measure_shadow if self._method is Method.DRM else self._measure_iterate
-
-    @property
-    def dist(self):
-        return self._dist if self._method is Method.DRM else None
-
-    @property
-    def step(self):
-        return {Method.CRM: self._crm_step, Method.MAP: self._map_step,
-                Method.DRM: self._drm_step}[self._method]
 
     def _measure_iterate(self, z):
         beta, gamma = z

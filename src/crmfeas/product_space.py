@@ -31,7 +31,8 @@ from numpy import linalg as la
 # not called here; perfbench/tracing.py wraps the name in every module binding it
 from .circumcenter import circumcenter  # noqa: F401
 from .errors import DimensionMismatch, NotDiagonal
-from .methods import IterationTrace, Method, SolverConfig, _crm_coefficient, _drive, crm_step
+from .methods import (IterationTrace, Method, SolverConfig, _ByMethod, _crm_coefficient, _drive,
+                      crm_step)
 from .sets import ConvexSet, _check_finite, _HalfspaceRows, _row_projector, as_point
 
 __all__ = [
@@ -61,11 +62,12 @@ class ProductSet(ConvexSet):
     second-order cones row by row, and other sets one at a time, each
     group's kernel writing into its row slice of one group-ordered array
     (``_project_rows``). ``_project`` gathers the blocks into group order
-    before and back after; ``_projection_sums`` fills that array from one
-    point and reduces it once; DRM-prod on a product that is not all
-    halfspaces iterates in group order (``_GroupedDRM``), not as the
-    two-set problem ``methods._TwoSets``. The result does not depend on the
-    order of the factors beyond rounding.
+    before and back after; ``_projection_sums`` fills such an array from one
+    point and reduces it once, in a ``_Diagonal`` run the run's own array
+    (``_workspace``), so that the set stays immutable; DRM-prod on a product
+    that is not all halfspaces iterates in group order (``_GroupedDRM``), not
+    as the two-set problem ``methods._TwoSets``. The result does not depend
+    on the order of the factors beyond rounding.
     """
 
     def __init__(self, factors):
@@ -105,25 +107,37 @@ class ProductSet(ConvexSet):
         return self._to_factor_order(self._project_rows(X)).ravel()
 
     def _project_rows(self, X):
-        """The projections of the rows of a group-ordered ``(m, n)`` array ``X``,
-        or of one point ``X`` onto every factor, as a new group-ordered array:
-        each group's kernel writes into its own row slice."""
+        """The projections of the rows of a group-ordered ``(m, n)`` array ``X``
+        as a new group-ordered array: each group's kernel writes into its own
+        row slice."""
         P = np.empty((self.m, self.block_dim))
         for rows_slice, rows in self._groups:
-            rows.project(X if X.ndim == 1 else X[rows_slice], P[rows_slice])
+            rows.project(X[rows_slice], P[rows_slice])
         return P
 
     def _to_factor_order(self, X):
         """A group-ordered ``(m, n)`` array with its rows back in factor order."""
         return X if self._inverse is None else X[self._inverse]
 
-    def _projection_sums(self, x):
+    def _workspace(self):
+        """A group-ordered ``(m, n)`` array and each group's kernel with its row
+        view of that array, for ``_projection_sums``; None for one group, whose
+        own ``sums`` needs no array."""
+        if len(self._groups) == 1:
+            return None
+        P = np.empty((self.m, self.block_dim))
+        return P, [(rows, P[rows_slice]) for rows_slice, rows in self._groups]
+
+    def _projection_sums(self, x, work=None):
         """``(sum P_{X_i}(x), sum ||P_{X_i}(x) - x||^2)`` over the factors, for
-        ``x in R^n``: one group's own ``sums``, or the rows of
-        ``_project_rows`` added up at once."""
+        ``x in R^n``: one group's own ``sums``, or the projections of ``x``
+        onto every factor added up at once, each group's kernel writing into
+        its view of ``work``, the caller's ``_workspace()``, or of a new one."""
         if len(self._groups) == 1:
             return self._groups[0][1].sums(x)
-        P = self._project_rows(x)
+        P, views = work or self._workspace()
+        for rows, out in views:
+            rows.project(x, out)
         total = P.sum(axis=0)
         P -= x
         R = P.ravel()
@@ -194,7 +208,7 @@ def crm_prod_step(W: ProductSet, z) -> np.ndarray:
     return crm_step(W, DiagonalSubspace(W.block_dim, W.m), z)
 
 
-class _Diagonal:
+class _Diagonal(_ByMethod):
     """``W ∩ D`` for :func:`crmfeas.methods._drive`, on diagonal iterates
     ``z = lift(x)`` kept as ``x in R^n``.
 
@@ -205,17 +219,17 @@ class _Diagonal:
     have ``<u, u> = 4 sum ||r_i||^2`` and ``<d, u> = <d, d> = m ||2 (p / m - x)||^2``,
     from which the CRM rule gives ``x + 2 t (p / m - x)``: Pierra's
     extrapolated parallel projection method (Pierra 1984; Combettes 1994).
+    The gap is the distance from ``lift(x)`` to ``W``, so there is no ``dist``.
+    The projections of every ``x`` of a run are written into one array that
+    the run allocates (``ProductSet._workspace``).
     """
 
-    dist = None  # the gap is the distance from lift(x) to W
-
     def __init__(self, W: ProductSet, method: Method):
-        self.W = W
-        self.step = self._map_step if method is Method.MAP else self._crm_step
+        self.W, self._method, self._work = W, method, W._workspace()
 
-    def measure(self, x):
+    def _measure_iterate(self, x):
         _check_finite(x)  # as P_W(lift(x)) checks its argument in R^(nm)
-        total, sq = self.W._projection_sums(x)
+        total, sq = self.W._projection_sums(x, self._work)
         return x, math.sqrt(sq), (total, sq)
 
     def _map_step(self, x, y, g, data):

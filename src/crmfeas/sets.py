@@ -350,7 +350,9 @@ class Ball(ConvexSet):
 
 
 class _BallRows(_Rows):
-    """Balls with stacked centers and radii."""
+    """Balls with stacked centers and radii. When every ball holds its row,
+    ``project`` copies the rows and skips the arithmetic, as those rows are
+    copied in any case."""
 
     def __init__(self, balls):
         super().__init__(balls)
@@ -360,11 +362,15 @@ class _BallRows(_Rows):
     def project(self, X, out):
         D = np.subtract(X, self.C, out=out)
         dist = np.sqrt(np.einsum("ij,ij->i", D, D))
+        inside = dist <= self.r
+        if inside.all():
+            np.copyto(out, X)
+            return
         # c + (r / dist) (x - c) outside the ball; c + (x - c) is not always x,
         # so the rows inside are copied
         D *= (self.r / np.maximum(dist, self.r))[:, None]
         D += self.C
-        np.copyto(D, X, where=(dist <= self.r)[:, None])
+        np.copyto(D, X, where=inside[:, None])
 
 
 class Box(ConvexSet):

@@ -59,12 +59,19 @@ def test_small_record_of_one_workload_has_every_field(tmp_path):
     assert {name: (t["callee"], t["control"]) for name, t in layers["timings"].items()} == {
         "mixed.projection_sums": ("ProductSet._projection_sums", False),
         "mixed.drm_measure": ("_GroupedDRM.measure", False),
+        "mixed.map_measure": ("_Diagonal.measure", False),
+        "mixed.ball_project": ("_BallRows.project", False),
         "cone.map_measure": ("_ConeAffine.measure", True),
         "poly.map_measure": ("_RowSpace.measure", True),
     }
-    for t in layers["timings"].values():
-        assert len(t["us"]) == len(t["instances"]) > 0 and all(us > 0 for us in t["us"])
-        assert t["median_us"] == statistics.median(t["us"])
+    for name, t in layers["timings"].items():
+        # two layers are also timed at the MAP-prod final point
+        timed = ("us", "final_us") if name in ("mixed.map_measure", "mixed.ball_project") \
+            else ("us",)
+        assert {"us", "final_us"} & set(t) == set(timed)
+        for key in timed:
+            assert len(t[key]) == len(t["instances"]) > 0 and all(us > 0 for us in t[key])
+            assert t[f"median_{key}"] == statistics.median(t[key])
 
 
 def test_a_label_that_is_not_a_file_name_is_refused():

@@ -5,7 +5,14 @@ import json
 import pytest
 
 from crmfeas.cli import main
-from crmfeas.instances import gen_polyhedral_instance, gen_soc_instance, write_problem
+from crmfeas.instances import (
+    Kind,
+    ProblemInstance,
+    gen_polyhedral_instance,
+    gen_soc_instance,
+    write_problem,
+)
+from crmfeas.sets import Ball
 
 
 def test_bench_soc_csv_deterministic(tmp_path):
@@ -112,6 +119,25 @@ def test_empty_grid_is_a_usage_error(capsys):
     assert main(["bench", "poly", "--n", "15", "--starts", "0"]) == 1
     err = capsys.readouterr().err.splitlines()
     assert err == ["crmfeas: error: instance and start counts must be positive"] * 2
+
+
+@pytest.mark.parametrize("experiment", ["soc", "poly"])
+def test_dimension_below_two_is_a_usage_error(capsys, experiment):
+    assert main(["bench", experiment, "--n", "1"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["crmfeas: error: dimension --n must be at least 2, got 1"]
+
+
+def test_a_problem_with_no_infeasible_start_is_a_usage_error(tmp_path, capsys):
+    # every start is drawn at norm 5 to 15, inside both balls
+    problem = tmp_path / "balls.json"
+    write_problem(ProblemInstance(kind=Kind.POLYHEDRAL, sets=[Ball([0.0, 0.0], 100.0),
+                                                              Ball([0.0, 0.0], 200.0)],
+                                  affine=None, n=2, m=2, seed=0, certificate=[0.0, 0.0]),
+                  problem)
+    assert main(["solve", str(problem)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["crmfeas: error: could not draw an infeasible start in 1000 attempts"]
 
 
 @pytest.mark.parametrize("content", [

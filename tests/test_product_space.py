@@ -1,6 +1,8 @@
 """Product-space lifting, projections, the CRM-prod step, and the prod driver."""
 
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from numpy import linalg as la
 
 from crmfeas.errors import DimensionMismatch, NotDiagonal, NotInAffine
 from crmfeas.instances import derive_seed, gen_polyhedral_instance, gen_start
-from crmfeas.methods import Method, SolverConfig, Status, _drive, _TwoSets, run
+from crmfeas.methods import Method, SolverConfig, Status, _drive, _problem, _TwoSets, run
 from crmfeas.product_space import (
     DIAG_TOL,
     ROW_HEADROOM,
@@ -18,6 +20,7 @@ from crmfeas.product_space import (
     ProductSet,
     _Diagonal,
     _RowSpace,
+    _prod_problem,
     crm_prod_step,
     lift,
     restrict,
@@ -580,3 +583,88 @@ def test_mixed_product_iteration_counts_pinned(seed, m):
     for method, pinned in MIXED_PINS[seed, m].items():
         trace = run_prod(W, z0, SolverConfig(method=method))
         assert (trace.iterations, trace.status) == pinned, method
+
+
+def _measured_steps(problem, x, steps):
+    """The gaps and iterates of ``steps`` steps of ``problem`` from ``x``."""
+    for _ in range(steps):
+        y, g, data = problem.measure(x)
+        yield g, x.tobytes()
+        x = problem.step(x, y, g, data)
+
+
+class TestRunWorkspace:
+    """A ``_Diagonal`` run projects into its own block array, allocated once
+    per run; its measurements are bitwise those of the allocating sums."""
+
+    @pytest.mark.parametrize("seed, m", sorted(MIXED_PINS))
+    def test_measure_equals_the_allocating_sums(self, seed, m):
+        W, z0 = _mixed_case(seed, m)
+        cfg = SolverConfig(method=Method.MAP)
+        problem, x = _prod_problem(W, z0, cfg)
+        assert type(problem) is _Diagonal and len(W._groups) > 1
+        final = run_prod(W, z0, cfg).final_point.reshape(W.m, W.block_dim).mean(axis=0)
+        for point in (x, final, x):  # back to the start: nothing carries over
+            _, g, (total, sq) = problem.measure(point)
+            expected_total, expected_sq = W._projection_sums(point)
+            assert total.tobytes() == expected_total.tobytes()
+            assert (sq, g) == (expected_sq, np.sqrt(expected_sq))
+
+    @pytest.mark.parametrize("seed, m", sorted(MIXED_PINS)[:2])
+    def test_interleaved_runs_equal_the_same_runs_one_after_the_other(self, seed, m):
+        W, z0 = _mixed_case(seed, m)
+        _, z1 = _mixed_case(seed + 100, m)
+        runs = [(SolverConfig(method=Method.CRM), z0), (SolverConfig(method=Method.MAP), z1),
+                (SolverConfig(method=Method.MAP), z0)]
+        steps = 15
+
+        def steppers():
+            for cfg, z in runs:
+                yield _measured_steps(*_prod_problem(W, z, cfg), steps)
+
+        one_after_the_other = [list(s) for s in steppers()]
+        # one step of each run in turn, then each run's steps regrouped
+        interleaved = list(zip(*zip(*steppers())))
+        assert [list(s) for s in interleaved] == one_after_the_other
+        for (cfg, z), trace in zip(runs, one_after_the_other):
+            assert [g for g, _ in trace] == run_prod(W, z, cfg).gaps[:steps]
+
+
+class TestProblemsAreFreed:
+    """Every problem dies with its last reference, with the cyclic GC off:
+    none of them sits in a reference cycle."""
+
+    MIXED = ProductSet([Ball([0.0, 0.0, 0.0], 1.0), Box([-1.0] * 3, [1.0] * 3),
+                        Halfspace([1.0, 0.0, 0.0], 0.5)])
+    HALFSPACES = ProductSet([Halfspace([1.0, 0.0, 0.0], 0.5), Halfspace([0.0, 1.0, 0.0], 0.5)])
+    START = np.array([5.0, 1.0, 2.0])
+
+    def problems(self, method):
+        """(adapter class, problem, first iterate) of every adapter ``method`` reaches."""
+        cfg = SolverConfig(method=method)
+        yield "_TwoSets", *_problem(Ball([0.0] * 3, 1.0), AffineSubspace([[1.0, 1.0, 0.0]], [3.0]),
+                                    self.START, cfg)
+        yield "_ConeAffine", *_problem(SecondOrderCone(3),
+                                       AffineSubspace([[1.0, 0.0, 1.0]], [2.0]), -self.START, cfg)
+        grouped = {Method.DRM: "_GroupedDRM"}.get(method, "_Diagonal")
+        yield grouped, *_prod_problem(self.MIXED, lift(self.START, 3), cfg)  # several groups
+        yield grouped, *_prod_problem(TWO_BALLS, lift(self.START[:2], 2), cfg)  # one group
+        rows = {Method.DRM: "_HalfspaceDRM", Method.MAP: "_RowSpace"}.get(method, "_Diagonal")
+        yield rows, *_prod_problem(self.HALFSPACES, lift(self.START, 2), cfg)
+
+    @pytest.mark.parametrize("method", list(Method))
+    def test_problems_die_with_their_last_reference(self, method):
+        cfg = SolverConfig(method=method, max_iter=50)
+        alive = []
+        gc.disable()
+        try:
+            for name, problem, z in self.problems(method):
+                assert type(problem).__name__ == name
+                ref = weakref.ref(problem)
+                _drive(problem, z, cfg)
+                del problem
+                if ref() is not None:
+                    alive.append(name)
+        finally:
+            gc.enable()
+        assert alive == []

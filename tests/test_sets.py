@@ -340,9 +340,10 @@ def _assert_same_bits(p, q):
 
 
 def _slice_projection(rows, X):
-    """``rows.project`` written into the middle rows of a larger array, whose
-    rows around the slice must stay as they were."""
-    big = np.full((X.shape[0] + 2, X.shape[1]), 7.0)
+    """``rows.project`` of a ``(k, n)`` array or of one point written into the
+    middle rows of a larger array, whose rows around the slice must stay as
+    they were."""
+    big = np.full((len(rows.sets) + 2, X.shape[-1]), 7.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # the slice kernels warn on nothing here
         rows.project(X, big[1:-1])
@@ -376,10 +377,25 @@ class TestSliceKernelsKeepTheirBits:
                        [[2.0, 5.0], [-0.0, 0.0], [3.0, -1.0], [1.2, 0.6]]),
     }
 
-    @pytest.mark.parametrize("kind", sorted(CASES))
+    # (the balls; rows or one point that every ball holds): the ball kernel
+    # copies them without its arithmetic. Entries -0.0, and rows exactly on
+    # the sphere: |(0, 0.5)| = 0.5, |(3, 4)| = 5, |(-0.0, 5) - (1, 5)| = 1.
+    HOLDING = {
+        "ball rows": ([Ball([1.0, -2.0], 0.5), Ball([0.0, 0.0], 1.0), Ball([0.0, 0.0], 5.0),
+                       Ball([-0.0, 1.0], 2.0), Ball([2.0, -0.0], 1.0)],
+                      [[1.0, -1.5], [-0.0, 0.0], [3.0, 4.0], [0.0, -0.0], [2.0, -0.0]]),
+        "ball point": ([Ball([0.0, 0.0], 5.0), Ball([1.0, 5.0], 1.0), Ball([-0.0, 1.0], 4.0),
+                        Ball([0.0, 0.0], 10.0)],
+                       [-0.0, 5.0]),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(CASES) + sorted(HOLDING))
     def test_edge_rows(self, kind):
-        sets, X = self.CASES[kind]
+        sets, X = {**self.CASES, **self.HOLDING}[kind]
         rows, X = _row_projector(sets), np.array(X)
+        if kind in self.HOLDING:
+            assert all(la.norm(x - b.center) <= b.radius
+                       for b, x in zip(sets, np.broadcast_to(X, (len(sets), X.shape[-1]))))
         _assert_same_bits(_slice_projection(rows, X), _former_rows_projection(rows, X))
 
     @settings(max_examples=200, deadline=None, derandomize=True)
@@ -399,6 +415,13 @@ class TestSliceKernelsKeepTheirBits:
                      [Hyperplane(a, bi) for a, bi in zip(A, b)]):
             rows = _row_projector(sets)
             _assert_same_bits(_slice_projection(rows, X), _former_rows_projection(rows, X))
+        # balls that hold every row, and balls that all hold the first row alone
+        with np.errstate(over="ignore"):
+            holding = ((la.norm(X - C, axis=1), X), (la.norm(X[0] - C, axis=1), X[0]))
+        for dist, Y in holding:
+            if np.all((0.0 < dist) & (dist < 1e300)):
+                rows = _row_projector([Ball(c, 2.0 * d) for c, d in zip(C, dist)])
+                _assert_same_bits(_slice_projection(rows, Y), _former_rows_projection(rows, Y))
 
     def test_cone_rows_follow_the_single_cone_row_by_row(self):
         # the apex, the polar axis, the polar cone, ||u|| = t, an overflowing
