@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import partial
 
 from .errors import EmptyInput
@@ -325,19 +325,12 @@ def export_traces_csv(records, path) -> None:
                 writer.writerow([r.instance_seed, r.start_seed, r.method, k, repr(g)])
 
 
-def _profile_doc(curves) -> list[dict]:
-    return [
-        {"method": c.method, "thresholds": c.thresholds, "fraction_solved": c.fraction_solved}
-        for c in curves
-    ]
-
-
 def export_profile(curves, format: str, path) -> None:
     """Write profile curves: a JSON list of ``{method, thresholds,
     fraction_solved}`` or CSV rows ``method, threshold, fraction_solved``."""
     with open(path, "w", encoding="utf-8", newline="") as f:
         if format == "json":
-            json.dump(_profile_doc(curves), f)
+            json.dump([asdict(c) for c in curves], f)
             f.write("\n")
         elif format == "csv":
             writer = csv.writer(f)
@@ -354,18 +347,8 @@ def export_summary_json(result: BenchResult, path, profiles) -> None:
         "schema": 1,
         "kind": result.kind,
         "params": result.params,
-        "stats": [
-            {
-                "method": s.method,
-                "mean": s.mean,
-                "min": s.min,
-                "median": s.median,
-                "max": s.max,
-                "failures": s.failures,
-            }
-            for s in result.stats
-        ],
-        "profile": _profile_doc(profiles),
+        "stats": [asdict(s) for s in result.stats],
+        "profile": [asdict(c) for c in profiles],
     }
     with open(path, "w", encoding="utf-8") as f:
         json.dump(doc, f, indent=2)

@@ -129,12 +129,14 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     if args.command == "profile":
         return _cmd_profile(args)
-    # reject a bad --tol, --max-iter, grid size, dimension or problem file, or a
-    # problem with no infeasible start to draw, before any work
+    # reject a bad --tol, --max-iter, grid size, seed, dimension or problem file,
+    # or a problem with no infeasible start to draw, before any work
     try:
         SolverConfig(tol=args.tol, max_iter=args.max_iter)
         if args.command == "bench":
             bench_mod.check_grid_size(args.instances, args.starts)
+            if args.seed < 0:  # the seed streams need it
+                raise ValueError(f"--seed must be nonnegative, got {args.seed}")
             if args.n < 2:  # the instance generators need it
                 raise ValueError(f"dimension --n must be at least 2, got {args.n}")
         else:

@@ -207,11 +207,8 @@ def _in_solution_set(instance: ProblemInstance, x: np.ndarray, tol: float) -> bo
 
 
 def _start_gap(instance: ProblemInstance, projected: np.ndarray) -> float:
-    if instance.kind is Kind.AFFINE_CONIC:
-        cone = instance.sets[0]
-        return float(la.norm(projected - cone.project(projected)))
-    W = ProductSet(instance.sets)
-    return float(la.norm(projected - W.project(projected)))
+    K = instance.sets[0] if instance.kind is Kind.AFFINE_CONIC else ProductSet(instance.sets)
+    return float(la.norm(projected - K.project(projected)))
 
 
 def gen_start(instance: ProblemInstance, seed: int, min_gap: float = 1e-6) -> StartPoint:

@@ -62,12 +62,15 @@ class ProductSet(ConvexSet):
     second-order cones row by row, and other sets one at a time, each
     group's kernel writing into its row slice of one group-ordered array
     (``_project_rows``). ``_project`` gathers the blocks into group order
-    before and back after; ``_projection_sums`` fills such an array from one
-    point and reduces it once, in a ``_Diagonal`` run the run's own array
-    (``_workspace``), so that the set stays immutable; DRM-prod on a product
-    that is not all halfspaces iterates in group order (``_GroupedDRM``), not
-    as the two-set problem ``methods._TwoSets``. The result does not depend
-    on the order of the factors beyond rounding.
+    before and back after. ``_halfspaces`` is the kernel of a product whose
+    factors are all ``Halfspace`` (exactly that class), else None: only such
+    a product has closed forms for the projection sums and the runs of
+    ``run_prod``. Any other product's ``_projection_sums`` fills a
+    group-ordered array from one point and reduces it once, in a
+    ``_Diagonal`` run the run's own array (``_workspace``), so that the set
+    stays immutable; its DRM-prod iterates in group order (``_GroupedDRM``),
+    not as the two-set problem ``methods._TwoSets``. The result does not
+    depend on the order of the factors beyond rounding.
     """
 
     def __init__(self, factors):
@@ -99,6 +102,7 @@ class ProductSet(ConvexSet):
             rows = _row_projector([self.factors[i] for i in idx])
             self._groups.append((slice(start, start + len(idx)), rows))
             start += len(idx)
+        self._halfspaces = rows if len(groups) == 1 and type(rows) is _HalfspaceRows else None
 
     def _project(self, z):
         X = z.reshape(self.m, self.block_dim)
@@ -121,20 +125,21 @@ class ProductSet(ConvexSet):
 
     def _workspace(self):
         """A group-ordered ``(m, n)`` array and each group's kernel with its row
-        view of that array, for ``_projection_sums``; None for one group, whose
-        own ``sums`` needs no array."""
-        if len(self._groups) == 1:
+        view of that array, for ``_projection_sums``; None for a product of
+        halfspaces, whose closed form needs no array."""
+        if self._halfspaces is not None:
             return None
         P = np.empty((self.m, self.block_dim))
         return P, [(rows, P[rows_slice]) for rows_slice, rows in self._groups]
 
     def _projection_sums(self, x, work=None):
         """``(sum P_{X_i}(x), sum ||P_{X_i}(x) - x||^2)`` over the factors, for
-        ``x in R^n``: one group's own ``sums``, or the projections of ``x``
-        onto every factor added up at once, each group's kernel writing into
-        its view of ``work``, the caller's ``_workspace()``, or of a new one."""
-        if len(self._groups) == 1:
-            return self._groups[0][1].sums(x)
+        ``x in R^n``: the closed form of a product of halfspaces, or the
+        projections of ``x`` onto every factor added up at once, each group's
+        kernel writing into its view of ``work``, the caller's
+        ``_workspace()``, or of a new one."""
+        if self._halfspaces is not None:
+            return self._halfspaces.sums(x)
         P, views = work or self._workspace()
         for rows, out in views:
             rows.project(x, out)
@@ -220,8 +225,9 @@ class _Diagonal(_ByMethod):
     from which the CRM rule gives ``x + 2 t (p / m - x)``: Pierra's
     extrapolated parallel projection method (Pierra 1984; Combettes 1994).
     The gap is the distance from ``lift(x)`` to ``W``, so there is no ``dist``.
-    The projections of every ``x`` of a run are written into one array that
-    the run allocates (``ProductSet._workspace``).
+    Unless ``W`` is a product of halfspaces, the projections of every ``x``
+    of a run are written into one array that the run allocates
+    (``ProductSet._workspace``).
     """
 
     def __init__(self, W: ProductSet, method: Method):
@@ -262,7 +268,7 @@ class _HalfspaceDRM:
     """
 
     def __init__(self, W: ProductSet):
-        self.W, self._rows = W, W._groups[0][1]
+        self.W, self._rows = W, W._halfspaces
 
     def measure(self, z):
         y, c, gg = self._rows.drm(*z)
@@ -339,7 +345,7 @@ class _RowSpace:
     """
 
     def __init__(self, W: ProductSet, x0: np.ndarray, tol: float):
-        self.W, self._rows, self._x0 = W, W._groups[0][1], x0
+        self.W, self._rows, self._x0 = W, W._halfspaces, x0
         self._r0 = r0 = self._rows.A @ x0
         scale = abs(r0).max() + abs(self._rows.b).max()
         # NaN fails the first test; G is built only for a product that fits
@@ -399,13 +405,12 @@ def _prod_problem(W: ProductSet, z0: np.ndarray, config: SolverConfig):
     """The problem that ``run_prod`` drives from the checked start ``z0``, and
     its first iterate; to be called, as ``run_prod`` does, with overflow
     ignored."""
-    halfspaces = len(W._groups) == 1 and type(W._groups[0][1]) is _HalfspaceRows
     x = z0.reshape(W.m, W.block_dim).mean(axis=0)
-    if config.method is Method.DRM and halfspaces:
+    if config.method is Method.DRM and W._halfspaces is not None:
         return _HalfspaceDRM(W), (x, np.zeros(W.m))
     if config.method is Method.DRM:
         return _GroupedDRM(W), np.tile(x, (W.m, 1))
-    if config.method is Method.MAP and halfspaces:
+    if config.method is Method.MAP and W._halfspaces is not None:
         rows = _RowSpace(W, x, config.tol)
         if rows.fits:
             return rows, np.zeros(W.m)

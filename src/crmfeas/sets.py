@@ -93,10 +93,8 @@ class _Rows:
     ``i`` of a ``(k, n)`` array ``X`` onto the ``i``-th set, or, for one point
     ``X`` of R^n, the projections of that point; ``out`` is a ``(k, n)``
     array, or a row slice of a larger one, that does not overlap ``X``.
-    ``sums(x)`` returns ``(sum_i P_i(x), sum_i ||P_i(x) - x||^2)`` for one
-    point ``x``. This generic form calls each set's ``_project`` in turn;
-    the catalog kinds with a vectorized form subclass it (see
-    ``_row_projector``).
+    This generic form calls each set's ``_project`` in turn; the catalog
+    kinds with a vectorized form subclass it (see ``_row_projector``).
     """
 
     def __init__(self, sets):
@@ -105,13 +103,6 @@ class _Rows:
     def project(self, X, out):
         for i, (s, x) in enumerate(zip(self.sets, np.broadcast_to(X, out.shape))):
             out[i] = s._project(x)
-
-    def sums(self, x):
-        # the rows add up in order, as the blocks of P_W(lift(x)) do in P_D
-        P = np.empty((len(self.sets), x.size))
-        self.project(x, P)
-        R = (P - x).ravel()
-        return P.sum(axis=0), float(R.dot(R))
 
 
 class _Normal(ConvexSet):
@@ -435,8 +426,8 @@ class SecondOrderCone(ConvexSet):
 
 
 class _ConeRows(_Rows):
-    """Second-order cones of one dimension, which are all the same set: the
-    sums weight one projection by the count, and ``project`` writes the
+    """Second-order cones of one dimension, which are all the same set:
+    ``project`` projects one point once for every row, and an array by the
     closed form of ``SecondOrderCone._project`` as one scale of each row and
     its first entry: ``(1, t)`` inside the cone, ``(s / ||u||, s)`` outside
     both cones (NaN and ``inf`` where ``||u||^2`` overflows, as there), and
@@ -459,12 +450,6 @@ class _ConeRows(_Rows):
         polar = ~(inside | mid)
         if polar.any():  # 0 x keeps the signs of x
             out[polar] = 0.0
-
-    def sums(self, x):
-        k = len(self.sets)
-        p = self.sets[0]._project(x)
-        r = p - x
-        return k * p, k * float(r.dot(r))
 
 
 _ROWS = {Halfspace: _HalfspaceRows, Ball: _BallRows, Box: _BoxRows,

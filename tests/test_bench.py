@@ -5,10 +5,12 @@ import json
 import pytest
 
 from crmfeas.bench import (
+    BenchResult,
     RunRecord,
     bench_polyhedral_prod,
     bench_soc,
     export,
+    export_profile,
     export_records_csv,
     export_traces_csv,
     make_stats,
@@ -18,6 +20,60 @@ from crmfeas.bench import (
     summarize,
 )
 from crmfeas.errors import EmptyInput
+
+
+# the summary JSON of TestExport.test_json_exports_pinned_byte_for_byte
+SUMMARY_JSON = """{
+  "schema": 1,
+  "kind": "soc",
+  "params": {
+    "n": 2,
+    "tol": 1e-06
+  },
+  "stats": [
+    {
+      "method": "CRM",
+      "mean": 3.0,
+      "min": 2,
+      "median": 3.0,
+      "max": 4,
+      "failures": 0
+    },
+    {
+      "method": "MAP",
+      "mean": 6.5,
+      "min": 3,
+      "median": 6.5,
+      "max": 10,
+      "failures": 1
+    }
+  ],
+  "profile": [
+    {
+      "method": "CRM",
+      "thresholds": [
+        1.0,
+        1.5
+      ],
+      "fraction_solved": [
+        1.0,
+        1.0
+      ]
+    },
+    {
+      "method": "MAP",
+      "thresholds": [
+        1.0,
+        1.5
+      ],
+      "fraction_solved": [
+        0.0,
+        0.5
+      ]
+    }
+  ]
+}
+"""
 
 
 class TestSummarize:
@@ -181,6 +237,22 @@ class TestExport:
         assert {c["method"] for c in doc["profile"]} == {"CRM", "DRM", "MAP"}
         for c in doc["profile"]:
             assert c["fraction_solved"] == sorted(c["fraction_solved"])
+
+    def test_json_exports_pinned_byte_for_byte(self, tmp_path):
+        # the exports' keys in field order and their layout, on a hand-made grid
+        records = [RunRecord(0, 5, "CRM", 2, 1e-7, "converged"),
+                   RunRecord(0, 5, "MAP", 3, 5e-7, "converged"),
+                   RunRecord(1, 6, "CRM", 4, 2e-7, "converged"),
+                   RunRecord(1, 6, "MAP", 10, 0.5, "max_iter")]
+        stats = [make_stats(m, [r for r in records if r.method == m], 10) for m in ("CRM", "MAP")]
+        result = BenchResult(kind="soc", params={"n": 2, "tol": 1e-6}, records=records,
+                             stats=stats)
+        export(result, "json", tmp_path / "summary.json")
+        export_profile(profile_from_records(records), "json", tmp_path / "profile.json")
+        assert (tmp_path / "profile.json").read_text() == (
+            '[{"method": "CRM", "thresholds": [1.0, 1.5], "fraction_solved": [1.0, 1.0]}, '
+            '{"method": "MAP", "thresholds": [1.0, 1.5], "fraction_solved": [0.0, 0.5]}]\n')
+        assert (tmp_path / "summary.json").read_text() == SUMMARY_JSON
 
     def test_unknown_format(self, tmp_path):
         res = bench_soc(num_instances=1, starts_per_instance=1, n=20, base_seed=2)

@@ -128,6 +128,14 @@ def test_dimension_below_two_is_a_usage_error(capsys, experiment):
     assert err == ["crmfeas: error: dimension --n must be at least 2, got 1"]
 
 
+@pytest.mark.parametrize("experiment", ["soc", "poly"])
+def test_negative_seed_is_a_usage_error(capsys, experiment):
+    assert main(["bench", experiment, "--n", "5", "--instances", "1", "--starts", "1",
+                 "--seed", "-1"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["crmfeas: error: --seed must be nonnegative, got -1"]
+
+
 def test_a_problem_with_no_infeasible_start_is_a_usage_error(tmp_path, capsys):
     # every start is drawn at norm 5 to 15, inside both balls
     problem = tmp_path / "balls.json"

@@ -19,6 +19,7 @@ from crmfeas.product_space import (
     DiagonalSubspace,
     ProductSet,
     _Diagonal,
+    _HalfspaceDRM,
     _RowSpace,
     _prod_problem,
     crm_prod_step,
@@ -26,7 +27,8 @@ from crmfeas.product_space import (
     restrict,
     run_prod,
 )
-from crmfeas.sets import AffineSubspace, Ball, Box, Halfspace, SecondOrderCone
+from crmfeas.sets import (AffineSubspace, Ball, Box, Halfspace, Hyperplane, SecondOrderCone,
+                          _HalfspaceRows)
 from conftest import ANCHORED_KINDS, anchored_affine, anchored_point, anchored_set
 
 TWO_BALLS = ProductSet([Ball([-1.0, 0.0], 1.0), Ball([1.0, 0.0], 1.0)])
@@ -60,6 +62,12 @@ class TestLiftRestrict:
     def test_lift_requires_positive_m(self):
         with pytest.raises(ValueError):
             lift([1.0], 0)
+
+
+def _anchored_factors(rng, anchor, kinds):
+    """One factor through ``anchor`` of each kind in ``kinds``, in that order."""
+    return [anchored_affine(rng, anchor) if kind == "affine" else anchored_set(rng, kind, anchor)
+            for kind in kinds]
 
 
 class TestProjections:
@@ -125,8 +133,7 @@ class TestProjections:
         anchor = anchored_point(rng, dim, "soc")
         kinds = list(ANCHORED_KINDS) * 2 + ["hyperplane", "affine"] + extra
         rng.shuffle(kinds)
-        factors = [anchored_affine(rng, anchor) if kind == "affine"
-                   else anchored_set(rng, kind, anchor) for kind in kinds]
+        factors = _anchored_factors(rng, anchor, kinds)
         ball = next(f for f in factors if isinstance(f, Ball))
         box = next(f for f in factors if isinstance(f, Box))
         on_face = anchor.copy()
@@ -480,13 +487,31 @@ class TestIterationInRn:
         anchor = anchored_point(rng, dim, "soc")
         kinds = list(ANCHORED_KINDS) * 2 + [single]
         rng.shuffle(kinds)
-        factors = [anchored_affine(rng, anchor) if kind == "affine"
-                   else anchored_set(rng, kind, anchor) for kind in kinds]
+        factors = _anchored_factors(rng, anchor, kinds)
         W = ProductSet([Halfspace(f.a, f.b + shift * la.norm(f.a)) if type(f) is Halfspace
                         else f for f in factors])
         assert W._order is not None
         z0 = lift(anchor + off * rng.standard_normal(dim), W.m)
         for method in (Method.CRM, Method.MAP) if shift == 0.0 else ():
+            _assert_matches_reference(W, z0, SolverConfig(method=method, max_iter=2000))
+        _assert_drm_matches_reference(
+            W, z0, SolverConfig(method=Method.DRM, max_iter=500, record_trace=True))
+
+    # one kind but halfspaces, so each product has one group and reduces in
+    # its block array: the vectorized kinds, and hyperplanes and affine
+    # subspaces, which are projected one at a time
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 8), m=st.integers(1, 6),
+           kind=st.sampled_from(["ball", "box", "soc", "hyperplane", "affine"]),
+           off=st.sampled_from([3.0, 1e2, 1e4]))
+    def test_single_kind_products_match_the_product_space_driver(self, seed, dim, m, kind,
+                                                                 off):
+        rng = np.random.default_rng(seed)
+        anchor = anchored_point(rng, dim, "soc")
+        W = ProductSet(_anchored_factors(rng, anchor, [kind] * m))
+        assert len(W._groups) == 1 and W._halfspaces is None
+        z0 = lift(anchor + off * rng.standard_normal(dim), W.m)
+        for method in (Method.CRM, Method.MAP):
             _assert_matches_reference(W, z0, SolverConfig(method=method, max_iter=2000))
         _assert_drm_matches_reference(
             W, z0, SolverConfig(method=Method.DRM, max_iter=500, record_trace=True))
@@ -552,12 +577,12 @@ class TestIterationInRn:
             assert (trace.status, trace.iterations) == (status, iterations), method
 
 
-def _mixed_case(seed, m):
-    """``m`` anchored factors in R^100, the four kinds in turn and then shuffled,
+def _mixed_case(seed, m, kinds=ANCHORED_KINDS):
+    """``m`` anchored factors in R^100, the ``kinds`` in turn and then shuffled,
     with a start off every factor."""
     rng = np.random.default_rng(seed)
     anchor = anchored_point(rng, 100, "soc")
-    kinds = [ANCHORED_KINDS[i % len(ANCHORED_KINDS)] for i in range(m)]
+    kinds = [kinds[i % len(kinds)] for i in range(m)]
     rng.shuffle(kinds)
     W = ProductSet([anchored_set(rng, kind, anchor) for kind in kinds])
     return W, lift(anchor + 3.0 * rng.standard_normal(100), m)
@@ -594,15 +619,22 @@ def _measured_steps(problem, x, steps):
 
 
 class TestRunWorkspace:
-    """A ``_Diagonal`` run projects into its own block array, allocated once
-    per run; its measurements are bitwise those of the allocating sums."""
+    """A ``_Diagonal`` run on any product but one of halfspaces projects into
+    its own block array, allocated once per run, whether the product has one
+    group or several; its measurements are bitwise those of the allocating
+    sums."""
 
-    @pytest.mark.parametrize("seed, m", sorted(MIXED_PINS))
-    def test_measure_equals_the_allocating_sums(self, seed, m):
-        W, z0 = _mixed_case(seed, m)
+    @pytest.mark.parametrize("seed, m, kinds", [
+        *(pytest.param(seed, m, ANCHORED_KINDS, id=f"{seed}-{m}")
+          for seed, m in sorted(MIXED_PINS)),
+        # one group each; hyperplanes are projected one at a time
+        *(pytest.param(5, 8, (kind,), id=kind) for kind in ("ball", "box", "soc", "hyperplane")),
+    ])
+    def test_measure_equals_the_allocating_sums(self, seed, m, kinds):
+        W, z0 = _mixed_case(seed, m, kinds)
         cfg = SolverConfig(method=Method.MAP)
         problem, x = _prod_problem(W, z0, cfg)
-        assert type(problem) is _Diagonal and len(W._groups) > 1
+        assert type(problem) is _Diagonal and problem._work is not None
         final = run_prod(W, z0, cfg).final_point.reshape(W.m, W.block_dim).mean(axis=0)
         for point in (x, final, x):  # back to the start: nothing carries over
             _, g, (total, sq) = problem.measure(point)
@@ -630,6 +662,29 @@ class TestRunWorkspace:
             assert [g for g, _ in trace] == run_prod(W, z, cfg).gaps[:steps]
 
 
+def test_only_a_product_of_halfspaces_gets_the_halfspace_kernel():
+    class Shifted(Halfspace):
+        pass
+
+    a, b, c = np.eye(3)
+    products = {
+        "halfspaces": ProductSet([Halfspace(a, 1.0), Halfspace(b, 1.0)]),
+        "mixed": ProductSet([Halfspace(a, 1.0), Ball(c, 1.0)]),
+        "hyperplanes": ProductSet([Hyperplane(a, 1.0), Hyperplane(b, 1.0)]),
+        "subclass": ProductSet([Shifted(a, 1.0), Shifted(b, 1.0)]),
+        "mixed subclass": ProductSet([Halfspace(a, 1.0), Shifted(b, 1.0)]),
+    }
+    for name, W in products.items():
+        kernel = W._halfspaces
+        assert (type(kernel) is _HalfspaceRows) == (name == "halfspaces"), name
+        assert kernel is None or kernel is W._groups[0][1], name
+        assert (W._workspace() is None) == (kernel is not None), name
+        z0 = lift([5.0, 1.0, 2.0], W.m)
+        for method, fast in ((Method.DRM, _HalfspaceDRM), (Method.MAP, _RowSpace)):
+            problem, _ = _prod_problem(W, z0, SolverConfig(method=method))
+            assert (type(problem) is fast) == (kernel is not None), (name, method)
+
+
 class TestProblemsAreFreed:
     """Every problem dies with its last reference, with the cyclic GC off:
     none of them sits in a reference cycle."""
@@ -648,7 +703,8 @@ class TestProblemsAreFreed:
                                        AffineSubspace([[1.0, 0.0, 1.0]], [2.0]), -self.START, cfg)
         grouped = {Method.DRM: "_GroupedDRM"}.get(method, "_Diagonal")
         yield grouped, *_prod_problem(self.MIXED, lift(self.START, 3), cfg)  # several groups
-        yield grouped, *_prod_problem(TWO_BALLS, lift(self.START[:2], 2), cfg)  # one group
+        # one group, which holds a workspace too in a _Diagonal
+        yield grouped, *_prod_problem(TWO_BALLS, lift(self.START[:2], 2), cfg)
         rows = {Method.DRM: "_HalfspaceDRM", Method.MAP: "_RowSpace"}.get(method, "_Diagonal")
         yield rows, *_prod_problem(self.HALFSPACES, lift(self.START, 2), cfg)
 
@@ -660,6 +716,8 @@ class TestProblemsAreFreed:
         try:
             for name, problem, z in self.problems(method):
                 assert type(problem).__name__ == name
+                if name == "_Diagonal":  # a workspace but on a product of halfspaces
+                    assert (problem._work is None) == (problem.W._halfspaces is not None)
                 ref = weakref.ref(problem)
                 _drive(problem, z, cfg)
                 del problem
