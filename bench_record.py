@@ -32,7 +32,7 @@ The per-layer section holds timeit medians, per call, of the calls one
 iteration of a benchmark run makes, on every instance of the benchmark's
 workloads (``perfbench/workloads.py``) at its first start:
 ``ProductSet._projection_sums`` at the block mean and the DRM-prod
-measurement on each ``mixed`` instance, and, as controls that a change to the
+measurement (``_Diagonal.measure``) on each ``mixed`` instance, and, as controls that a change to the
 product space leaves alone, the MAP measurement of a cone run on each
 ``cone`` instance and of MAP-prod on each ``poly`` instance. Two more are
 also timed at the block mean of the first start's MAP-prod final point

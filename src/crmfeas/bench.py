@@ -297,7 +297,7 @@ def export_records_csv(records, path) -> None:
 
 def read_records_csv(path) -> list[RunRecord]:
     with open(path, "r", encoding="utf-8", newline="") as f:
-        reader = csv.DictReader(f)
+        reader = csv.DictReader(f, restval="")  # a short row fails int() or float()
         if reader.fieldnames is None or list(reader.fieldnames) != list(CSV_COLUMNS):
             raise ValueError(f"expected CSV columns {','.join(CSV_COLUMNS)}")
         return [

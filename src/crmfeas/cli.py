@@ -12,7 +12,7 @@ import json
 import sys
 
 from . import bench as bench_mod
-from .errors import ExhaustedRejection, ParseError, SchemaVersionMismatch
+from .errors import EmptyInput, ExhaustedRejection, ParseError, SchemaVersionMismatch
 from .instances import Kind, gen_start, read_problem
 from .methods import Method, SolverConfig, Status, run
 from .product_space import ProductSet, restrict, run_prod
@@ -113,9 +113,7 @@ def _cmd_bench(args) -> int:
     return 2 if failures else 0
 
 
-def _cmd_profile(args) -> int:
-    records = bench_mod.read_records_csv(args.runs)
-    curves = bench_mod.profile_from_records(records)
+def _cmd_profile(args, curves) -> int:
     if args.out:
         bench_mod.export_profile(curves, args.format, args.out)
     else:
@@ -127,24 +125,30 @@ def _cmd_profile(args) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "profile":
-        return _cmd_profile(args)
-    # reject a bad --tol, --max-iter, grid size, seed, dimension or problem file,
-    # or a problem with no infeasible start to draw, before any work
+    # reject a bad flag value, grid size, problem file or runs CSV, or a problem
+    # with no infeasible start to draw, before any work
     try:
-        SolverConfig(tol=args.tol, max_iter=args.max_iter)
+        if args.command == "profile":
+            curves = bench_mod.profile_from_records(bench_mod.read_records_csv(args.runs))
+        else:
+            SolverConfig(tol=args.tol, max_iter=args.max_iter)
         if args.command == "bench":
             bench_mod.check_grid_size(args.instances, args.starts)
             if args.seed < 0:  # the seed streams need it
                 raise ValueError(f"--seed must be nonnegative, got {args.seed}")
+            if args.jobs < 1:
+                raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
             if args.n < 2:  # the instance generators need it
                 raise ValueError(f"dimension --n must be at least 2, got {args.n}")
-        else:
+        elif args.command == "solve":
             instance = read_problem(args.problem)
             start = gen_start(instance, args.seed, min_gap=args.tol)
-    except (OSError, ValueError, ParseError, SchemaVersionMismatch, ExhaustedRejection) as exc:
+    except (OSError, ValueError, ParseError, SchemaVersionMismatch, ExhaustedRejection,
+            EmptyInput) as exc:
         print(f"crmfeas: error: {exc}", file=sys.stderr)
         return 1
+    if args.command == "profile":
+        return _cmd_profile(args, curves)
     return _cmd_solve(args, instance, start) if args.command == "solve" else _cmd_bench(args)
 
 

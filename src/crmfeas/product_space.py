@@ -9,16 +9,15 @@ and the driver of :mod:`crmfeas.methods` apply with ``K := W`` and
 
 On the diagonal the product-space MAP and CRM are Cimmino's method and
 Pierra's extrapolated parallel projection method in R^n, and ``run_prod``
-runs them in that form (see ``_Diagonal``). On a product of halfspaces
-``A x <= b`` with independent normals the MAP iterates stay on
-``x_0 + row(A)``, and ``run_prod`` runs MAP on ``w`` with
-``x = x_0 + A^T w``, one product with ``A A^T`` per iteration (see
-``_RowSpace``). On a product of halfspaces the DRM iterates keep blocks
-``x + s_i a_i``, and ``run_prod`` runs DRM on the pair ``(x, s)`` (see
-``_HalfspaceDRM``). On any other product it runs DRM on ``(m, n)`` arrays
-whose rows are the blocks in the group order of ``W``, so that each group of
-factors is projected into its own row slice (see ``_GroupedDRM``); no
-product-space method runs the two-set problem of :mod:`crmfeas.methods`.
+runs them in that form; its DRM runs on ``(m, n)`` arrays whose rows are the
+blocks in the group order of ``W``, each group of factors projected into its
+own row slice. One adapter, ``_Diagonal``, runs all three on any product but
+one of halfspaces. A product of halfspaces ``A x <= b`` has its own,
+``_Halfspaces``, which takes the projection sums in closed form and runs DRM
+on blocks ``x + s_i a_i`` kept as the pair ``(x, s)``; with independent
+normals MAP runs on ``w`` with ``x = x_0 + A^T w``, one product with
+``A A^T`` per iteration (``_RowSpace``). No product-space method runs the
+two-set problem of :mod:`crmfeas.methods`.
 """
 
 from __future__ import annotations
@@ -64,13 +63,11 @@ class ProductSet(ConvexSet):
     (``_project_rows``). ``_project`` gathers the blocks into group order
     before and back after. ``_halfspaces`` is the kernel of a product whose
     factors are all ``Halfspace`` (exactly that class), else None: only such
-    a product has closed forms for the projection sums and the runs of
-    ``run_prod``. Any other product's ``_projection_sums`` fills a
-    group-ordered array from one point and reduces it once, in a
-    ``_Diagonal`` run the run's own array (``_workspace``), so that the set
-    stays immutable; its DRM-prod iterates in group order (``_GroupedDRM``),
-    not as the two-set problem ``methods._TwoSets``. The result does not
-    depend on the order of the factors beyond rounding.
+    a product has closed forms for the runs of ``run_prod``, which picks its
+    adapter by it. ``_projection_sums`` of any product fills a group-ordered
+    array from one point and reduces it once, in a CRM-prod or MAP-prod run
+    that run's own array (``_workspace``), so that the set stays immutable.
+    The result does not depend on the order of the factors beyond rounding.
     """
 
     def __init__(self, factors):
@@ -125,21 +122,15 @@ class ProductSet(ConvexSet):
 
     def _workspace(self):
         """A group-ordered ``(m, n)`` array and each group's kernel with its row
-        view of that array, for ``_projection_sums``; None for a product of
-        halfspaces, whose closed form needs no array."""
-        if self._halfspaces is not None:
-            return None
+        view of that array, for ``_projection_sums``."""
         P = np.empty((self.m, self.block_dim))
         return P, [(rows, P[rows_slice]) for rows_slice, rows in self._groups]
 
     def _projection_sums(self, x, work=None):
         """``(sum P_{X_i}(x), sum ||P_{X_i}(x) - x||^2)`` over the factors, for
-        ``x in R^n``: the closed form of a product of halfspaces, or the
-        projections of ``x`` onto every factor added up at once, each group's
-        kernel writing into its view of ``work``, the caller's
-        ``_workspace()``, or of a new one."""
-        if self._halfspaces is not None:
-            return self._halfspaces.sums(x)
+        ``x in R^n``: the projections of ``x`` onto every factor added up at
+        once, each group's kernel writing into its view of ``work``, the
+        caller's ``_workspace()``, or of a new one."""
         P, views = work or self._workspace()
         for rows, out in views:
             rows.project(x, out)
@@ -214,9 +205,10 @@ def crm_prod_step(W: ProductSet, z) -> np.ndarray:
 
 
 class _Diagonal(_ByMethod):
-    """``W ∩ D`` for :func:`crmfeas.methods._drive`, on diagonal iterates
-    ``z = lift(x)`` kept as ``x in R^n``.
+    """``W ∩ D`` for :func:`crmfeas.methods._drive`, for one method, on any
+    product ``W`` but one of halfspaces (see ``_Halfspaces``).
 
+    CRM and MAP iterates ``z = lift(x)`` are kept as ``x in R^n``.
     ``P_W(z)`` has blocks ``P_{X_i}(x)``; let ``p`` be their sum and
     ``r_i = P_{X_i}(x) - x``. The gap is ``(sum ||r_i||^2)^(1/2)``, and MAP's
     ``P_D(P_W(z))`` is ``lift(p / m)``: Cimmino's method. CRM's
@@ -225,18 +217,37 @@ class _Diagonal(_ByMethod):
     from which the CRM rule gives ``x + 2 t (p / m - x)``: Pierra's
     extrapolated parallel projection method (Pierra 1984; Combettes 1994).
     The gap is the distance from ``lift(x)`` to ``W``, so there is no ``dist``.
-    Unless ``W`` is a product of halfspaces, the projections of every ``x``
-    of a run are written into one array that the run allocates
-    (``ProductSet._workspace``).
+    ``_sums`` writes the projections of every ``x`` of such a run into one
+    array that the run allocates (``ProductSet._workspace``).
+
+    DRM iterates ``z`` are kept as ``(m, n)`` arrays with their blocks in the
+    group order of ``W``, and the run holds no workspace. The shadow
+    ``P_D(z)`` is the row mean ``y``; ``P``, the projection of ``2 y - z``
+    onto ``W`` (``ProductSet._project_rows``), gives the gap ``||y - P||``
+    and the step ``z + P - y``: the R^(nm) iteration with its blocks
+    permuted, and no block gathered or scattered. ``dist`` is the distance
+    from ``lift(y)`` to ``W``. ``lift`` maps an iterate, its rows back in
+    factor order, or a point ``x`` of R^n to its point of R^(nm).
     """
 
     def __init__(self, W: ProductSet, method: Method):
-        self.W, self._method, self._work = W, method, W._workspace()
+        self.W, self._method = W, method
+        self._work = None if method is Method.DRM else W._workspace()
+
+    def start(self, x):
+        """The first iterate, from the block mean ``x`` of the start."""
+        return np.tile(x, (self.W.m, 1)) if self._method is Method.DRM else x
+
+    def _sums(self, x):
+        return self.W._projection_sums(x, self._work)
 
     def _measure_iterate(self, x):
         _check_finite(x)  # as P_W(lift(x)) checks its argument in R^(nm)
-        total, sq = self.W._projection_sums(x, self._work)
+        total, sq = self._sums(x)
         return x, math.sqrt(sq), (total, sq)
+
+    def _dist(self, y):
+        return math.sqrt(self._sums(y)[1])
 
     def _map_step(self, x, y, g, data):
         return data[0] / self.W.m
@@ -250,60 +261,7 @@ class _Diagonal(_ByMethod):
         _check_finite(x)  # as P_D(z + t d) checks its argument in R^(nm)
         return x
 
-    def lift(self, x):
-        return np.tile(x, self.W.m)
-
-
-class _HalfspaceDRM:
-    """DRM on ``W ∩ D`` for :func:`crmfeas.methods._drive`, when every factor
-    of ``W`` is a ``Halfspace``, on iterates ``z`` with blocks
-    ``z_i = x + s_i a_i`` kept as the pair ``(x, s)``, ``x in R^n`` and
-    ``s in R^m``.
-
-    The step goes from ``(x, s)`` to ``(y, -c)``, with ``y`` the shadow
-    ``P_D(z)`` and the gap from a Gram expansion (see ``_HalfspaceRows.drm``),
-    so an iteration takes three products with ``A`` and no vector of R^(nm).
-    ``lift`` maps an iterate ``(x, s)`` or a shadow ``y`` to its point of
-    R^(nm).
-    """
-
-    def __init__(self, W: ProductSet):
-        self.W, self._rows = W, W._halfspaces
-
-    def measure(self, z):
-        y, c, gg = self._rows.drm(*z)
-        return y, 0.0 if gg < 0.0 else math.sqrt(gg), c  # NaN stays NaN
-
-    def dist(self, y):
-        return math.sqrt(self.W._projection_sums(y)[1])
-
-    def step(self, z, y, g, c):
-        return y, -c
-
-    def lift(self, z):
-        if isinstance(z, tuple):
-            x, s = z
-            return (x + s[:, None] * self._rows.A).ravel()
-        return np.tile(z, self.W.m)
-
-
-class _GroupedDRM:
-    """DRM on ``W ∩ D`` for :func:`crmfeas.methods._drive`, for any product
-    ``W`` that ``_HalfspaceDRM`` does not take, on iterates ``z`` kept as
-    ``(m, n)`` arrays with their blocks in the group order of ``W``.
-
-    The shadow ``P_D(z)`` is the row mean ``y``; ``P``, the projection of
-    ``2 y - z`` onto ``W`` (``ProductSet._project_rows``), gives the gap
-    ``||y - P||`` and the step ``z + P - y``: the R^(nm) iteration with its
-    blocks permuted, and no block gathered or scattered. ``dist`` is the
-    distance from ``lift(y)`` to ``W``. ``lift`` maps an iterate, its rows
-    back in factor order, or a shadow ``y`` to its point of R^(nm).
-    """
-
-    def __init__(self, W: ProductSet):
-        self.W = W
-
-    def measure(self, Z):
+    def _measure_shadow(self, Z):
         y = Z.mean(axis=0)
         V = 2.0 * y - Z
         _check_finite(V.ravel())  # as the reflection through D is checked
@@ -311,18 +269,48 @@ class _GroupedDRM:
         R = np.subtract(y, P, out=V).ravel()
         return y, math.sqrt(R.dot(R)), P
 
-    def dist(self, y):
-        return math.sqrt(self.W._projection_sums(y)[1])
-
-    def step(self, Z, y, g, P):
+    def _drm_step(self, Z, y, g, P):
         P += Z  # z + P - y in place: P is this iteration's own projection
         P -= y
         return P
 
     def lift(self, Z):
-        if Z.ndim == 1:
-            return np.tile(Z, self.W.m)
-        return self.W._to_factor_order(Z).ravel()
+        return np.tile(Z, self.W.m) if Z.ndim == 1 else self.W._to_factor_order(Z).ravel()
+
+
+class _Halfspaces(_Diagonal):
+    """``_Diagonal`` on a product ``W`` of ``Halfspace`` factors (exactly that
+    class), the rows of ``A x <= b``: the projection sums come in closed form
+    (``_HalfspaceRows.sums``), and no run holds a workspace.
+
+    DRM iterates ``z`` with blocks ``z_i = x + s_i a_i`` are kept as the pair
+    ``(x, s)``, ``x in R^n`` and ``s in R^m``, from ``(x, 0)``. The step goes
+    to ``(y, -c)``, with ``y`` the shadow ``P_D(z)`` and the gap from a Gram
+    expansion (see ``_HalfspaceRows.drm``), so an iteration takes three
+    products with ``A`` and no vector of R^(nm).
+    """
+
+    def __init__(self, W: ProductSet, method: Method):
+        self.W, self._method, self._rows, self._work = W, method, W._halfspaces, None
+
+    def start(self, x):
+        return (x, np.zeros(self.W.m)) if self._method is Method.DRM else x
+
+    def _sums(self, x):
+        return self._rows.sums(x)
+
+    def _measure_shadow(self, z):
+        y, c, gg = self._rows.drm(*z)
+        return y, 0.0 if gg < 0.0 else math.sqrt(gg), c  # NaN stays NaN
+
+    def _drm_step(self, z, y, g, c):
+        return y, -c
+
+    def lift(self, z):
+        if not isinstance(z, tuple):
+            return super().lift(z)
+        x, s = z
+        return (x + s[:, None] * self._rows.A).ravel()
 
 
 class _RowSpace:
@@ -337,11 +325,12 @@ class _RowSpace:
     product with the ``m x m`` matrix ``G`` instead of two with the
     ``m x n`` matrix ``A``.
 
-    ``fits`` is false, and ``run_prod`` uses ``_Diagonal``, when the normals
+    ``fits`` is false, and ``run_prod`` uses ``_Halfspaces``, when the normals
     are dependent (``_HalfspaceRows.gram``) or when the rounding of ``A x``
     is not far below ``tol`` (``ROW_HEADROOM``). ``x_0`` can still be far
     larger than ``A x_0`` shows, and ``x_0 + A^T w`` then loses ``w``; ``dist``
-    measures at ``x`` itself. ``lift`` maps ``w`` to ``lift(x)``.
+    measures at ``x`` itself, in closed form (``_HalfspaceRows.sums``).
+    ``lift`` maps ``w`` to ``lift(x)``.
     """
 
     def __init__(self, W: ProductSet, x0: np.ndarray, tol: float):
@@ -356,7 +345,7 @@ class _RowSpace:
         return w, math.sqrt(sq), c
 
     def dist(self, w):
-        return math.sqrt(self.W._projection_sums(self._point(w))[1])
+        return math.sqrt(self._rows.sums(self._point(w))[1])
 
     def step(self, w, y, g, c):
         return w - c / self.W.m
@@ -384,14 +373,14 @@ def run_prod(W: ProductSet, z0, config: SolverConfig) -> IterationTrace:
     or a start farther out, keeps ``x``. DRM iterates leave ``D``: ``z`` of
     ``(z + R_W(R_D(z))) / 2``, whose reflections ``R_D(z)`` are the textbook
     DRM iterates, stopping on ``||P_D(z) - P_W(R_D(z))|| < tol``, which
-    equals its fixed-point residual ``||z^(k+1) - z^k||``. When every factor
-    of ``W`` is a ``Halfspace`` (exactly that class) they run as pairs
-    ``(x, s)`` in R^n x R^m (see ``_HalfspaceDRM``), equal to the R^(nm)
-    iteration up to rounding, from ``(mean of z0's blocks, 0)``; any other
-    product runs them as ``(m, n)`` arrays with the blocks in the group order
-    of ``W`` (see ``_GroupedDRM``), the R^(nm) iteration with its blocks
-    permuted, from ``m`` rows of that mean, and not as the two-set problem
-    ``methods._TwoSets``.
+    equals its fixed-point residual ``||z^(k+1) - z^k||``. They run as
+    ``(m, n)`` arrays with the blocks in the group order of ``W`` (see
+    ``_Diagonal``), the R^(nm) iteration with its blocks permuted, from ``m``
+    rows of the mean of ``z0``'s blocks, and not as the two-set problem
+    ``methods._TwoSets``; when every factor of ``W`` is a ``Halfspace``
+    (exactly that class), as pairs ``(x, s)`` in R^n x R^m (see
+    ``_Halfspaces``), equal to the R^(nm) iteration up to rounding, from
+    ``(that mean, 0)``.
     ``final_point`` and the recorded iterates are points of R^(nm);
     ``final_point`` is the diagonal point where the last gap was measured:
     ``lift(x)`` for CRM and MAP, the shadow ``P_D(z)`` for DRM.
@@ -406,12 +395,10 @@ def _prod_problem(W: ProductSet, z0: np.ndarray, config: SolverConfig):
     its first iterate; to be called, as ``run_prod`` does, with overflow
     ignored."""
     x = z0.reshape(W.m, W.block_dim).mean(axis=0)
-    if config.method is Method.DRM and W._halfspaces is not None:
-        return _HalfspaceDRM(W), (x, np.zeros(W.m))
-    if config.method is Method.DRM:
-        return _GroupedDRM(W), np.tile(x, (W.m, 1))
-    if config.method is Method.MAP and W._halfspaces is not None:
-        rows = _RowSpace(W, x, config.tol)
-        if rows.fits:
-            return rows, np.zeros(W.m)
-    return _Diagonal(W, config.method), x
+    if W._halfspaces is None:
+        problem = _Diagonal(W, config.method)
+    elif config.method is Method.MAP and (rows := _RowSpace(W, x, config.tol)).fits:
+        return rows, np.zeros(W.m)
+    else:
+        problem = _Halfspaces(W, config.method)
+    return problem, problem.start(x)

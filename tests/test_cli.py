@@ -136,6 +136,35 @@ def test_negative_seed_is_a_usage_error(capsys, experiment):
     assert err == ["crmfeas: error: --seed must be nonnegative, got -1"]
 
 
+@pytest.mark.parametrize("experiment", ["soc", "poly"])
+def test_jobs_below_one_is_a_usage_error(capsys, experiment):
+    assert main(["bench", experiment, "--n", "5", "--instances", "1", "--starts", "1",
+                 "--jobs", "-2"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["crmfeas: error: --jobs must be at least 1, got -2"]
+
+
+RUNS_HEADER = "instance_seed,start_seed,method,iterations,final_gap,status\n"
+
+
+@pytest.mark.parametrize("content", [
+    pytest.param(None, id="missing"),
+    pytest.param(RUNS_HEADER, id="empty"),
+    pytest.param("seed,method,iterations\n1,CRM,3\n", id="columns"),
+    pytest.param(RUNS_HEADER + "1,2,CRM,three,1e-7,converged\n", id="row"),
+    pytest.param(RUNS_HEADER + "1,2,CRM\n", id="short"),
+])
+def test_profile_errors_are_usage_errors(tmp_path, capsys, content):
+    runs = tmp_path / "runs.csv"
+    if content is not None:
+        runs.write_text(content)
+    assert main(["profile", str(runs)]) == 1
+    err = capsys.readouterr().err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("crmfeas: error: ")
+    assert "Traceback" not in err
+
+
 def test_a_problem_with_no_infeasible_start_is_a_usage_error(tmp_path, capsys):
     # every start is drawn at norm 5 to 15, inside both balls
     problem = tmp_path / "balls.json"

@@ -19,7 +19,7 @@ from crmfeas.product_space import (
     DiagonalSubspace,
     ProductSet,
     _Diagonal,
-    _HalfspaceDRM,
+    _Halfspaces,
     _RowSpace,
     _prod_problem,
     crm_prod_step,
@@ -448,9 +448,10 @@ class TestIterationInRn:
         trace = run_prod(W, lift(x0, 2), cfg)
         assert (trace.status, trace.iterations) == (Status.MAX_ITER, 500)
         assert min(trace.gaps) >= cfg.tol
+        # the closed form measures x; the block array would round its residual to 0
         x = restrict(trace.final_point, 2)
-        assert np.sqrt(W._projection_sums(x)[1]) == pytest.approx(np.sqrt(0.5))
-        ref = _drive(_Diagonal(W, Method.MAP), x0, cfg)
+        assert _Halfspaces(W, Method.MAP)._dist(x) == pytest.approx(np.sqrt(0.5))
+        ref = _drive(_Halfspaces(W, Method.MAP), x0, cfg)
         assert (ref.status, ref.iterations) == (Status.MAX_ITER, 500)
 
     # the two paths round differently, so a gap within rounding of tol could
@@ -678,11 +679,29 @@ def test_only_a_product_of_halfspaces_gets_the_halfspace_kernel():
         kernel = W._halfspaces
         assert (type(kernel) is _HalfspaceRows) == (name == "halfspaces"), name
         assert kernel is None or kernel is W._groups[0][1], name
-        assert (W._workspace() is None) == (kernel is not None), name
-        z0 = lift([5.0, 1.0, 2.0], W.m)
-        for method, fast in ((Method.DRM, _HalfspaceDRM), (Method.MAP, _RowSpace)):
-            problem, _ = _prod_problem(W, z0, SolverConfig(method=method))
-            assert (type(problem) is fast) == (kernel is not None), (name, method)
+        # near the halfspaces MAP fits on w; far out it keeps x
+        for start, map_problem in (([5.0, 1.0, 2.0], _RowSpace), ([1e300, 1.0, 2.0], _Halfspaces)):
+            for method in Method:
+                problem, _ = _prod_problem(W, lift(start, W.m), SolverConfig(method=method))
+                if kernel is None:
+                    expected = _Diagonal
+                else:
+                    expected = map_problem if method is Method.MAP else _Halfspaces
+                assert type(problem) is expected, (name, start, method)
+                if expected is _Halfspaces:  # the closed forms need no block array
+                    assert problem._work is None, (name, start, method)
+
+
+@pytest.mark.parametrize("index", [0, 2])
+def test_halfspace_projection_sums_equal_the_closed_form(index):
+    # poly instance 0 (m = 57) and instance 2 (m = 171) at their first start:
+    # the block array and _HalfspaceRows.sums reduce the same projections
+    W, z0 = _poly_case(index, 0)
+    x = z0.reshape(W.m, W.block_dim).mean(axis=0)
+    total, sq = W._projection_sums(x)
+    closed_total, closed_sq = W._halfspaces.sums(x)
+    assert la.norm(total - closed_total) <= 1e-12 * la.norm(closed_total)
+    assert abs(sq - closed_sq) <= 1e-12 * closed_sq
 
 
 class TestProblemsAreFreed:
@@ -701,11 +720,10 @@ class TestProblemsAreFreed:
                                     self.START, cfg)
         yield "_ConeAffine", *_problem(SecondOrderCone(3),
                                        AffineSubspace([[1.0, 0.0, 1.0]], [2.0]), -self.START, cfg)
-        grouped = {Method.DRM: "_GroupedDRM"}.get(method, "_Diagonal")
-        yield grouped, *_prod_problem(self.MIXED, lift(self.START, 3), cfg)  # several groups
-        # one group, which holds a workspace too in a _Diagonal
-        yield grouped, *_prod_problem(TWO_BALLS, lift(self.START[:2], 2), cfg)
-        rows = {Method.DRM: "_HalfspaceDRM", Method.MAP: "_RowSpace"}.get(method, "_Diagonal")
+        yield "_Diagonal", *_prod_problem(self.MIXED, lift(self.START, 3), cfg)  # several groups
+        # one group, which holds a workspace too in a CRM or MAP _Diagonal
+        yield "_Diagonal", *_prod_problem(TWO_BALLS, lift(self.START[:2], 2), cfg)
+        rows = "_RowSpace" if method is Method.MAP else "_Halfspaces"
         yield rows, *_prod_problem(self.HALFSPACES, lift(self.START, 2), cfg)
 
     @pytest.mark.parametrize("method", list(Method))
@@ -716,8 +734,8 @@ class TestProblemsAreFreed:
         try:
             for name, problem, z in self.problems(method):
                 assert type(problem).__name__ == name
-                if name == "_Diagonal":  # a workspace but on a product of halfspaces
-                    assert (problem._work is None) == (problem.W._halfspaces is not None)
+                if name == "_Diagonal":  # a workspace but in a DRM run
+                    assert (problem._work is None) == (method is Method.DRM)
                 ref = weakref.ref(problem)
                 _drive(problem, z, cfg)
                 del problem
