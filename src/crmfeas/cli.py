@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import bench as bench_mod
@@ -125,9 +126,14 @@ def _cmd_profile(args, curves) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    # reject a bad flag value, grid size, problem file or runs CSV, or a problem
-    # with no infeasible start to draw, before any work
+    # reject a bad flag value, output path, grid size, problem file or runs CSV,
+    # or a problem with no infeasible start to draw, before any work
     try:
+        # bench --trace also writes beside --out, in the same directory
+        if args.out and os.path.isdir(args.out):
+            raise ValueError(f"--out {args.out} is a directory")
+        if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
+            raise ValueError(f"--out {args.out}: no such directory")
         if args.command == "profile":
             curves = bench_mod.profile_from_records(bench_mod.read_records_csv(args.runs))
         else:

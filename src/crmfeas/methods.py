@@ -27,7 +27,7 @@ from __future__ import annotations
 import enum
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy import linalg as la
@@ -87,7 +87,6 @@ class SolverConfig:
     tol: float = 1e-6
     max_iter: int = 100_000
     method: Method = Method.CRM
-    record_trace: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.tol < math.inf:
@@ -102,20 +101,16 @@ class SolverConfig:
 class IterationTrace:
     """Record of one solver run.
 
-    ``gaps`` holds one value per visited iterate (length ``iterations + 1``);
-    ``iterates`` is populated only when the run was configured with
-    ``record_trace=True``. For DRM the iterates are those of the reflected
-    form, ``z`` with ``R_U(z)`` the textbook DRM iterate. ``final_point`` is
-    the point where the last gap was measured: the iterate for CRM and MAP,
-    the shadow ``P_U(z)`` for DRM. Product-space runs report points of
-    R^(nm) (see :func:`crmfeas.product_space.run_prod`).
+    ``gaps`` holds one value per visited iterate (length ``iterations + 1``).
+    ``final_point`` is the point where the last gap was measured: the iterate
+    for CRM and MAP, the shadow ``P_U(z)`` for DRM. Product-space runs report
+    points of R^(nm) (see :func:`crmfeas.product_space.run_prod`).
     """
 
     gaps: list[float]
     iterations: int
     status: Status
     final_point: np.ndarray
-    iterates: list[np.ndarray] | None = field(default=None)
 
 
 def _check_in_affine(U: ConvexSet, z: np.ndarray) -> None:
@@ -461,7 +456,6 @@ def _drive(problem, z: np.ndarray, config: SolverConfig) -> IterationTrace:
     tol = config.tol
     stall_check = config.method is Method.MAP  # one fixed-point rule for every problem
     gaps: list[float] = []
-    iterates: list[np.ndarray] | None = [lift(z)] if config.record_trace else None
     iterations = 0
     y = prev = z
 
@@ -498,15 +492,12 @@ def _drive(problem, z: np.ndarray, config: SolverConfig) -> IterationTrace:
             status = Status.NONFINITE
             break
         iterations += 1
-        if iterates is not None:
-            iterates.append(lift(z))
 
     return IterationTrace(
         gaps=gaps,
         iterations=iterations,
         status=status,
         final_point=lift(y),
-        iterates=iterates,
     )
 
 

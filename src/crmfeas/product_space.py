@@ -381,9 +381,8 @@ def run_prod(W: ProductSet, z0, config: SolverConfig) -> IterationTrace:
     (exactly that class), as pairs ``(x, s)`` in R^n x R^m (see
     ``_Halfspaces``), equal to the R^(nm) iteration up to rounding, from
     ``(that mean, 0)``.
-    ``final_point`` and the recorded iterates are points of R^(nm);
-    ``final_point`` is the diagonal point where the last gap was measured:
-    ``lift(x)`` for CRM and MAP, the shadow ``P_D(z)`` for DRM.
+    ``final_point`` is the point of R^(nm) on the diagonal where the last gap
+    was measured: ``lift(x)`` for CRM and MAP, the shadow ``P_D(z)`` for DRM.
     """
     z0 = as_point(z0, W.dim)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow ends in a Status

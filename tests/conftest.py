@@ -1,8 +1,15 @@
-"""Shared helpers: anchored random sets with a known common point."""
+"""Shared helpers: anchored random sets with a known common point, and the
+iterates of a run, recorded on the test side of the driver."""
+
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
+from numpy import linalg as la
 
+from crmfeas import methods, product_space
+from crmfeas.methods import _drive
 from crmfeas.sets import (
     AffineSubspace,
     Ball,
@@ -64,6 +71,48 @@ def anchored_affine(rng, x, rows=None):
 def point_in_affine(rng, U, near, spread=2.0):
     """A random point of ``U`` near ``near``."""
     return U.project(near + spread * rng.standard_normal(U.dim))
+
+
+def drive_recorded(problem, z, config):
+    """``_drive(problem, z, config)`` and the iterates it visited, lifted: the
+    start ``z``, then the iterate each step returned."""
+    step, lift = problem.step, problem.lift
+    iterates = [lift(z)]
+
+    def recording_step(z, *args):
+        z = step(z, *args)
+        iterates.append(lift(z))
+        return z
+
+    recording = SimpleNamespace(measure=problem.measure, step=recording_step, lift=lift,
+                                dist=problem.dist)
+    return _drive(recording, z, config), iterates
+
+
+def recorded(solve, *args):
+    """``solve(*args)``, for ``solve`` ``run`` or ``run_prod``, and the lifted
+    iterates of its run (see ``drive_recorded``)."""
+    runs = []
+
+    def drive(problem, z, config):
+        trace, iterates = drive_recorded(problem, z, config)
+        runs.append(iterates)
+        return trace
+
+    # product_space binds the name on import
+    with mock.patch.object(methods, "_drive", drive), \
+            mock.patch.object(product_space, "_drive", drive):
+        trace = solve(*args)
+    (iterates,) = runs
+    return trace, iterates
+
+
+def assert_fejer_along(points, s):
+    # ||z_{k+1} - s||^2 <= ||z_k - s||^2 - ||z_k - z_{k+1}||^2 for s in the intersection
+    for zk, zk1 in zip(points, points[1:]):
+        lhs = la.norm(zk1 - s) ** 2
+        rhs = la.norm(zk - s) ** 2 - la.norm(zk - zk1) ** 2
+        assert lhs <= rhs + 1e-9 * (1.0 + la.norm(zk - s) ** 2)
 
 
 @pytest.fixture

@@ -25,7 +25,9 @@ from conftest import (
     anchored_affine,
     anchored_point,
     anchored_set,
+    assert_fejer_along,
     point_in_affine,
+    recorded,
 )
 from oracle import crm_oracle
 
@@ -103,14 +105,6 @@ def test_criterion_2_oracle_equivalence():
           "(ball/halfspace/box/cone) within 1e-8*(1+||z||)")
 
 
-def _assert_fejer_along(points, s):
-    for zk, zk1 in zip(points, points[1:]):
-        lhs = la.norm(zk1 - s) ** 2
-        rhs = la.norm(zk - s) ** 2 - la.norm(zk - zk1) ** 2
-        scale = 1.0 + la.norm(zk - s) ** 2
-        assert lhs <= rhs + 1e-9 * scale
-
-
 def test_criterion_3_fejer_along_benchmark_runs():
     # every CRM iterate of both grids, against the instance certificate
     total = 0
@@ -119,18 +113,18 @@ def test_criterion_3_fejer_along_benchmark_runs():
         s = inst.certificate
         for j in range(SOC_GRID["starts_per_instance"]):
             start = gen_start(inst, derive_seed(SOC_SEED, 2, i, j), min_gap=1e-6)
-            trace = run(inst.sets[0], inst.affine, start.projected,
-                        SolverConfig(tol=1e-6, method=Method.CRM, record_trace=True))
-            _assert_fejer_along(trace.iterates, s)
+            _, iterates = recorded(run, inst.sets[0], inst.affine, start.projected,
+                                   SolverConfig(tol=1e-6, method=Method.CRM))
+            assert_fejer_along(iterates, s)
             total += 1
     inst = gen_polyhedral_instance(POLY_GRID["n"], derive_seed(POLY_SEED, 1, 0))
     W = ProductSet(inst.sets)
     s_lifted = lift(inst.certificate, inst.m)
     for j in range(POLY_GRID["starts_per_instance"]):
         start = gen_start(inst, derive_seed(POLY_SEED, 2, 0, j), min_gap=1e-6)
-        trace = run_prod(W, start.projected,
-                         SolverConfig(tol=1e-6, method=Method.CRM, record_trace=True))
-        _assert_fejer_along(trace.iterates, s_lifted)
+        _, iterates = recorded(run_prod, W, start.projected,
+                               SolverConfig(tol=1e-6, method=Method.CRM))
+        assert_fejer_along(iterates, s_lifted)
         total += 1
     print(f"\nACCEPTANCE 3 PASS — Fejér inequality held at every iterate of all "
           f"{total} CRM benchmark runs (slack 1e-9*scale, zero violations)")
@@ -206,9 +200,9 @@ def test_criterion_8_prod_d_invariance_two_balls():
     W = ProductSet([Ball([-1.0, 0.0], 1.0), Ball([1.0, 0.0], 1.0)])
     z0 = lift([0.0, 2.0], 2)
     D = DiagonalSubspace(2, 2)
-    trace = run_prod(W, z0, SolverConfig(tol=1e-6, method=Method.CRM, record_trace=True))
+    trace, iterates = recorded(run_prod, W, z0, SolverConfig(tol=1e-6, method=Method.CRM))
     assert trace.status is Status.CONVERGED
-    for z in trace.iterates:
+    for z in iterates:
         assert la.norm(z - D.project(z)) <= 1e-8
     x = restrict(trace.final_point, 2)
     for ball in W.factors:

@@ -190,3 +190,21 @@ def test_bad_problem_file_is_a_usage_error(tmp_path, capsys, content):
     assert main(["solve", str(problem)]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("crmfeas: error: ")
+
+
+@pytest.mark.parametrize("out", ["missing/x.csv", "."], ids=["missing-directory", "directory"])
+@pytest.mark.parametrize("command", [
+    pytest.param(["solve", "problem.json", "--seed", "1"], id="solve"),
+    pytest.param(["bench", "poly", "--n", "10", "--instances", "1", "--starts", "1", "--trace"],
+                 id="bench"),
+    pytest.param(["profile", "runs.csv"], id="profile"),
+])
+def test_an_unwritable_out_is_a_usage_error(tmp_path, capsys, monkeypatch, command, out):
+    monkeypatch.chdir(tmp_path)
+    write_problem(gen_soc_instance(20, 42), tmp_path / "problem.json")
+    (tmp_path / "runs.csv").write_text(RUNS_HEADER + "1,2,CRM,3,1e-7,converged\n")
+    assert main(command + ["--out", out]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""  # nothing solved, no grid run
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("crmfeas: error: --out ")

@@ -17,7 +17,9 @@ from conftest import (
     anchored_affine,
     anchored_point,
     anchored_set,
+    drive_recorded,
     point_in_affine,
+    recorded,
 )
 
 BALL = Ball([0.0, 0.0], 1.0)
@@ -50,9 +52,10 @@ def cone_grid_case(i):
 
 
 def one_step(method):
-    """The trace of one iteration of ``method`` on BALL ∩ LINE from Z."""
-    cfg = SolverConfig(tol=1e-12, max_iter=1, method=method, record_trace=True)
-    return run(BALL, LINE, Z, cfg)
+    """The trace and the iterates of one iteration of ``method`` on BALL ∩ LINE
+    from Z."""
+    cfg = SolverConfig(tol=1e-12, max_iter=1, method=method)
+    return recorded(run, BALL, LINE, Z, cfg)
 
 
 def stacked_projection(H, U, z):
@@ -68,17 +71,17 @@ class TestStepExamples:
         assert np.allclose(crm_step(BALL, LINE, Z), [(SQ5 - 1) / 2, 1.0], atol=1e-10)
 
     def test_map_ball_line(self):
-        assert np.allclose(one_step(Method.MAP).iterates[1], [2 / SQ5, 1.0], atol=1e-12)
+        assert np.allclose(one_step(Method.MAP)[1][1], [2 / SQ5, 1.0], atol=1e-12)
 
     def test_drm_ball_line(self):
         # the driver's DRM iterate reflects through U onto the textbook one
-        textbook = LINE.reflect(one_step(Method.DRM).iterates[1])
+        textbook = LINE.reflect(one_step(Method.DRM)[1][1])
         assert np.allclose(textbook, [2 / SQ5, 2 - 1 / SQ5], atol=1e-12)
         assert np.allclose(textbook, [0.8944272, 1.5527864], atol=1e-6)
 
     def test_gap_ball_line(self):
         for method in Method:
-            assert one_step(method).gaps[0] == pytest.approx(SQ5 - 1, abs=1e-12)
+            assert one_step(method)[0].gaps[0] == pytest.approx(SQ5 - 1, abs=1e-12)
 
     def test_fixed_points(self, rng):
         for kind in ANCHORED_KINDS:
@@ -191,14 +194,14 @@ class TestDriver:
             assert np.allclose(trace.final_point, z0)
 
     def test_crm_ball_line_converges_to_tangency(self):
-        cfg = SolverConfig(tol=1e-6, method=Method.CRM, record_trace=True)
-        trace = run(BALL, LINE, [2.0, 1.0], cfg)
+        cfg = SolverConfig(tol=1e-6, method=Method.CRM)
+        trace, iterates = recorded(run, BALL, LINE, [2.0, 1.0], cfg)
         assert trace.status is Status.CONVERGED
         # gap ~ dist²/2 near the tangency point (0, 1)
         assert la.norm(trace.final_point - [0.0, 1.0]) <= 2 * np.sqrt(2 * cfg.tol)
         assert len(trace.gaps) == trace.iterations + 1
-        assert len(trace.iterates) == trace.iterations + 1
-        assert all(np.allclose(it[1], 1.0, atol=1e-8) for it in trace.iterates)
+        assert len(iterates) == trace.iterations + 1
+        assert all(np.allclose(it[1], 1.0, atol=1e-8) for it in iterates)
 
     def test_map_and_drm_converge_on_transversal_instance(self):
         ball = Ball([0.0, 0.5], 1.0)  # crosses y=1 transversally
@@ -368,19 +371,19 @@ class TestDriver:
     @pytest.mark.parametrize("case", ["ball-line", "cone-0", "cone-1", "cone-2"])
     def test_drm_iterates_reflect_onto_the_textbook_sequence(self, case):
         K, U, z0 = (BALL, LINE, Z) if case == "ball-line" else cone_grid_case(int(case[-1]))
-        cfg = SolverConfig(method=Method.DRM, record_trace=True)
+        cfg = SolverConfig(method=Method.DRM)
         # the R^n iteration, which run replaces by coordinates on the cone cases
-        trace = _drive(_TwoSets(K, U, Method.DRM), U.project(z0), cfg)
+        trace, iterates = drive_recorded(_TwoSets(K, U, Method.DRM), U.project(z0), cfg)
         assert trace.status is Status.CONVERGED and trace.iterations > 1
         x = U.project(z0)
-        for z, g in zip(trace.iterates, trace.gaps):
+        for z, g in zip(iterates, trace.gaps):
             scale = 1e-12 * (1.0 + la.norm(x))
             assert la.norm(U.reflect(z) - x) <= scale
             assert abs(g - la.norm(U.project(x) - K.project(x))) <= scale
             x = 0.5 * (x + U.reflect(K.reflect(x)))  # textbook DRM step
         # the final point is the shadow of the last iterate
-        assert np.array_equal(trace.final_point, U.project(trace.iterates[-1]))
-        TestConePlane.assert_same_run(K, U, z0, Method.DRM, trace)
+        assert np.array_equal(trace.final_point, U.project(iterates[-1]))
+        TestConePlane.assert_same_run(K, U, z0, Method.DRM, (trace, iterates))
 
     # several sets meeting U are one product-space problem, U as the last factor
     def test_serial_driver(self):
@@ -475,14 +478,14 @@ class TestConePlane:
 
     @staticmethod
     def assert_same_run(K, U, z0, method, ref=None):
-        """``run`` matches the R^n iteration ``ref`` (run here if not given)."""
-        cfg = SolverConfig(method=method, max_iter=2000, record_trace=True)
-        plane = run(K, U, z0, cfg)
-        if ref is None:
-            ref = _drive(_TwoSets(K, U, method), U.project(z0), cfg)
+        """``run`` matches the R^n iteration ``ref``, its trace and iterates (run
+        here if not given)."""
+        cfg = SolverConfig(method=method, max_iter=2000)
+        plane, plane_iterates = recorded(run, K, U, z0, cfg)
+        ref, ref_iterates = ref or drive_recorded(_TwoSets(K, U, method), U.project(z0), cfg)
         assert (plane.status, plane.iterations) == (ref.status, ref.iterations)
-        assert len(plane.iterates) == len(ref.iterates)
-        for a, b in zip([plane.final_point, *plane.iterates], [ref.final_point, *ref.iterates]):
+        assert len(plane_iterates) == len(ref_iterates)
+        for a, b in zip([plane.final_point, *plane_iterates], [ref.final_point, *ref_iterates]):
             assert la.norm(a - b) <= 1e-12 * (1.0 + la.norm(b))
 
     # U projects through its row space up to rank 100 and its null space above

@@ -29,7 +29,8 @@ from crmfeas.product_space import (
 )
 from crmfeas.sets import (AffineSubspace, Ball, Box, Halfspace, Hyperplane, SecondOrderCone,
                           _HalfspaceRows)
-from conftest import ANCHORED_KINDS, anchored_affine, anchored_point, anchored_set
+from conftest import (ANCHORED_KINDS, anchored_affine, anchored_point, anchored_set,
+                      drive_recorded, recorded)
 
 TWO_BALLS = ProductSet([Ball([-1.0, 0.0], 1.0), Ball([1.0, 0.0], 1.0)])
 OVERLAP = ProductSet([Ball([-1.0, 0.0], 1.25), Ball([1.0, 0.0], 1.25)])
@@ -213,22 +214,22 @@ class TestProdSteps:
         # from the raw P_W(P_D(z)) here
         z = np.array([0.0, 2.0, 0.5, 2.0])
         W, D = TWO_BALLS, DiagonalSubspace(2, 2)
-        cfg = SolverConfig(method=Method.MAP, max_iter=1, tol=1e-12, record_trace=True)
-        trace = run_prod(W, z, cfg)
+        cfg = SolverConfig(method=Method.MAP, max_iter=1, tol=1e-12)
+        _, iterates = recorded(run_prod, W, z, cfg)
         y0 = D.project(z)
-        assert np.array_equal(trace.iterates[0], y0)
-        assert np.array_equal(trace.iterates[1], D.project(W.project(y0)))
-        assert not np.allclose(trace.iterates[1], W.project(y0))
+        assert np.array_equal(iterates[0], y0)
+        assert np.array_equal(iterates[1], D.project(W.project(y0)))
+        assert not np.allclose(iterates[1], W.project(y0))
 
     def test_drm_prod_ordering_pinned(self):
         # DRM-prod reflects through D first: (z + R_W(R_D z)) / 2
         z = np.array([0.0, 2.0, 0.5, 2.0])
         W, D = TWO_BALLS, DiagonalSubspace(2, 2)
-        cfg = SolverConfig(method=Method.DRM, max_iter=2, tol=1e-12, record_trace=True)
-        trace = run_prod(W, z, cfg)
-        z1 = trace.iterates[1]
+        cfg = SolverConfig(method=Method.DRM, max_iter=2, tol=1e-12)
+        _, iterates = recorded(run_prod, W, z, cfg)
+        z1 = iterates[1]
         expected = 0.5 * (z1 + W.reflect(D.reflect(z1)))
-        assert np.allclose(trace.iterates[2], expected, atol=1e-15)
+        assert np.allclose(iterates[2], expected, atol=1e-15)
         swapped = 0.5 * (z1 + D.reflect(W.reflect(z1)))
         assert not np.allclose(expected, swapped)
 
@@ -250,12 +251,12 @@ class TestProdSteps:
 
 class TestRunProd:
     def test_two_tangent_balls_crm(self):
-        cfg = SolverConfig(method=Method.CRM, tol=1e-6, record_trace=True)
-        trace = run_prod(TWO_BALLS, lift([0.0, 2.0], 2), cfg)
+        cfg = SolverConfig(method=Method.CRM, tol=1e-6)
+        trace, iterates = recorded(run_prod, TWO_BALLS, lift([0.0, 2.0], 2), cfg)
         assert trace.status is Status.CONVERGED
         # D-invariance along the whole trajectory
         D = DiagonalSubspace(2, 2)
-        for z in trace.iterates:
+        for z in iterates:
             assert la.norm(z - D.project(z)) <= 1e-8 * (1 + la.norm(z))
         x = restrict(trace.final_point, 2)
         for ball in TWO_BALLS.factors:
@@ -290,10 +291,10 @@ class TestRunProd:
         assert max(counts.values()) <= 2
 
     def test_gap_trace_shape_and_final(self):
-        cfg = SolverConfig(method=Method.MAP, tol=1e-6, record_trace=True)
-        trace = run_prod(OVERLAP, lift([0.0, 3.0], 2), cfg)
+        cfg = SolverConfig(method=Method.MAP, tol=1e-6)
+        trace, iterates = recorded(run_prod, OVERLAP, lift([0.0, 3.0], 2), cfg)
         assert len(trace.gaps) == trace.iterations + 1
-        assert len(trace.iterates) == trace.iterations + 1
+        assert len(iterates) == trace.iterations + 1
         assert trace.gaps[-1] < 1e-6
 
     def test_generic_two_set_driver_also_works_on_w_and_d(self):
@@ -312,10 +313,10 @@ class TestRunProd:
         start = gen_start(inst, derive_seed(137, 2, 2, 0), min_gap=1e-6)
         W = ProductSet(inst.sets)
         D = DiagonalSubspace(W.block_dim, W.m)
-        trace = run_prod(W, start.projected,
-                         SolverConfig(method=Method.CRM, tol=1e-6, record_trace=True))
+        trace, iterates = recorded(run_prod, W, start.projected,
+                                   SolverConfig(method=Method.CRM, tol=1e-6))
         assert trace.status is Status.CONVERGED
-        for z in trace.iterates:
+        for z in iterates:
             assert la.norm(z - D.project(z)) <= DIAG_TOL * (1.0 + la.norm(z))
         restrict(trace.final_point, W.m)  # raises NotDiagonal past DIAG_TOL
 
@@ -324,9 +325,10 @@ class TestRunProd:
             run_prod(OVERLAP, np.zeros(4), SolverConfig(method="SerialCRM"))
 
 
-def _assert_matches_reference(W, z0, cfg):
-    """run_prod (CRM and MAP in R^n) against the R^(nm) driver run(W, D)."""
-    fast = run_prod(W, z0, cfg)
+def _assert_matches_reference(W, z0, cfg, fast=None):
+    """run_prod (CRM and MAP in R^n), or its trace ``fast``, against the R^(nm)
+    driver run(W, D)."""
+    fast = run_prod(W, z0, cfg) if fast is None else fast
     ref = run(W, DiagonalSubspace(W.block_dim, W.m), z0, cfg)
     assert (fast.iterations, fast.status) == (ref.iterations, ref.status)
     scale = 1.0 + la.norm(ref.final_point)
@@ -334,9 +336,14 @@ def _assert_matches_reference(W, z0, cfg):
     return fast
 
 
-def _assert_steps_match_crm_prod_step(W, trace):
-    for z, z_next in zip(trace.iterates, trace.iterates[1:]):
+def _assert_crm_matches_reference_step_by_step(W, z0, cfg):
+    """``_assert_matches_reference`` for CRM, and every step of run_prod
+    against ``crm_prod_step``."""
+    trace, iterates = recorded(run_prod, W, z0, cfg)
+    _assert_matches_reference(W, z0, cfg, trace)
+    for z, z_next in zip(iterates, iterates[1:]):
         assert la.norm(z_next - crm_prod_step(W, z)) <= 1e-12 * (1.0 + la.norm(z))
+    return trace
 
 
 def _poly_case(index, start):
@@ -347,18 +354,17 @@ def _poly_case(index, start):
 
 def _assert_drm_matches_reference(W, z0, cfg):
     """DRM-prod, on a product of halfspaces kept as ``(x, s)`` and on any other
-    product in group order, against the R^(nm) iteration; with a recorded
-    trace, iterate by iterate."""
-    fast = run_prod(W, z0, cfg)
+    product in group order, against the R^(nm) iteration, iterate by
+    iterate."""
+    fast, fast_iterates = recorded(run_prod, W, z0, cfg)
     D = DiagonalSubspace(W.block_dim, W.m)
-    ref = _drive(_TwoSets(W, D, Method.DRM), D._project(z0), cfg)
+    ref, ref_iterates = drive_recorded(_TwoSets(W, D, Method.DRM), D._project(z0), cfg)
     assert (fast.iterations, fast.status) == (ref.iterations, ref.status)
     scale = 1.0 + la.norm(ref.final_point)
     assert la.norm(fast.final_point - ref.final_point) <= 1e-10 * scale
-    if cfg.record_trace:
-        assert len(fast.iterates) == len(ref.iterates)
-        for a, b in zip(fast.iterates, ref.iterates):
-            assert la.norm(a - b) <= 1e-12 * (1.0 + la.norm(b))
+    assert len(fast_iterates) == len(ref_iterates)
+    for a, b in zip(fast_iterates, ref_iterates):
+        assert la.norm(a - b) <= 1e-12 * (1.0 + la.norm(b))
     return fast
 
 
@@ -371,12 +377,11 @@ class TestIterationInRn:
 
     def test_poly_grid_starts_match_the_product_space_driver(self):
         # the reference polyhedral grid: instance 0 of base seed 137 (m = 57)
-        crm = SolverConfig(method=Method.CRM, tol=1e-6, record_trace=True)
+        crm = SolverConfig(method=Method.CRM, tol=1e-6)
         for j in range(20):
             W, z0 = _poly_case(0, j)
-            trace = _assert_matches_reference(W, z0, crm)
+            trace = _assert_crm_matches_reference_step_by_step(W, z0, crm)
             assert trace.status is Status.CONVERGED
-            _assert_steps_match_crm_prod_step(W, trace)
         # MAP takes about a thousand R^(nm) iterations per start; three suffice
         for j in range(3):
             W, z0 = _poly_case(0, j)
@@ -387,16 +392,15 @@ class TestIterationInRn:
     def test_m171_instances_match_the_product_space_driver(self, index):
         W, z0 = _poly_case(index, 0)
         assert W.m == 171
-        trace = _assert_matches_reference(
-            W, z0, SolverConfig(method=Method.CRM, tol=1e-6, record_trace=True))
+        trace = _assert_crm_matches_reference_step_by_step(
+            W, z0, SolverConfig(method=Method.CRM, tol=1e-6))
         assert trace.status is Status.CONVERGED
-        _assert_steps_match_crm_prod_step(W, trace)
         # the first 300 MAP iterations, of 4,656 (instance 2) and 6,518 (instance 7)
         trace = _assert_matches_reference(W, z0, SolverConfig(method=Method.MAP, max_iter=300))
         assert trace.status is Status.MAX_ITER
 
     def test_poly_grid_drm_matches_the_product_space_driver(self):
-        cfg = SolverConfig(method=Method.DRM, tol=1e-6, record_trace=True)
+        cfg = SolverConfig(method=Method.DRM, tol=1e-6)
         for index, start in [(0, j) for j in range(20)] + [(2, 0), (7, 0)]:
             W, z0 = _poly_case(index, start)
             assert W.m == (57 if index == 0 else 171)
@@ -416,7 +420,7 @@ class TestIterationInRn:
         W = ProductSet([Halfspace(h.a, h.b + shift * la.norm(h.a)) for h in factors])
         z0 = lift(anchor + 3.0 * rng.standard_normal(dim), m)
         _assert_drm_matches_reference(
-            W, z0, SolverConfig(method=Method.DRM, max_iter=500, record_trace=True))
+            W, z0, SolverConfig(method=Method.DRM, max_iter=500))
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 8), m=st.integers(1, 8),
@@ -464,9 +468,8 @@ class TestIterationInRn:
         anchor = anchored_point(rng, dim, "soc")  # a point of every factor kind
         W = ProductSet([anchored_set(rng, kind, anchor) for kind in kinds])
         z0 = lift(anchor + 3.0 * rng.standard_normal(dim), W.m)
-        trace = _assert_matches_reference(
-            W, z0, SolverConfig(method=Method.CRM, max_iter=2000, record_trace=True))
-        _assert_steps_match_crm_prod_step(W, trace)
+        _assert_crm_matches_reference_step_by_step(
+            W, z0, SolverConfig(method=Method.CRM, max_iter=2000))
         _assert_matches_reference(W, z0, SolverConfig(method=Method.MAP, max_iter=2000))
 
     @settings(max_examples=40, deadline=None, derandomize=True)
@@ -496,7 +499,7 @@ class TestIterationInRn:
         for method in (Method.CRM, Method.MAP) if shift == 0.0 else ():
             _assert_matches_reference(W, z0, SolverConfig(method=method, max_iter=2000))
         _assert_drm_matches_reference(
-            W, z0, SolverConfig(method=Method.DRM, max_iter=500, record_trace=True))
+            W, z0, SolverConfig(method=Method.DRM, max_iter=500))
 
     # one kind but halfspaces, so each product has one group and reduces in
     # its block array: the vectorized kinds, and hyperplanes and affine
@@ -515,7 +518,7 @@ class TestIterationInRn:
         for method in (Method.CRM, Method.MAP):
             _assert_matches_reference(W, z0, SolverConfig(method=method, max_iter=2000))
         _assert_drm_matches_reference(
-            W, z0, SolverConfig(method=Method.DRM, max_iter=500, record_trace=True))
+            W, z0, SolverConfig(method=Method.DRM, max_iter=500))
 
     @pytest.mark.parametrize("method", [Method.CRM, Method.MAP, Method.DRM])
     def test_memory_stays_at_one_lifted_point(self, method):
@@ -704,27 +707,48 @@ def test_halfspace_projection_sums_equal_the_closed_form(index):
     assert abs(sq - closed_sq) <= 1e-12 * closed_sq
 
 
+def _adapter_runs(cfg):
+    """(adapter class, entry point, its arguments) of every adapter that
+    ``cfg.method`` reaches. CRM and MAP run on plane coordinates
+    (``_ConeAffine``) or ``x``, DRM on span coordinates, ``(m, n)`` blocks
+    (``_Diagonal``) or ``(x, s)`` (``_Halfspaces``), MAP on ``w`` (``_RowSpace``)."""
+    mixed = ProductSet([Ball([0.0, 0.0, 0.0], 1.0), Box([-1.0] * 3, [1.0] * 3),
+                        Halfspace([1.0, 0.0, 0.0], 0.5)])
+    halfspaces = ProductSet([Halfspace([1.0, 0.0, 0.0], 0.5), Halfspace([0.0, 1.0, 0.0], 0.5)])
+    start = np.array([5.0, 1.0, 2.0])
+    yield "_TwoSets", run, (Ball([0.0] * 3, 1.0), AffineSubspace([[1.0, 1.0, 0.0]], [3.0]),
+                            start, cfg)
+    yield "_ConeAffine", run, (SecondOrderCone(3), AffineSubspace([[1.0, 0.0, 1.0]], [2.0]),
+                               -start, cfg)
+    yield "_Diagonal", run_prod, (mixed, lift(start, 3), cfg)  # several groups
+    # one group, which holds a workspace too in a CRM or MAP _Diagonal
+    yield "_Diagonal", run_prod, (TWO_BALLS, lift(start[:2], 2), cfg)
+    rows = "_RowSpace" if cfg.method is Method.MAP else "_Halfspaces"
+    yield rows, run_prod, (halfspaces, lift(start, 2), cfg)
+
+
+# the problem and first iterate that each entry point hands _drive
+PROBLEM_OF = {run: _problem, run_prod: _prod_problem}
+
+
+@pytest.mark.parametrize("method", list(Method))
+def test_recording_changes_nothing_about_a_run(method):
+    # every Fejér and D-invariance check of the suite records through it
+    cfg = SolverConfig(method=method, max_iter=50)
+    for name, solve, args in _adapter_runs(cfg):
+        assert type(PROBLEM_OF[solve](*args)[0]).__name__ == name
+        bare = solve(*args)
+        trace, iterates = recorded(solve, *args)
+        assert trace.iterations > 0, name
+        assert (trace.status, trace.iterations) == (bare.status, bare.iterations), name
+        assert np.array(trace.gaps).tobytes() == np.array(bare.gaps).tobytes(), name
+        assert trace.final_point.tobytes() == bare.final_point.tobytes(), name
+        assert len(iterates) == trace.iterations + 1, name
+
+
 class TestProblemsAreFreed:
     """Every problem dies with its last reference, with the cyclic GC off:
     none of them sits in a reference cycle."""
-
-    MIXED = ProductSet([Ball([0.0, 0.0, 0.0], 1.0), Box([-1.0] * 3, [1.0] * 3),
-                        Halfspace([1.0, 0.0, 0.0], 0.5)])
-    HALFSPACES = ProductSet([Halfspace([1.0, 0.0, 0.0], 0.5), Halfspace([0.0, 1.0, 0.0], 0.5)])
-    START = np.array([5.0, 1.0, 2.0])
-
-    def problems(self, method):
-        """(adapter class, problem, first iterate) of every adapter ``method`` reaches."""
-        cfg = SolverConfig(method=method)
-        yield "_TwoSets", *_problem(Ball([0.0] * 3, 1.0), AffineSubspace([[1.0, 1.0, 0.0]], [3.0]),
-                                    self.START, cfg)
-        yield "_ConeAffine", *_problem(SecondOrderCone(3),
-                                       AffineSubspace([[1.0, 0.0, 1.0]], [2.0]), -self.START, cfg)
-        yield "_Diagonal", *_prod_problem(self.MIXED, lift(self.START, 3), cfg)  # several groups
-        # one group, which holds a workspace too in a CRM or MAP _Diagonal
-        yield "_Diagonal", *_prod_problem(TWO_BALLS, lift(self.START[:2], 2), cfg)
-        rows = "_RowSpace" if method is Method.MAP else "_Halfspaces"
-        yield rows, *_prod_problem(self.HALFSPACES, lift(self.START, 2), cfg)
 
     @pytest.mark.parametrize("method", list(Method))
     def test_problems_die_with_their_last_reference(self, method):
@@ -732,7 +756,8 @@ class TestProblemsAreFreed:
         alive = []
         gc.disable()
         try:
-            for name, problem, z in self.problems(method):
+            for name, solve, args in _adapter_runs(cfg):
+                problem, z = PROBLEM_OF[solve](*args)
                 assert type(problem).__name__ == name
                 if name == "_Diagonal":  # a workspace but in a DRM run
                     assert (problem._work is None) == (method is Method.DRM)

@@ -14,7 +14,8 @@ from numpy import linalg as la
 
 from crmfeas.methods import Method, SolverConfig, crm_step, run
 from crmfeas.product_space import ProductSet, lift, run_prod
-from conftest import anchored_affine, anchored_point, anchored_set, point_in_affine
+from conftest import (anchored_affine, anchored_point, anchored_set, assert_fejer_along,
+                      point_in_affine, recorded)
 
 KINDS = ("ball", "box", "halfspace", "hyperplane", "soc", "affine")
 SEEDS = st.integers(0, 2**32 - 1)
@@ -24,14 +25,6 @@ def _catalog_set(rng, kind, anchor):
     if kind == "affine":
         return anchored_affine(rng, anchor)
     return anchored_set(rng, kind, anchor)
-
-
-def _assert_fejer_along(points, s):
-    # ||z_{k+1} - s||^2 <= ||z_k - s||^2 - ||z_k - z_{k+1}||^2 for s in the intersection
-    for zk, zk1 in zip(points, points[1:]):
-        lhs = la.norm(zk1 - s) ** 2
-        rhs = la.norm(zk - s) ** 2 - la.norm(zk - zk1) ** 2
-        assert lhs <= rhs + 1e-9 * (1.0 + la.norm(zk - s) ** 2)
 
 
 def _assert_not_farther(crm, map_, z, s):
@@ -51,8 +44,8 @@ def test_two_set_crm_is_fejer_and_never_farther_than_map(seed, dim, kind):
     U = anchored_affine(rng, anchor)
     z0 = point_in_affine(rng, U, anchor, spread=3.0)
     _assert_not_farther(crm_step(K, U, z0), U.project(K.project(z0)), z0, anchor)
-    trace = run(K, U, z0, SolverConfig(method=Method.CRM, max_iter=2000, record_trace=True))
-    _assert_fejer_along(trace.iterates, anchor)
+    _, iterates = recorded(run, K, U, z0, SolverConfig(method=Method.CRM, max_iter=2000))
+    assert_fejer_along(iterates, anchor)
 
 
 @settings(max_examples=60, deadline=None)
@@ -64,8 +57,8 @@ def test_product_crm_is_fejer_and_never_farther_than_map(seed, dim, kinds):
     W = ProductSet([_catalog_set(rng, kind, anchor) for kind in kinds])
     s = lift(anchor, W.m)
     z0 = lift(anchor + 3.0 * rng.standard_normal(dim), W.m)
-    one = {method: run_prod(W, z0, SolverConfig(method=method, max_iter=1, record_trace=True))
+    one = {method: recorded(run_prod, W, z0, SolverConfig(method=method, max_iter=1))[1]
            for method in (Method.CRM, Method.MAP)}
-    _assert_not_farther(one[Method.CRM].iterates[-1], one[Method.MAP].iterates[-1], z0, s)
-    trace = run_prod(W, z0, SolverConfig(method=Method.CRM, max_iter=2000, record_trace=True))
-    _assert_fejer_along(trace.iterates, s)
+    _assert_not_farther(one[Method.CRM][-1], one[Method.MAP][-1], z0, s)
+    _, iterates = recorded(run_prod, W, z0, SolverConfig(method=Method.CRM, max_iter=2000))
+    assert_fejer_along(iterates, s)
