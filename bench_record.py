@@ -34,7 +34,9 @@ workloads (``perfbench/workloads.py``) at its first start:
 ``ProductSet._projection_sums`` at the block mean and the DRM-prod
 measurement (``_Diagonal.measure``) on each ``mixed`` instance, and, as controls that a change to the
 product space leaves alone, the MAP measurement of a cone run on each
-``cone`` instance and of MAP-prod on each ``poly`` instance. Two more are
+``cone`` instance and of MAP-prod on each ``poly`` instance, and a whole CRM
+``run`` with ``max_iter=1`` on each ``cone`` instance (``cone.run_us``): the
+fixed cost of a cone run, which its few iterations add little to. Two more are
 also timed at the block mean of the first start's MAP-prod final point
 (``final_us``), where most balls hold the point: the MAP-prod measurement of
 each ``mixed`` instance, by the run's own problem, and that problem's ball
@@ -137,7 +139,7 @@ def time_layers(small: bool) -> dict:
     of the benchmark's workloads."""
     import numpy as np
     import workloads
-    from crmfeas.methods import Method, SolverConfig, _problem
+    from crmfeas.methods import Method, SolverConfig, _problem, run
     from crmfeas.product_space import _prod_problem, run_prod
     from crmfeas.sets import _BallRows
 
@@ -186,6 +188,11 @@ def time_layers(small: bool) -> dict:
         K, U = p.instance.sets[0], p.instance.affine
         return measured(*_problem(K, U, p.starts[0], config(Method.MAP)))
 
+    def cone_run(p):
+        K, U, z0 = p.instance.sets[0], p.instance.affine, p.starts[0]
+        cfg = SolverConfig(tol=workloads.TOL, max_iter=1, method=Method.CRM)
+        return "run", lambda: run(K, U, z0, cfg)
+
     mixed = problems["mixed"]
     with np.errstate(over="ignore", invalid="ignore"):  # as run and run_prod call them
         maps = [map_prod(p) for p in mixed]
@@ -195,6 +202,7 @@ def time_layers(small: bool) -> dict:
             "mixed.map_measure": layer(False, (measure for measure, _ in maps)),
             "mixed.ball_project": layer(False, (ball for _, ball in maps)),
             "cone.map_measure": layer(True, ((p.index, *cone(p)) for p in problems["cone"])),
+            "cone.run_us": layer(True, ((p.index, *cone_run(p)) for p in problems["cone"])),
             "poly.map_measure": layer(True, ((p.index, *prod(p, Method.MAP))
                                              for p in problems["poly"])),
         }

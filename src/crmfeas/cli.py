@@ -132,6 +132,10 @@ def main(argv=None) -> int:
         # bench --trace also writes beside --out, in the same directory
         if args.out and os.path.isdir(args.out):
             raise ValueError(f"--out {args.out} is a directory")
+        if args.command == "bench" and args.trace and args.out \
+                and os.path.isdir(args.out + ".traces.csv"):
+            raise ValueError(f"--out {args.out}: its traces file {args.out}.traces.csv "
+                             "is a directory")
         if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
             raise ValueError(f"--out {args.out}: no such directory")
         if args.command == "profile":

@@ -140,18 +140,20 @@ def _crm_coefficient(uu: float, du: float, dd: float, z_norm: float) -> float:
     :func:`crmfeas.circumcenter.circumcenter` measures the same squared-unit
     residuals against. The floor is what ends CRM on an empty ball-and-line
     or ball-and-plane problem ``DEGENERATE``; a certificate of emptiness
-    (ROADMAP item 3) should take its place.
+    (ROADMAP item 3) should take its place. The scale is evaluated only for
+    a residual above ``RESIDUAL_TOL``: being at least 1, or NaN, which fails
+    the comparison either way, it cannot reject a smaller one.
     """
-    if math.sqrt(uu) < FIXED_POINT_TOL * (1.0 + z_norm):
+    u_norm = math.sqrt(uu)
+    if u_norm < FIXED_POINT_TOL * (1.0 + z_norm):
         raise _FixedPoint("R_K(z) - z is within rounding of z")
     if du <= 0.0:
         raise DegenerateConfiguration("R_K(z) - z has no component along U")
     t = uu / (2.0 * du)
     vv = 4.0 * (dd - du) + uu  # ||2d - u||^2
     residual = max(abs(2.0 * t * du - uu), abs(2.0 * t * (2.0 * dd - du) - vv))
-    scale = 1.0 + max(math.sqrt(uu), math.sqrt(max(vv, 0.0)),
-                      2.0 * math.sqrt(max(dd - 2.0 * du + uu, 0.0)))
-    if residual > RESIDUAL_TOL * scale:
+    if residual > RESIDUAL_TOL and residual > RESIDUAL_TOL * (1.0 + max(
+            u_norm, math.sqrt(max(vv, 0.0)), 2.0 * math.sqrt(max(dd - 2.0 * du + uu, 0.0)))):
         raise DegenerateConfiguration(
             f"no equidistant point in the affine hull (residual {residual:.3e})"
         )
@@ -195,8 +197,9 @@ class _ByMethod:
     """Binds a problem's ``measure``, ``dist`` and ``step`` for its method
     ``_method`` on access: ``_measure_shadow``, ``_dist`` and ``_drm_step`` for
     DRM; ``_measure_iterate``, no ``dist``, and ``_crm_step`` or ``_map_step``
-    otherwise. A bound method stored on the instance would make a reference
-    cycle, and every run's problem would wait for the cyclic GC."""
+    otherwise. Each member is chosen by comparing ``_method``, once per run.
+    A bound method stored on the instance would make a reference cycle, and
+    every run's problem would wait for the cyclic GC."""
 
     @property
     def measure(self):
@@ -208,7 +211,10 @@ class _ByMethod:
 
     @property
     def step(self):
-        return getattr(self, f"_{self._method.value.lower()}_step")
+        method = self._method
+        if method is Method.CRM:
+            return self._crm_step
+        return self._map_step if method is Method.MAP else self._drm_step
 
 
 class _TwoSets(_ByMethod):
@@ -299,6 +305,9 @@ class _ConeAffine(_ByMethod):
     entries, since the tail of ``e_0`` is zero. ``dist`` is the distance from
     ``lift(y)`` to ``K``.
     ``lift`` maps coordinates, of the plane or of the span, to the point.
+    ``dist`` keeps the point it lifted, and ``lift`` returns it for that same
+    shadow, so a converged shadow, which ``_drive`` lifts again as the final
+    point, is lifted once.
 
     ``fits`` is false when the start leaves the arithmetic no headroom below
     overflow (see ``PLANE_HEADROOM``); ``run`` then uses ``_TwoSets``.
@@ -318,6 +327,7 @@ class _ConeAffine(_ByMethod):
         self._tail = (g00, 2.0 * g01, 2.0 * g02, g11, 2.0 * g12, g22)
         self._plane = (g11 + f1 * f1, 2.0 * (g12 + f1 * f2), g22 + f2 * f2)
         self.K, self._method = K, method
+        self._lifted = None, None
         self.start = (1.0, 1.0, 0.0, 0.0) if method is Method.DRM else (1.0, 0.0)
 
     def _measure_iterate(self, z):
@@ -363,6 +373,7 @@ class _ConeAffine(_ByMethod):
 
     def _dist(self, y):
         x = self.lift(y)
+        self._lifted = y, x
         r = x - self.K._project(x)
         return math.sqrt(r.dot(r))
 
@@ -388,11 +399,21 @@ class _ConeAffine(_ByMethod):
         return a - 1.0 + alpha * p, alpha * beta, alpha * r - delta, delta + c - alpha * delta
 
     def lift(self, z):
+        y, x = self._lifted
+        if z is y:
+            return x
         xp, e, w = self._vectors
+        # in place, summed as xp + beta e + gamma w; xp is finite, so adding
+        # it second gives the same bits
         if len(z) == 2:  # a point of the plane
-            return xp + z[0] * e + z[1] * w
+            x = z[0] * e
+            x += xp
+            x += z[1] * w
+            return x
         a, beta, gamma, delta = z
-        x = a * xp + beta * e + gamma * w
+        x = a * xp
+        x += beta * e
+        x += gamma * w
         x[0] += delta
         return x
 
@@ -453,7 +474,7 @@ def _drive(problem, z: np.ndarray, config: SolverConfig) -> IterationTrace:
     ``RuntimeWarning``, which a warning filter would raise.
     """
     measure, step, lift, dist = problem.measure, problem.step, problem.lift, problem.dist
-    tol = config.tol
+    tol, max_iter = config.tol, config.max_iter
     stall_check = config.method is Method.MAP  # one fixed-point rule for every problem
     gaps: list[float] = []
     iterations = 0
@@ -479,7 +500,7 @@ def _drive(problem, z: np.ndarray, config: SolverConfig) -> IterationTrace:
                 and g > STALL_FLOOR * np.max(np.abs(lift(z)))):
             status = Status.DEGENERATE
             break
-        if iterations >= config.max_iter:
+        if iterations >= max_iter:
             status = Status.MAX_ITER if math.isfinite(g) else Status.NONFINITE
             break
         prev = z

@@ -4,14 +4,23 @@ For ``z in U`` the CRM step ``circ{z, R_K(z), R_U R_K(z)}`` equals the
 projection of ``z`` onto ``H_z ∩ U``, where ``H_z`` is the supporting
 hyperplane of ``K`` at ``P_K(z)``. ``crm_oracle`` computes that projection
 by one stacked linear solve, without any circumcenter.
+
+``full_crm_coefficient`` is the CRM rule of ``methods._crm_coefficient``
+with its residual scale evaluated on every call. The solver evaluates the
+scale only for a residual above ``RESIDUAL_TOL`` and must decide every input
+as this rule does.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from numpy import linalg as la
 
-from crmfeas.errors import FeasibilityError, NotInAffine
+from crmfeas.circumcenter import RESIDUAL_TOL
+from crmfeas.errors import DegenerateConfiguration, FeasibilityError, NotInAffine
+from crmfeas.methods import FIXED_POINT_TOL, _FixedPoint
 from crmfeas.sets import AffineSubspace, ConvexSet, Hyperplane, as_point
 
 
@@ -64,3 +73,22 @@ def crm_oracle(K: ConvexSet, U: AffineSubspace, z) -> np.ndarray:
     if float(la.norm(M @ delta - rhs)) > 1e-8 * (1.0 + float(la.norm(rhs))):
         raise InconsistentIntersection("stacked hyperplane/affine system is infeasible")
     return z + delta
+
+
+def full_crm_coefficient(uu: float, du: float, dd: float, z_norm: float) -> float:
+    """``t`` of the CRM step, or the exception of a fixed point or a degenerate
+    configuration, with the residual scale evaluated on every call."""
+    if math.sqrt(uu) < FIXED_POINT_TOL * (1.0 + z_norm):
+        raise _FixedPoint("R_K(z) - z is within rounding of z")
+    if du <= 0.0:
+        raise DegenerateConfiguration("R_K(z) - z has no component along U")
+    t = uu / (2.0 * du)
+    vv = 4.0 * (dd - du) + uu  # ||2d - u||^2
+    residual = max(abs(2.0 * t * du - uu), abs(2.0 * t * (2.0 * dd - du) - vv))
+    scale = 1.0 + max(math.sqrt(uu), math.sqrt(max(vv, 0.0)),
+                      2.0 * math.sqrt(max(dd - 2.0 * du + uu, 0.0)))
+    if residual > RESIDUAL_TOL * scale:
+        raise DegenerateConfiguration(
+            f"no equidistant point in the affine hull (residual {residual:.3e})"
+        )
+    return t

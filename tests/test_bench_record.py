@@ -62,6 +62,7 @@ def test_small_record_of_one_workload_has_every_field(tmp_path):
         "mixed.map_measure": ("_Diagonal.measure", False),
         "mixed.ball_project": ("_BallRows.project", False),
         "cone.map_measure": ("_ConeAffine.measure", True),
+        "cone.run_us": ("run", True),
         "poly.map_measure": ("_RowSpace.measure", True),
     }
     for name, t in layers["timings"].items():

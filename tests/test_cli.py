@@ -192,15 +192,22 @@ def test_bad_problem_file_is_a_usage_error(tmp_path, capsys, content):
     assert len(err) == 1 and err[0].startswith("crmfeas: error: ")
 
 
-@pytest.mark.parametrize("out", ["missing/x.csv", "."], ids=["missing-directory", "directory"])
-@pytest.mark.parametrize("command", [
-    pytest.param(["solve", "problem.json", "--seed", "1"], id="solve"),
-    pytest.param(["bench", "poly", "--n", "10", "--instances", "1", "--starts", "1", "--trace"],
-                 id="bench"),
-    pytest.param(["profile", "runs.csv"], id="profile"),
+_OUT_COMMANDS = {
+    "solve": ["solve", "problem.json", "--seed", "1"],
+    "bench": ["bench", "poly", "--n", "10", "--instances", "1", "--starts", "1", "--trace"],
+    "profile": ["profile", "runs.csv"],
+}
+
+
+@pytest.mark.parametrize("command, out", [
+    *(pytest.param(command, out, id=f"{name}-{kind}") for name, command in _OUT_COMMANDS.items()
+      for out, kind in (("missing/x.csv", "missing-directory"), (".", "directory"))),
+    # bench --trace writes its traces to <out>.traces.csv, made a directory here
+    pytest.param(_OUT_COMMANDS["bench"], "x.csv", id="bench-traces-directory"),
 ])
 def test_an_unwritable_out_is_a_usage_error(tmp_path, capsys, monkeypatch, command, out):
     monkeypatch.chdir(tmp_path)
+    (tmp_path / "x.csv.traces.csv").mkdir()
     write_problem(gen_soc_instance(20, 42), tmp_path / "problem.json")
     (tmp_path / "runs.csv").write_text(RUNS_HEADER + "1,2,CRM,3,1e-7,converged\n")
     assert main(command + ["--out", out]) == 1

@@ -2,14 +2,31 @@
 
 import itertools
 import math
+import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy import linalg as la
 
-from crmfeas.errors import NotInAffine
+from crmfeas.errors import DegenerateConfiguration, NotInAffine
 from crmfeas.instances import derive_seed, gen_soc_instance, gen_start
-from crmfeas.methods import Method, SolverConfig, Status, _drive, _TwoSets, crm_step, run
+from crmfeas.circumcenter import RESIDUAL_TOL
+from crmfeas.methods import (
+    FIXED_POINT_TOL,
+    Method,
+    SolverConfig,
+    Status,
+    _ConeAffine,
+    _crm_coefficient,
+    _drive,
+    _problem,
+    _TwoSets,
+    crm_step,
+    run,
+)
 from crmfeas.product_space import DiagonalSubspace, ProductSet, lift, restrict, run_prod
 from crmfeas.sets import AffineSubspace, Ball, Box, Halfspace, Hyperplane, SecondOrderCone
 from conftest import (
@@ -21,6 +38,7 @@ from conftest import (
     point_in_affine,
     recorded,
 )
+from oracle import full_crm_coefficient
 
 BALL = Ball([0.0, 0.0], 1.0)
 LINE = AffineSubspace([[0.0, 1.0]], [1.0])  # y = 1
@@ -584,9 +602,136 @@ class TestConePlane:
         assert (trace.status, trace.iterations) == (Status.MAX_ITER, cfg.max_iter)
         assert min(trace.gaps) >= 1.0  # the shadow's distance to U
 
+    @staticmethod
+    def drm_run(K, U, z0, max_iter):
+        """A cone-plane DRM run, its last shadow, the shadows ``dist`` rejected,
+        and the lift of that last shadow by a problem that lifted nothing
+        before."""
+        cfg = SolverConfig(method=Method.DRM, max_iter=max_iter)
+        shadows, rejected = [], []
+        with np.errstate(over="ignore", invalid="ignore"):  # as run calls them
+            problem, z = _problem(K, U, np.asarray(z0, dtype=float), cfg)
+            assert type(problem) is _ConeAffine
+
+            def measure(z):
+                y, g, data = problem.measure(z)
+                shadows.append(y)
+                return y, g, data
+
+            def dist(y):
+                d = problem.dist(y)
+                if d >= cfg.tol:
+                    rejected.append(y)
+                return d
+
+            trace = _drive(SimpleNamespace(measure=measure, step=problem.step, lift=problem.lift,
+                                           dist=dist), z, cfg)
+            fresh = _ConeAffine(K, U, U.project(z0), Method.DRM).lift(shadows[-1])
+        return trace, shadows[-1], rejected, fresh
+
+    def test_a_converged_drm_run_ends_at_the_lift_of_its_shadow(self):
+        K, U, z0 = cone_grid_case(0)
+        trace, y, rejected, fresh = self.drm_run(K, U, z0, 100_000)
+        assert trace.status is Status.CONVERGED and trace.iterations > 1
+        assert trace.final_point.tobytes() == fresh.tobytes()
+        assert trace.final_point.tobytes() == run(K, U, z0, SolverConfig(method=Method.DRM)) \
+            .final_point.tobytes()
+
+    # empty, far out: the coordinate gap rounds below tol from iteration 24,173
+    # on, and dist rejects each such shadow; the first run ends on one of them,
+    # the second on a shadow after the last of them
+    @pytest.mark.parametrize("max_iter, last_rejected", [(24_173, True), (30_000, False)])
+    def test_a_drm_run_at_max_iter_ends_at_the_lift_of_its_shadow(self, max_iter, last_rejected):
+        K, U = SecondOrderCone(3), AffineSubspace([[1.0, -1.0, 0.0], [0.0, 0.0, 1.0]], [-1.0, 0.0])
+        trace, y, rejected, fresh = self.drm_run(K, U, 1e150 * np.array([0.3, 2.0, 1.0]),
+                                                 max_iter)
+        assert (trace.status, trace.iterations) == (Status.MAX_ITER, max_iter)
+        assert rejected and (rejected[-1] is y) == last_rejected
+        assert trace.final_point.tobytes() == fresh.tobytes()
+
+    def test_a_rejected_shadow_is_not_lifted_for_another(self):
+        K, U, z0 = cone_grid_case(0)
+        z = U.project(z0)
+        problem, fresh = _ConeAffine(K, U, z, Method.DRM), _ConeAffine(K, U, z, Method.DRM)
+        start, other = (1.0, 0.0), (0.5, 0.25)  # the start's shadow is off K
+        assert problem.dist(start) >= 1e-6
+        assert problem.lift(other).tobytes() == fresh.lift(other).tobytes()
+        assert problem.lift(start).tobytes() == fresh.lift(start).tobytes()
+
     def test_a_subclass_of_affine_subspace_keeps_the_generic_path(self):
         K, U, z0 = cone_grid_case(0)
         counting = CountingAffine(U.A, U.b)
         trace = run(K, counting, z0, SolverConfig(method=Method.MAP))
         assert trace.status is Status.CONVERGED and trace.iterations > 1
         assert counting.projects == trace.iterations + 1  # one per step, one for the start
+
+
+def rule_outcome(rule, *args):
+    """The bits of ``t``, NaN included, or the class of the exception raised."""
+    try:
+        return struct.pack("<d", rule(*args))
+    except Exception as exc:  # noqa: BLE001 - the class is what is compared
+        return type(exc)
+
+
+class TestCrmRule:
+    """``_crm_coefficient`` evaluates its residual scale only for a residual
+    above ``RESIDUAL_TOL``; it decides every input as the full rule does."""
+
+    @staticmethod
+    def assert_same(uu, du, dd, z_norm):
+        args = (uu, du, dd, z_norm)
+        assert rule_outcome(_crm_coefficient, *args) == rule_outcome(full_crm_coefficient, *args), \
+            args
+
+    # uu = du = 1 give t = 1/2 and a residual of |2 - 2 dd|, against a scale of
+    # 2: each r is the residual, in units of RESIDUAL_TOL, of dd = 1 - r/2
+    @pytest.mark.parametrize("r", [0.0, 0.5, 1 - 1e-6, 1 + 1e-6, 1.5, 2 - 1e-6, 2 + 1e-6, 3.0])
+    def test_residuals_around_the_tolerance(self, r):
+        dd = 1.0 - 0.5 * r * RESIDUAL_TOL
+        self.assert_same(1.0, 1.0, dd, 1.0)
+        outcome = rule_outcome(_crm_coefficient, 1.0, 1.0, dd, 1.0)
+        assert (outcome is DegenerateConfiguration) == (r > 2.0)
+
+    @pytest.mark.parametrize("args", [
+        # du <= 0
+        (1.0, 0.0, 1.0, 1.0), (1.0, -0.0, 1.0, 1.0), (1.0, -1.0, 1.0, 1.0),
+        (1.0, -1e-300, 0.0, 1.0),
+        # fixed points: ||u|| within FIXED_POINT_TOL (1 + ||z||), and just beyond
+        (0.0, 0.0, 0.0, 0.0), (1e-30, 1e-30, 1e-30, 1.0),
+        ((0.99 * FIXED_POINT_TOL) ** 2, 1e-29, 1e-29, 0.0),
+        ((1.01 * FIXED_POINT_TOL) ** 2, 1e-29, 1e-29, 0.0),
+        (1.0, 1.0, 1.0, 1e20), (-1.0, 1.0, 1.0, 1.0),
+        # NaN and inf in each place
+        (math.nan, 1.0, 1.0, 1.0), (1.0, math.nan, 1.0, 1.0), (1.0, 1.0, math.nan, 1.0),
+        (1.0, 1.0, 1.0, math.nan), (math.inf, 1.0, 1.0, 1.0), (1.0, math.inf, 1.0, 1.0),
+        (1.0, 1.0, math.inf, 1.0), (1.0, 1.0, 1.0, math.inf), (math.inf, math.inf, math.inf, 1.0),
+        (1.0, 1.0, -math.inf, 1.0), (math.inf, 1.0, math.inf, math.inf),
+        # squared norms near overflow
+        (1e307, 1e307, 1e307, 1.0), (1.7e308, 1.7e308, 1.7e308, 1.0),
+        (1e307, 5e306, 1e307, 1e153), (1e307, 1e307, 4e307, 0.0), (1.7e308, 1e307, 1e300, 1.0),
+        (4e-308, 2e-308, 2e-308, 0.0),
+    ])
+    def test_hand_picked_inputs(self, args):
+        self.assert_same(*args)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.floats(), st.floats(), st.floats(), st.floats())
+    def test_any_floats(self, uu, du, dd, z_norm):
+        self.assert_same(uu, du, dd, z_norm)
+
+    # the inputs of a CRM step: u and d = L u for an orthogonal projector L,
+    # at scales up to overflow, with <d, u> moved by a relative amount
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 6),
+           scale=st.integers(-160, 153),
+           shift=st.sampled_from([0.0, 1e-16, -1e-12, 1e-9, 5e-9, -5e-9, 2e-8, 1e-6]))
+    def test_inputs_of_a_step(self, seed, dim, scale, shift):
+        rng = np.random.default_rng(seed)
+        u = 10.0 ** scale * rng.standard_normal(dim)
+        q, _ = la.qr(rng.standard_normal((dim, int(rng.integers(1, dim + 1)))))
+        d = q @ (q.T @ u)
+        z_norm = 10.0 ** scale * abs(rng.standard_normal())
+        with np.errstate(over="ignore", invalid="ignore"):
+            uu, du, dd = float(u @ u), float(d @ u), float(d @ d)
+        self.assert_same(uu, du * (1.0 + shift), dd, z_norm)

@@ -746,6 +746,16 @@ def test_recording_changes_nothing_about_a_run(method):
         assert len(iterates) == trace.iterations + 1, name
 
 
+@pytest.mark.parametrize("method", list(Method))
+def test_each_adapter_binds_the_step_of_its_method(method):
+    cfg = SolverConfig(method=method, max_iter=50)
+    for name, solve, args in _adapter_runs(cfg):
+        problem = PROBLEM_OF[solve](*args)[0]
+        step = problem.step
+        own = "step" if name == "_RowSpace" else f"_{method.value.lower()}_step"
+        assert (step.__self__, step.__func__) == (problem, getattr(type(problem), own)), name
+
+
 class TestProblemsAreFreed:
     """Every problem dies with its last reference, with the cyclic GC off:
     none of them sits in a reference cycle."""
