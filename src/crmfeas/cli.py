@@ -129,9 +129,9 @@ def main(argv=None) -> int:
     # reject a bad flag value, output path, grid size, problem file or runs CSV,
     # or a problem with no infeasible start to draw, before any work
     try:
-        # bench --trace also writes beside --out, in the same directory
         if args.out and os.path.isdir(args.out):
             raise ValueError(f"--out {args.out} is a directory")
+        # bench --trace also writes beside --out, in the same directory
         if args.command == "bench" and args.trace and args.out \
                 and os.path.isdir(args.out + ".traces.csv"):
             raise ValueError(f"--out {args.out}: its traces file {args.out}.traces.csv "

@@ -11,9 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy import linalg as la
 
+from crmfeas.circumcenter import RESIDUAL_TOL
 from crmfeas.errors import DegenerateConfiguration, NotInAffine
 from crmfeas.instances import derive_seed, gen_soc_instance, gen_start
-from crmfeas.circumcenter import RESIDUAL_TOL
 from crmfeas.methods import (
     FIXED_POINT_TOL,
     Method,
@@ -670,7 +670,7 @@ def rule_outcome(rule, *args):
     """The bits of ``t``, NaN included, or the class of the exception raised."""
     try:
         return struct.pack("<d", rule(*args))
-    except Exception as exc:  # noqa: BLE001 - the class is what is compared
+    except Exception as exc:  # the class is what is compared
         return type(exc)
 
 
