@@ -162,7 +162,8 @@ def time_layers(small: bool) -> dict:
         return entry
 
     def measured(problem, start):
-        return f"{type(problem).__name__}.measure", lambda: problem.measure(start)
+        z = problem.start(start)  # the first iterate
+        return f"{type(problem).__name__}.measure", lambda: problem.measure(z)
 
     def sums(p):
         W = p.W

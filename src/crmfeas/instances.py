@@ -72,7 +72,10 @@ class ProblemInstance:
 
     ``sets`` always holds the convex sets; for ``affine_conic`` problems the
     affine part is kept separately in ``affine`` (it plays the role of the
-    subspace ``U`` of the two-set solvers).
+    subspace ``U`` of the two-set solvers). Construction raises
+    ``ValueError`` unless every set and the affine part have dimension ``n``,
+    a polyhedral problem has no affine part and ``m`` sets, and the
+    certificate, when given, lies in every set and in the affine part.
     """
 
     kind: Kind
@@ -90,15 +93,21 @@ class ProblemInstance:
                 raise ValueError("affine_conic instance needs its affine part")
             if len(self.sets) != 1 or not isinstance(self.sets[0], SecondOrderCone):
                 raise ValueError("affine_conic instance needs sets == [SecondOrderCone]")
+        else:
+            if self.affine is not None:
+                raise ValueError("polyhedral instance has no affine part")
+            if self.m != len(self.sets):
+                raise ValueError(f"polyhedral instance has m = {self.m} but "
+                                 f"{len(self.sets)} sets")
+        parts = self.sets if self.affine is None else [*self.sets, self.affine]
+        for s in parts:
+            if s.dim != self.n:
+                raise ValueError(f"{type(s).__name__} of dimension {s.dim} in a problem "
+                                 f"of dimension n = {self.n}")
         if self.certificate is not None:
             self.certificate = as_point(self.certificate, self.n)
-            for s in self.sets:
-                if not s.contains(self.certificate, CERTIFICATE_TOL):
-                    raise ValueError("certificate violates a set beyond 1e-8")
-            if self.affine is not None and not self.affine.contains(
-                self.certificate, CERTIFICATE_TOL
-            ):
-                raise ValueError("certificate violates the affine part beyond 1e-8")
+            if not all(s.contains(self.certificate, CERTIFICATE_TOL) for s in parts):
+                raise ValueError("certificate violates a set or the affine part beyond 1e-8")
 
 
 @dataclass

@@ -199,7 +199,12 @@ class _ByMethod:
     DRM; ``_measure_iterate``, no ``dist``, and ``_crm_step`` or ``_map_step``
     otherwise. Each member is chosen by comparing ``_method``, once per run.
     A bound method stored on the instance would make a reference cycle, and
-    every run's problem would wait for the cyclic GC."""
+    every run's problem would wait for the cyclic GC. ``start`` returns the
+    tracked start itself, for a problem whose iterates are its tracked
+    points."""
+
+    def start(self, y):
+        return y
 
     @property
     def measure(self):
@@ -303,11 +308,11 @@ class _ConeAffine(_ByMethod):
     ``(2 - a, beta, gamma + 2 delta, -delta)``, and the step
     ``z + P_K(v) - y`` and the gap ``||y - P_K(v)||`` need no further Gram
     entries, since the tail of ``e_0`` is zero. ``dist`` is the distance from
-    ``lift(y)`` to ``K``.
-    ``lift`` maps coordinates, of the plane or of the span, to the point.
-    ``dist`` keeps the point it lifted, and ``lift`` returns it for that same
-    shadow, so a converged shadow, which ``_drive`` lifts again as the final
-    point, is lifted once.
+    ``lift(y)`` to ``K``. A run starts at ``(1, 0)``, or ``(1, 1, 0, 0)``.
+    ``lift`` maps coordinates of the plane, the points the run tracks, to the
+    point; coordinates of the span are never lifted. ``dist`` keeps the point
+    it lifted, and ``lift`` returns it for that same shadow, so a converged
+    shadow, which ``_drive`` lifts again as the final point, is lifted once.
 
     ``fits`` is false when the start leaves the arithmetic no headroom below
     overflow (see ``PLANE_HEADROOM``); ``run`` then uses ``_TwoSets``.
@@ -328,7 +333,9 @@ class _ConeAffine(_ByMethod):
         self._plane = (g11 + f1 * f1, 2.0 * (g12 + f1 * f2), g22 + f2 * f2)
         self.K, self._method = K, method
         self._lifted = None, None
-        self.start = (1.0, 1.0, 0.0, 0.0) if method is Method.DRM else (1.0, 0.0)
+
+    def start(self, y):
+        return (1.0, *y, 0.0) if self._method is Method.DRM else y  # DRM: y in the span
 
     def _measure_iterate(self, z):
         beta, gamma = z
@@ -405,30 +412,26 @@ class _ConeAffine(_ByMethod):
         xp, e, w = self._vectors
         # in place, summed as xp + beta e + gamma w; xp is finite, so adding
         # it second gives the same bits
-        if len(z) == 2:  # a point of the plane
-            x = z[0] * e
-            x += xp
-            x += z[1] * w
-            return x
-        a, beta, gamma, delta = z
-        x = a * xp
-        x += beta * e
-        x += gamma * w
-        x[0] += delta
+        x = z[0] * e
+        x += xp
+        x += z[1] * w
         return x
 
 
-def _drive(problem, z: np.ndarray, config: SolverConfig) -> IterationTrace:
-    """Iterate the configured method from ``z`` until the gap drops below tol.
+def _drive(problem, y, config: SolverConfig) -> IterationTrace:
+    """Iterate the configured method from ``y`` until the gap drops below tol.
 
     ``problem``, built for the configured method, holds iterates in whatever
-    coordinates suit it and supplies four members:
+    coordinates suit it and supplies five members:
 
+    * ``start(y)`` returns the first iterate from the start ``y``, given as
+      a point the method tracks;
     * ``measure(z)`` returns ``(y, gap, data)``: the point the method tracks,
       its gap, and what the step reuses;
     * ``step(z, y, gap, data)`` returns the next iterate;
-    * ``lift(z)`` maps an iterate, or a tracked point ``y``, to the point of
-      R^n (R^(nm) for the product space) that the trace reports;
+    * ``lift(y)`` maps a tracked point ``y`` to the point of R^n (R^(nm) for
+      the product space) that the trace reports; a CRM or MAP iterate is its
+      own tracked point, and a DRM iterate is never lifted;
     * ``dist(y)`` is the distance from ``lift(y)`` to ``K``, and where
       rounding can leave ``lift(y)`` off ``U`` also the distance to ``U``
       beyond that rounding; or ``dist`` is None where the gap already is
@@ -449,7 +452,8 @@ def _drive(problem, z: np.ndarray, config: SolverConfig) -> IterationTrace:
     gives both the same gaps. When ``K ∩ U`` is empty the iterates diverge,
     but the cluster points of the shadow ``y`` are points of ``U`` nearest to
     ``K`` (Bauschke, Combettes and Luke, 2004). ``final_point`` is
-    ``lift(y)`` for every method, the point where the last gap was measured.
+    ``lift(y)`` for every method, the point where the last gap was measured,
+    or the start when the first measurement fails.
 
     A MAP iterate that repeats bitwise with a gap of at least tol is a fixed
     point of ``P_U P_K`` off ``K``, which certifies ``K ∩ U = ∅``
@@ -478,7 +482,7 @@ def _drive(problem, z: np.ndarray, config: SolverConfig) -> IterationTrace:
     stall_check = config.method is Method.MAP  # one fixed-point rule for every problem
     gaps: list[float] = []
     iterations = 0
-    y = prev = z
+    z = prev = problem.start(y)
 
     while True:
         try:
@@ -545,11 +549,12 @@ def run(K: ConvexSet, U: ConvexSet, z0, config: SolverConfig) -> IterationTrace:
 
 
 def _problem(K: ConvexSet, U: ConvexSet, z0: np.ndarray, config: SolverConfig):
-    """The problem that ``run`` drives from the checked start ``z0``, and its
-    first iterate; to be called, as ``run`` does, with overflow ignored."""
+    """The problem that ``run`` drives from the checked start ``z0``, and the
+    projected start as a point the problem tracks (see ``_drive``); to be
+    called, as ``run`` does, with overflow ignored."""
     z = U._project(z0)
     if type(K) is SecondOrderCone and type(U) is AffineSubspace:
         cone = _ConeAffine(K, U, z, config.method)
         if cone.fits:
-            return cone, cone.start
+            return cone, (1.0, 0.0)
     return _TwoSets(K, U, config.method), z

@@ -23,6 +23,7 @@ two-set problem of :mod:`crmfeas.methods`.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 from numpy import linalg as la
@@ -44,6 +45,9 @@ __all__ = [
 ]
 
 DIAG_TOL = 1e-8
+# a normal whose squared distance from the span of the normals before it is
+# at most this fraction of its squared norm counts as dependent (see _gram)
+RANK_TOL = 2.0 ** -20
 # _RowSpace runs only while this multiple of the largest entry of A x_0 and of
 # b is below tol: the rounding of A x = A x_0 + G w, about 2^-52 of that
 # scale, then stays 2^10 times below tol.
@@ -64,7 +68,8 @@ class ProductSet(ConvexSet):
     before and back after. ``_halfspaces`` is the kernel of a product whose
     factors are all ``Halfspace`` (exactly that class), else None: only such
     a product has closed forms for the runs of ``run_prod``, which picks its
-    adapter by it. ``_projection_sums`` of any product fills a group-ordered
+    adapter by it, and only such a product builds ``_gram``.
+    ``_projection_sums`` of any product fills a group-ordered
     array from one point and reduces it once, in a CRM-prod or MAP-prod run
     that run's own array (``_workspace``), so that the set stays immutable.
     The result does not depend on the order of the factors beyond rounding.
@@ -103,9 +108,9 @@ class ProductSet(ConvexSet):
 
     def _project(self, z):
         X = z.reshape(self.m, self.block_dim)
-        if self._order is not None:
-            X = X[self._order]
-        return self._to_factor_order(self._project_rows(X)).ravel()
+        if self._order is None:
+            return self._project_rows(X).ravel()
+        return self._project_rows(X[self._order])[self._inverse].ravel()
 
     def _project_rows(self, X):
         """The projections of the rows of a group-ordered ``(m, n)`` array ``X``
@@ -115,10 +120,6 @@ class ProductSet(ConvexSet):
         for rows_slice, rows in self._groups:
             rows.project(X[rows_slice], P[rows_slice])
         return P
-
-    def _to_factor_order(self, X):
-        """A group-ordered ``(m, n)`` array with its rows back in factor order."""
-        return X if self._inverse is None else X[self._inverse]
 
     def _workspace(self):
         """A group-ordered ``(m, n)`` array and each group's kernel with its row
@@ -138,6 +139,36 @@ class ProductSet(ConvexSet):
         P -= x
         R = P.ravel()
         return total, float(R.dot(R))
+
+    @cached_property
+    def _gram(self):
+        """``G = A A^T`` of a product of halfspaces ``A x <= b`` when the
+        normals are independent (``RANK_TOL``), so that ``G`` is positive
+        definite, else None; built on first use and kept (two threads that ask
+        at once each build the same ``G``).
+
+        Row ``j`` of ``G``, from the diagonal on, and column ``j`` of its
+        Cholesky factor are taken in one pass over the rows, in
+        matrix-vector products only: a matrix-matrix product or a LAPACK
+        call would map the BLAS level-3 buffer and LAPACK's pages, more
+        memory than ``G`` itself. The factor is kept below the diagonal, which
+        then gets the upper triangle back. More rows than columns are
+        dependent, and are rejected before anything is built."""
+        A = self._halfspaces.A
+        k, n = A.shape
+        if k > n:
+            return None
+        G = np.empty((k, k))
+        for j, a in enumerate(A):
+            G[j, j:] = A[j:] @ a
+            lj = G[j, :j]
+            pivot = G[j, j] - lj.dot(lj)  # squared distance of a_j from a_0 .. a_(j-1)
+            if not pivot > RANK_TOL * G[j, j]:
+                return None
+            G[j + 1:, j] = (G[j, j + 1:] - G[j + 1:, :j] @ lj) / math.sqrt(pivot)
+        for j in range(k - 1):
+            G[j + 1:, j] = G[j, j + 1:]
+        return G
 
     def __repr__(self):
         return f"ProductSet(m={self.m}, block_dim={self.block_dim})"
@@ -226,8 +257,9 @@ class _Diagonal(_ByMethod):
     onto ``W`` (``ProductSet._project_rows``), gives the gap ``||y - P||``
     and the step ``z + P - y``: the R^(nm) iteration with its blocks
     permuted, and no block gathered or scattered. ``dist`` is the distance
-    from ``lift(y)`` to ``W``. ``lift`` maps an iterate, its rows back in
-    factor order, or a point ``x`` of R^n to its point of R^(nm).
+    from ``lift(y)`` to ``W``. The points the run tracks, ``x`` and ``y``,
+    lie in R^n, and ``lift`` maps them to R^(nm); a DRM iterate is never
+    lifted.
     """
 
     def __init__(self, W: ProductSet, method: Method):
@@ -274,20 +306,30 @@ class _Diagonal(_ByMethod):
         P -= y
         return P
 
-    def lift(self, Z):
-        return np.tile(Z, self.W.m) if Z.ndim == 1 else self.W._to_factor_order(Z).ravel()
+    def lift(self, x):
+        return np.tile(x, self.W.m)
 
 
 class _Halfspaces(_Diagonal):
     """``_Diagonal`` on a product ``W`` of ``Halfspace`` factors (exactly that
-    class), the rows of ``A x <= b``: the projection sums come in closed form
-    (``_HalfspaceRows.sums``), and no run holds a workspace.
+    class), the rows of ``A x <= b`` (``W._halfspaces``), in closed forms, so
+    that no run holds a workspace.
+
+    With ``c = max(A x - b, 0) / ||a_i||^2`` the projections of ``x`` sum to
+    ``m x - A^T c`` and their squared residuals to ``<max(A x - b, 0), c>``
+    (``_sums``), in O(m + n) memory besides ``A``.
 
     DRM iterates ``z`` with blocks ``z_i = x + s_i a_i`` are kept as the pair
-    ``(x, s)``, ``x in R^n`` and ``s in R^m``, from ``(x, 0)``. The step goes
-    to ``(y, -c)``, with ``y`` the shadow ``P_D(z)`` and the gap from a Gram
-    expansion (see ``_HalfspaceRows.drm``), so an iteration takes three
-    products with ``A`` and no vector of R^(nm).
+    ``(x, s)``, ``x in R^n`` and ``s in R^m``, from ``(x, 0)``. The shadow,
+    the block mean, is ``y = x + d`` with ``d = A^T s / m``. The reflected
+    blocks ``v_i = 2 y - z_i`` have ``a_i^T v_i = (A (y + d))_i - s_i
+    ||a_i||^2`` and project to ``v_i - c_i a_i`` with ``c = max(a_i^T v_i -
+    b_i, 0) / ||a_i||^2``, so the step ``z + P_W(v) - y`` goes to
+    ``(y, -c)``. The gap blocks ``y - P(v_i) = (s_i + c_i) a_i - d`` give the
+    squared gap ``m ||d||^2 - 2 <s + c, A d> + sum (s_i + c_i)^2 ||a_i||^2``,
+    which can round to 0 or below on an iterate far larger than its gap. An
+    iteration takes three products with ``A`` and no vector of R^(nm); as in
+    ``_Diagonal``, a pair is never lifted.
     """
 
     def __init__(self, W: ProductSet, method: Method):
@@ -296,65 +338,76 @@ class _Halfspaces(_Diagonal):
     def start(self, x):
         return (x, np.zeros(self.W.m)) if self._method is Method.DRM else x
 
+    def _residuals(self, r):
+        """``c`` and ``sum ||P_i(x) - x||^2`` from ``r = A x``."""
+        rows = self._rows
+        excess = np.maximum(r - rows.b, 0.0)
+        c = excess / rows.a_sq
+        return c, float(excess.dot(c))
+
     def _sums(self, x):
-        return self._rows.sums(x)
+        A = self._rows.A
+        c, sq = self._residuals(A @ x)
+        return self.W.m * x - c @ A, sq
 
     def _measure_shadow(self, z):
-        y, c, gg = self._rows.drm(*z)
+        (x, s), m = z, self.W.m
+        A, b, a_sq = self._rows.A, self._rows.b, self._rows.a_sq
+        d = (s @ A) / m
+        y = x + d
+        v = _check_finite(y + d)  # 2 y - z, as the reflection through D is checked
+        c = np.maximum(A @ v - s * a_sq - b, 0.0) / a_sq
+        r = s + c
+        gg = m * float(d.dot(d)) - 2.0 * float(r.dot(A @ d)) + float((r * r).dot(a_sq))
         return y, 0.0 if gg < 0.0 else math.sqrt(gg), c  # NaN stays NaN
 
     def _drm_step(self, z, y, g, c):
         return y, -c
 
-    def lift(self, z):
-        if not isinstance(z, tuple):
-            return super().lift(z)
-        x, s = z
-        return (x + s[:, None] * self._rows.A).ravel()
 
-
-class _RowSpace:
-    """MAP on ``W ∩ D`` for :func:`crmfeas.methods._drive`, when the factors
-    of ``W`` are halfspaces with independent normals, on iterates
-    ``x = x_0 + A^T w`` kept as ``w in R^m``.
+class _RowSpace(_Halfspaces):
+    """MAP on ``W ∩ D``, as ``_Halfspaces`` runs it, when the normals are
+    independent, on iterates ``x = x_0 + A^T w`` kept as ``w in R^m``.
 
     Cimmino's step moves ``x`` by ``-A^T c / m`` (see ``_Diagonal``), so the
     iterates never leave ``x_0 + row(A)``, and ``w`` goes to ``w - c / m``.
-    With ``r_0 = A x_0`` and ``G = A A^T``, ``A x = r_0 + G w`` gives ``c``
-    and the gap (see ``_HalfspaceRows.row_space``): an iteration costs one
-    product with the ``m x m`` matrix ``G`` instead of two with the
-    ``m x n`` matrix ``A``.
+    With ``r_0 = A x_0`` and ``G = A A^T`` (``ProductSet._gram``),
+    ``A x = r_0 + G w`` gives ``c`` and the gap through the parent's
+    ``_residuals``: an iteration costs one product with the ``m x m`` matrix
+    ``G`` instead of two with the ``m x n`` matrix ``A``. The run starts at
+    ``w = 0``.
 
     ``fits`` is false, and ``run_prod`` uses ``_Halfspaces``, when the normals
-    are dependent (``_HalfspaceRows.gram``) or when the rounding of ``A x``
-    is not far below ``tol`` (``ROW_HEADROOM``). ``x_0`` can still be far
-    larger than ``A x_0`` shows, and ``x_0 + A^T w`` then loses ``w``; ``dist``
-    measures at ``x`` itself, in closed form (``_HalfspaceRows.sums``).
-    ``lift`` maps ``w`` to ``lift(x)``.
+    are dependent or when the rounding of ``A x`` is not far below ``tol``
+    (``ROW_HEADROOM``). ``x_0`` can still be far larger than ``A x_0`` shows,
+    and ``x_0 + A^T w`` then loses ``w``; so ``dist`` is the parent's
+    ``_dist`` at ``x`` itself, in closed form, and ``lift`` maps ``w`` to the
+    parent's ``lift`` of ``x``.
     """
 
     def __init__(self, W: ProductSet, x0: np.ndarray, tol: float):
-        self.W, self._rows, self._x0 = W, W._halfspaces, x0
+        super().__init__(W, Method.MAP)
+        self._x0 = x0
         self._r0 = r0 = self._rows.A @ x0
         scale = abs(r0).max() + abs(self._rows.b).max()
         # NaN fails the first test; G is built only for a product that fits
-        self.fits = ROW_HEADROOM * scale < tol and self._rows.gram is not None
+        self.fits = ROW_HEADROOM * scale < tol and W._gram is not None
 
-    def measure(self, w):
-        c, sq = self._rows.row_space(self._r0, w)
+    def _measure_iterate(self, w):
+        c, sq = self._residuals(self._r0 + self.W._gram @ w)
         return w, math.sqrt(sq), c
 
     def dist(self, w):
-        return math.sqrt(self._rows.sums(self._point(w))[1])
+        return self._dist(self._point(w))
 
-    def step(self, w, y, g, c):
+    def _map_step(self, w, y, g, c):
         return w - c / self.W.m
 
     def _point(self, w):
         return self._x0 + w @ self._rows.A
 
     def lift(self, w):
-        return np.tile(self._point(w), self.W.m)
+        return super().lift(self._point(w))
 
 
 def run_prod(W: ProductSet, z0, config: SolverConfig) -> IterationTrace:
@@ -391,13 +444,12 @@ def run_prod(W: ProductSet, z0, config: SolverConfig) -> IterationTrace:
 
 def _prod_problem(W: ProductSet, z0: np.ndarray, config: SolverConfig):
     """The problem that ``run_prod`` drives from the checked start ``z0``, and
-    its first iterate; to be called, as ``run_prod`` does, with overflow
-    ignored."""
+    that start as a point the problem tracks (see ``_drive``): the block mean
+    of ``z0``, or ``w = 0`` on the row space; to be called, as ``run_prod``
+    does, with overflow ignored."""
     x = z0.reshape(W.m, W.block_dim).mean(axis=0)
     if W._halfspaces is None:
-        problem = _Diagonal(W, config.method)
-    elif config.method is Method.MAP and (rows := _RowSpace(W, x, config.tol)).fits:
+        return _Diagonal(W, config.method), x
+    if config.method is Method.MAP and (rows := _RowSpace(W, x, config.tol)).fits:
         return rows, np.zeros(W.m)
-    else:
-        problem = _Halfspaces(W, config.method)
-    return problem, problem.start(x)
+    return _Halfspaces(W, config.method), x

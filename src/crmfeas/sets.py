@@ -137,30 +137,8 @@ class Halfspace(_Normal):
 
 
 class _HalfspaceRows(_Rows):
-    """Halfspaces ``a_i^T x <= b_i`` as the rows of ``A x <= b``: with
-    ``c = max(A x - b, 0) / ||a_i||^2`` the projections of ``x`` sum to
-    ``k x - A^T c`` and their squared residuals to ``<max(A x - b, 0), c>``,
-    in O(k + n) memory besides ``A``.
-
-    ``drm(x, s)`` measures a product-space DRM iterate whose blocks are
-    ``z_i = x + s_i a_i`` in the same memory. Its shadow, the block mean,
-    is ``y = x + d`` with ``d = A^T s / k``. The reflected blocks
-    ``v_i = 2 y - z_i`` have ``a_i^T v_i = (A (y + d))_i - s_i ||a_i||^2``
-    and project to ``v_i - c_i a_i`` with ``c = max(a_i^T v_i - b_i, 0) /
-    ||a_i||^2``, so the next iterate ``z + P_W(v) - y`` has blocks
-    ``y - c_i a_i``. The gap blocks ``y - P(v_i) = (s_i + c_i) a_i - d`` give
-    the squared gap ``k ||d||^2 - 2 <s + c, A d> + sum (s_i + c_i)^2 ||a_i||^2``.
-    It returns ``y``, ``c`` and that squared gap, which can round to 0 or
-    below on an iterate far larger than its gap.
-
-    ``row_space(r0, w)`` measures ``x = x_0 + A^T w`` from ``r0 = A x_0``
-    through ``A x = r0 + G w``, with ``G = A A^T`` from ``gram``: a product
-    with the ``k x k`` matrix ``G`` instead of two with ``A``. It returns
-    ``c`` and the squared residual sum, as ``sums`` does."""
-
-    # a row whose squared distance from the span of the rows before it is at
-    # most this fraction of its squared norm counts as dependent (see gram)
-    RANK_TOL = 2.0 ** -20
+    """Halfspaces ``a_i^T x <= b_i`` as the rows of ``A x <= b``, with the
+    squared norms ``a_sq`` of the normals."""
 
     def __init__(self, halfspaces):
         super().__init__(halfspaces)
@@ -173,58 +151,6 @@ class _HalfspaceRows(_Rows):
         excess = np.maximum(r - self.b, 0.0)
         np.multiply((excess / self.a_sq)[:, None], self.A, out=out)
         np.subtract(X, out, out=out)
-
-    def _residuals(self, r):
-        """``c`` and ``sum ||P_i(x) - x||^2`` from ``r = A x``."""
-        excess = np.maximum(r - self.b, 0.0)
-        c = excess / self.a_sq
-        return c, float(excess.dot(c))
-
-    def sums(self, x):
-        c, sq = self._residuals(self.A @ x)
-        return self.b.size * x - c @ self.A, sq
-
-    @cached_property
-    def gram(self):
-        """``G = A A^T`` when the rows are independent (``RANK_TOL``), so that
-        ``G`` is positive definite, else None; built on first use and kept
-        (two threads that ask at once each build the same ``G``).
-
-        Row ``j`` of ``G``, from the diagonal on, and column ``j`` of its
-        Cholesky factor are taken in one pass over the rows, in
-        matrix-vector products only: a matrix-matrix product or a LAPACK
-        call would map the BLAS level-3 buffer and LAPACK's pages, more
-        memory than ``G`` itself. The factor is kept below the diagonal, which
-        then gets the upper triangle back. More rows than columns are
-        dependent, and are rejected before anything is built."""
-        A = self.A
-        k, n = A.shape
-        if k > n:
-            return None
-        G = np.empty((k, k))
-        for j, a in enumerate(A):
-            G[j, j:] = A[j:] @ a
-            lj = G[j, :j]
-            pivot = G[j, j] - lj.dot(lj)  # squared distance of a_j from a_0 .. a_(j-1)
-            if not pivot > self.RANK_TOL * G[j, j]:
-                return None
-            G[j + 1:, j] = (G[j, j + 1:] - G[j + 1:, :j] @ lj) / math.sqrt(pivot)
-        for j in range(k - 1):
-            G[j + 1:, j] = G[j, j + 1:]
-        return G
-
-    def row_space(self, r0, w):
-        return self._residuals(r0 + self.gram @ w)
-
-    def drm(self, x, s):
-        d = (s @ self.A) / self.b.size
-        y = x + d
-        v = _check_finite(y + d)  # 2 y - x, as the reflection through D is checked
-        c = np.maximum(self.A @ v - s * self.a_sq - self.b, 0.0) / self.a_sq
-        r = s + c
-        gg = (self.b.size * float(d.dot(d)) - 2.0 * float(r.dot(self.A @ d))
-              + float((r * r).dot(self.a_sq)))
-        return y, c, gg
 
 
 class Hyperplane(_Normal):

@@ -9,7 +9,7 @@ import pytest
 from numpy import linalg as la
 
 from crmfeas import methods, product_space
-from crmfeas.methods import _drive
+from crmfeas.methods import Method, _drive
 from crmfeas.sets import (
     AffineSubspace,
     Ball,
@@ -20,6 +20,35 @@ from crmfeas.sets import (
 )
 
 ANCHORED_KINDS = ("ball", "halfspace", "box", "soc")
+
+
+def _problem_file(kind, n, m, sets, affine=None):
+    return {"schema": 1, "kind": kind, "n": n, "m": m, "seed": 0, "sets": sets,
+            "affine": affine, "certificate": None}
+
+
+_X, _Y = ({"type": "halfspace", "a": a, "b": 1.0} for a in ([1.0, 0.0], [0.0, 1.0]))
+# problem files, without a certificate, whose parts do not make one problem,
+# and the reason the reader gives for each
+INCONSISTENT_PROBLEMS = {
+    "set-dimension": (_problem_file("polyhedral", 3, 2, [_X, _Y]),
+                      "Halfspace of dimension 2 in a problem of dimension n = 3"),
+    "set-dimensions-differ": (
+        _problem_file("polyhedral", 2, 2,
+                      [_X, {"type": "halfspace", "a": [0.0, 1.0, 0.0], "b": 1.0}]),
+        "Halfspace of dimension 3 in a problem of dimension n = 2"),
+    "cone-dimension": (_problem_file("affine_conic", 3, 1, [{"type": "soc", "n": 4}],
+                                     {"A": [[1.0, 0.0, 0.0]], "b": [1.0]}),
+                       "SecondOrderCone of dimension 4 in a problem of dimension n = 3"),
+    "affine-dimension": (_problem_file("affine_conic", 3, 1, [{"type": "soc", "n": 3}],
+                                       {"A": [[1.0, 0.0]], "b": [1.0]}),
+                         "AffineSubspace of dimension 2 in a problem of dimension n = 3"),
+    "m-is-not-the-set-count": (_problem_file("polyhedral", 2, 3, [_X, _Y]),
+                               "polyhedral instance has m = 3 but 2 sets"),
+    "polyhedral-with-affine": (_problem_file("polyhedral", 2, 2, [_X, _Y],
+                                             {"A": [[1.0, 1.0]], "b": [9.0]}),
+                               "polyhedral instance has no affine part"),
+}
 
 
 def anchored_point(rng, dim, kind, scale=2.0):
@@ -73,20 +102,49 @@ def point_in_affine(rng, U, near, spread=2.0):
     return U.project(near + spread * rng.standard_normal(U.dim))
 
 
-def drive_recorded(problem, z, config):
-    """``_drive(problem, z, config)`` and the iterates it visited, lifted: the
-    start ``z``, then the iterate each step returned."""
-    step, lift = problem.step, problem.lift
-    iterates = [lift(z)]
+def lift_iterate(problem, z):
+    """The point of R^n, or of R^(nm), of an iterate ``z`` of ``problem``.
+
+    ``problem.lift`` maps only the points a run tracks, which the iterates of
+    CRM and MAP and of a DRM run in R^n are; a DRM iterate kept as span
+    coordinates (``_ConeAffine``), as the pair ``(x, s)`` (``_Halfspaces``)
+    or as blocks in group order (``_Diagonal``) is lifted here."""
+    if problem._method is not Method.DRM or isinstance(problem, methods._TwoSets):
+        return problem.lift(z)
+    if isinstance(problem, methods._ConeAffine):
+        a, beta, gamma, delta = z
+        xp, e, w = problem._vectors
+        x = a * xp
+        x += beta * e
+        x += gamma * w
+        x[0] += delta
+        return x
+    W = problem.W
+    if isinstance(problem, product_space._Halfspaces):
+        x, s = z
+        return (x + s[:, None] * W._halfspaces.A).ravel()
+    return (z if W._inverse is None else z[W._inverse]).ravel()
+
+
+def drive_recorded(problem, y, config):
+    """``_drive(problem, y, config)`` and the iterates it visited, lifted by
+    ``lift_iterate``: the first iterate, then the iterate each step returned."""
+    start, step = problem.start, problem.step
+    iterates = []
+
+    def recording_start(y):
+        z = start(y)
+        iterates.append(lift_iterate(problem, z))
+        return z
 
     def recording_step(z, *args):
         z = step(z, *args)
-        iterates.append(lift(z))
+        iterates.append(lift_iterate(problem, z))
         return z
 
-    recording = SimpleNamespace(measure=problem.measure, step=recording_step, lift=lift,
-                                dist=problem.dist)
-    return _drive(recording, z, config), iterates
+    recording = SimpleNamespace(start=recording_start, measure=problem.measure,
+                                step=recording_step, lift=problem.lift, dist=problem.dist)
+    return _drive(recording, y, config), iterates
 
 
 def recorded(solve, *args):
@@ -94,8 +152,8 @@ def recorded(solve, *args):
     iterates of its run (see ``drive_recorded``)."""
     runs = []
 
-    def drive(problem, z, config):
-        trace, iterates = drive_recorded(problem, z, config)
+    def drive(problem, y, config):
+        trace, iterates = drive_recorded(problem, y, config)
         runs.append(iterates)
         return trace
 

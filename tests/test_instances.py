@@ -24,6 +24,7 @@ from crmfeas.instances import (
 )
 from crmfeas.product_space import ProductSet
 from crmfeas.sets import Halfspace, SecondOrderCone
+from conftest import INCONSISTENT_PROBLEMS
 
 
 def replay_polyhedral_draws(n, seed):
@@ -226,6 +227,14 @@ class TestProblemFiles:
         path = tmp_path / "binary.json"
         path.write_bytes(b"\xff\xfe{")
         with pytest.raises(ParseError, match="UTF-8"):
+            read_problem(path)
+
+    @pytest.mark.parametrize("name", INCONSISTENT_PROBLEMS)
+    def test_inconsistent_problem_files_are_parse_errors(self, tmp_path, name):
+        doc, reason = INCONSISTENT_PROBLEMS[name]
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match=f"^inconsistent problem file: {reason}$"):
             read_problem(path)
 
     def test_corrupted_certificate(self, tmp_path):

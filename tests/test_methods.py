@@ -450,6 +450,9 @@ class ScriptedProblem:
         self.measured.append(k)
         return self.dists[k]
 
+    def start(self, k):
+        return k
+
     def step(self, k, y, g, data):
         return k + 1
 
@@ -624,8 +627,9 @@ class TestConePlane:
                     rejected.append(y)
                 return d
 
-            trace = _drive(SimpleNamespace(measure=measure, step=problem.step, lift=problem.lift,
-                                           dist=dist), z, cfg)
+            trace = _drive(SimpleNamespace(start=problem.start, measure=measure,
+                                           step=problem.step, lift=problem.lift, dist=dist),
+                           z, cfg)
             fresh = _ConeAffine(K, U, U.project(z0), Method.DRM).lift(shadows[-1])
         return trace, shadows[-1], rejected, fresh
 

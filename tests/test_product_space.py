@@ -698,13 +698,72 @@ def test_only_a_product_of_halfspaces_gets_the_halfspace_kernel():
 @pytest.mark.parametrize("index", [0, 2])
 def test_halfspace_projection_sums_equal_the_closed_form(index):
     # poly instance 0 (m = 57) and instance 2 (m = 171) at their first start:
-    # the block array and _HalfspaceRows.sums reduce the same projections
+    # the block array and the closed-form sums of _Halfspaces reduce the same
+    # projections
     W, z0 = _poly_case(index, 0)
     x = z0.reshape(W.m, W.block_dim).mean(axis=0)
     total, sq = W._projection_sums(x)
-    closed_total, closed_sq = W._halfspaces.sums(x)
+    closed_total, closed_sq = _Halfspaces(W, Method.MAP)._sums(x)
     assert la.norm(total - closed_total) <= 1e-12 * la.norm(closed_total)
     assert abs(sq - closed_sq) <= 1e-12 * closed_sq
+
+
+@pytest.mark.parametrize("W", [
+    ProductSet([Ball([0.0, 0.0], 1.0), Halfspace([0.0, 1.0], 0.5)]),
+    ProductSet([Halfspace([1.0, 0.0], 0.0), Halfspace([0.0, 1.0], 0.5)]),
+], ids=["_Diagonal", "_Halfspaces"])
+def test_a_run_whose_first_measurement_fails_ends_at_its_start(W):
+    # the block mean [inf, 0.5] of this start overflows, so no gap is measured,
+    # and final_point is the lift of that mean for every method: a DRM run
+    # lifts its start as a tracked point, not its first iterate
+    z0 = lift([1e308, 0.5], 2)
+    for method in Method:
+        trace = run_prod(W, z0, SolverConfig(method=method))
+        assert (trace.status, trace.iterations) == (Status.NONFINITE, 0), method
+        assert trace.final_point.tobytes() == np.tile([np.inf, 0.5], 2).tobytes(), method
+
+
+def test_row_space_is_the_halfspace_adapter_on_w():
+    # poly instance 0 at its first start, at w = 0 and at the iterates of its
+    # MAP-prod run: dist and lift at w are those of _Halfspaces at x_0 + A^T w
+    W, z0 = _poly_case(0, 0)
+    cfg = SolverConfig(method=Method.MAP, max_iter=200)
+    problem, w = _prod_problem(W, z0, cfg)
+    assert type(problem) is _RowSpace and isinstance(problem, _Halfspaces)
+    x0 = z0.reshape(W.m, W.block_dim).mean(axis=0)
+    halfspaces = _Halfspaces(W, Method.MAP)
+    for _ in range(cfg.max_iter):
+        x = x0 + w @ W._halfspaces.A
+        assert problem.dist(w) == halfspaces._dist(x)
+        assert problem.lift(w).tobytes() == halfspaces.lift(x).tobytes()
+        y, g, c = problem.measure(w)
+        w = problem.step(w, y, g, c)
+
+
+class TestHalfspaceGram:
+    """``ProductSet._gram`` is ``A A^T`` for independent normals, and None
+    for dependent ones, which more normals than dimensions always are."""
+
+    @staticmethod
+    def gram(A):
+        return ProductSet([Halfspace(a, 0.0) for a in A])._gram
+
+    @pytest.mark.parametrize("k, n", [(1, 3), (5, 5), (57, 200), (199, 200)])
+    def test_independent_normals(self, rng, k, n):
+        A = rng.standard_normal((k, n))
+        G = self.gram(A)
+        assert np.array_equal(G, G.T)
+        assert la.norm(G - A @ A.T) <= 1e-14 * la.norm(A) ** 2
+
+    def test_dependent_normals(self, rng):
+        A = rng.standard_normal((4, 6))
+        assert self.gram(rng.standard_normal((7, 6))) is None
+        assert self.gram(np.vstack([A, A[0] - 2.0 * A[2]])) is None
+        assert self.gram([[1.0, 1.0, 0.0, 0.0], [-1.0, 0.0, 0.5, 0.0],
+                          [0.0, -1.0, -0.5, 0.0]]) is None
+        # a normal whose distance from the span of the others is below 2^-10
+        # of its norm counts as dependent
+        assert self.gram(np.vstack([A, A[1] + 1e-4 * rng.standard_normal(6)])) is None
 
 
 def _adapter_runs(cfg):
@@ -752,8 +811,8 @@ def test_each_adapter_binds_the_step_of_its_method(method):
     for name, solve, args in _adapter_runs(cfg):
         problem = PROBLEM_OF[solve](*args)[0]
         step = problem.step
-        own = "step" if name == "_RowSpace" else f"_{method.value.lower()}_step"
-        assert (step.__self__, step.__func__) == (problem, getattr(type(problem), own)), name
+        own = getattr(type(problem), f"_{method.value.lower()}_step")
+        assert (step.__self__, step.__func__) == (problem, own), name
 
 
 class TestProblemsAreFreed:

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from numpy import linalg as la
 
 from crmfeas.errors import DimensionMismatch, ParseError
+from crmfeas.methods import Method
+from crmfeas.product_space import ProductSet, _Halfspaces
 from crmfeas.sets import (
     AffineSubspace,
     Ball,
@@ -236,7 +238,7 @@ def _assert_former_bits(s, x):
 
 
 def _former_halfspace_residuals(rows, x):
-    # the second of _HalfspaceRows.sums, sum_i ||P_i(x) - x||^2
+    # the second of the closed-form sums of _Halfspaces, sum_i ||P_i(x) - x||^2
     excess = np.maximum(rows.A @ x - rows.b, 0.0)
     return float(excess @ (excess / rows.a_sq))
 
@@ -260,9 +262,10 @@ class TestKernelsKeepTheirFormerBits:
         for s in (SecondOrderCone(x.size), Ball(c, 10.0 ** set_exp),
                   Box(c - w, c + w), Box(c, c), Halfspace(a, b), Hyperplane(a, b)):
             _assert_former_bits(s, x)
-        rows = _row_projector([Halfspace(a, b), Halfspace(-a, b), Halfspace(a, b - 1.0)])
+        W = ProductSet([Halfspace(a, b), Halfspace(-a, b), Halfspace(a, b - 1.0)])
         with np.errstate(over="ignore"):
-            assert rows.sums(x)[1] == _former_halfspace_residuals(rows, x)
+            assert (_Halfspaces(W, Method.MAP)._sums(x)[1]
+                    == _former_halfspace_residuals(W._halfspaces, x))
 
     @pytest.mark.parametrize("x", [
         [0.0, 0.0, 0.0],  # the apex
@@ -483,32 +486,6 @@ class TestAffineBasis:
             # relative to ||x_p||^2, as ||w|| <= 1
             assert np.allclose(gram, [xp @ xp, xp @ wt, wt @ wt], rtol=0.0,
                                atol=1e-13 * (1.0 + xp @ xp))
-
-
-class TestHalfspaceGram:
-    """``_HalfspaceRows.gram`` is ``A A^T`` for independent normals, and None
-    for dependent ones, which more normals than dimensions always are."""
-
-    @staticmethod
-    def gram(A):
-        return _row_projector([Halfspace(a, 0.0) for a in A]).gram
-
-    @pytest.mark.parametrize("k, n", [(1, 3), (5, 5), (57, 200), (199, 200)])
-    def test_independent_normals(self, rng, k, n):
-        A = rng.standard_normal((k, n))
-        G = self.gram(A)
-        assert np.array_equal(G, G.T)
-        assert la.norm(G - A @ A.T) <= 1e-14 * la.norm(A) ** 2
-
-    def test_dependent_normals(self, rng):
-        A = rng.standard_normal((4, 6))
-        assert self.gram(rng.standard_normal((7, 6))) is None
-        assert self.gram(np.vstack([A, A[0] - 2.0 * A[2]])) is None
-        assert self.gram([[1.0, 1.0, 0.0, 0.0], [-1.0, 0.0, 0.5, 0.0],
-                          [0.0, -1.0, -0.5, 0.0]]) is None
-        # a normal whose distance from the span of the others is below 2^-10
-        # of its norm counts as dependent
-        assert self.gram(np.vstack([A, A[1] + 1e-4 * rng.standard_normal(6)])) is None
 
 
 class TestConstructionErrors:
