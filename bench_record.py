@@ -32,11 +32,13 @@ The per-layer section holds timeit medians, per call, of the calls one
 iteration of a benchmark run makes, on every instance of the benchmark's
 workloads (``perfbench/workloads.py``) at its first start:
 ``ProductSet._projection_sums`` at the block mean and the DRM-prod
-measurement (``_Diagonal.measure``) on each ``mixed`` instance, and, as controls that a change to the
-product space leaves alone, the MAP measurement of a cone run on each
-``cone`` instance and of MAP-prod on each ``poly`` instance, and a whole CRM
-``run`` with ``max_iter=1`` on each ``cone`` instance (``cone.run_us``): the
-fixed cost of a cone run, which its few iterations add little to. Two more are
+measurement (``_Diagonal.measure``) on each ``mixed`` instance, the MAP-prod
+measurement (``_RowSpace.measure``) and one whole MAP-prod iteration, that
+measurement and its step (``poly.map_step``), on each ``poly`` instance,
+and, as controls that a change to the product space leaves alone, the MAP
+measurement of a cone run on each ``cone`` instance and a whole CRM ``run``
+with ``max_iter=1`` on each ``cone`` instance (``cone.run_us``): the fixed
+cost of a cone run, which its few iterations add little to. Two more are
 also timed at the block mean of the first start's MAP-prod final point
 (``final_us``), where most balls hold the point: the MAP-prod measurement of
 each ``mixed`` instance, by the run's own problem, and that problem's ball
@@ -165,13 +167,18 @@ def time_layers(small: bool) -> dict:
         z = problem.start(start)  # the first iterate
         return f"{type(problem).__name__}.measure", lambda: problem.measure(z)
 
+    def stepped(problem, start):
+        z = problem.start(start)  # one whole iteration from the first iterate
+        measure, step = problem.measure, problem.step
+        return f"{type(problem).__name__}.measure+step", lambda: step(z, *measure(z))
+
     def sums(p):
         W = p.W
         x = p.starts[0].reshape(W.m, W.block_dim).mean(axis=0)
         return "ProductSet._projection_sums", lambda: W._projection_sums(x)
 
-    def prod(p, method):
-        return measured(*_prod_problem(p.W, p.starts[0], config(method)))
+    def prod(p, method, timed=measured):
+        return timed(*_prod_problem(p.W, p.starts[0], config(method)))
 
     def map_prod(p):
         """The calls of the measurement and of the ball kernel of the MAP-prod
@@ -204,8 +211,10 @@ def time_layers(small: bool) -> dict:
             "mixed.ball_project": layer(False, (ball for _, ball in maps)),
             "cone.map_measure": layer(True, ((p.index, *cone(p)) for p in problems["cone"])),
             "cone.run_us": layer(True, ((p.index, *cone_run(p)) for p in problems["cone"])),
-            "poly.map_measure": layer(True, ((p.index, *prod(p, Method.MAP))
-                                             for p in problems["poly"])),
+            "poly.map_measure": layer(False, ((p.index, *prod(p, Method.MAP))
+                                              for p in problems["poly"])),
+            "poly.map_step": layer(False, ((p.index, *prod(p, Method.MAP, stepped))
+                                           for p in problems["poly"])),
         }
     return {"unit": "us", "number": number, "repeats": repeats, "timings": timings}
 

@@ -279,6 +279,13 @@ def _field(doc: dict, name: str):
     return doc[name]
 
 
+def _int_field(doc: dict, name: str) -> int:
+    value = _field(doc, name)
+    if type(value) is not int:  # a JSON true or false reads as a bool, an int subclass
+        raise ParseError(f"field {name!r} must be an integer, got {json.dumps(value)}")
+    return value
+
+
 def read_problem(path) -> ProblemInstance:
     """Read a problem file written by :func:`write_problem`.
 
@@ -314,15 +321,16 @@ def read_problem(path) -> ProblemInstance:
         raise ParseError("field 'affine' must be an object")
     affine = None if affine_raw is None else set_from_dict({**affine_raw, "type": "affine"})
 
+    n, m, seed = (_int_field(doc, name) for name in ("n", "m", "seed"))
     cert = doc.get("certificate")
     try:
         return ProblemInstance(
             kind=kind,
             sets=sets,
             affine=affine,
-            n=int(_field(doc, "n")),
-            m=int(_field(doc, "m")),
-            seed=int(_field(doc, "seed")),
+            n=n,
+            m=m,
+            seed=seed,
             certificate=None if cert is None else np.asarray(cert, dtype=float),
         )
     except (TypeError, ValueError, OverflowError, DimensionMismatch) as exc:

@@ -49,8 +49,8 @@ DIAG_TOL = 1e-8
 # at most this fraction of its squared norm counts as dependent (see _gram)
 RANK_TOL = 2.0 ** -20
 # _RowSpace runs only while this multiple of the largest entry of A x_0 and of
-# b is below tol: the rounding of A x = A x_0 + G w, about 2^-52 of that
-# scale, then stays 2^10 times below tol.
+# b is below tol: the rounding of A x - b = (A x_0 - b) + G w, about 2^-52 of
+# that scale, then stays 2^10 times below tol.
 ROW_HEADROOM = 2.0 ** -42
 
 
@@ -338,17 +338,11 @@ class _Halfspaces(_Diagonal):
     def start(self, x):
         return (x, np.zeros(self.W.m)) if self._method is Method.DRM else x
 
-    def _residuals(self, r):
-        """``c`` and ``sum ||P_i(x) - x||^2`` from ``r = A x``."""
-        rows = self._rows
-        excess = np.maximum(r - rows.b, 0.0)
-        c = excess / rows.a_sq
-        return c, float(excess.dot(c))
-
     def _sums(self, x):
-        A = self._rows.A
-        c, sq = self._residuals(A @ x)
-        return self.W.m * x - c @ A, sq
+        A, b, a_sq = self._rows.A, self._rows.b, self._rows.a_sq
+        excess = np.maximum(A @ x - b, 0.0)
+        c = excess / a_sq
+        return self.W.m * x - c @ A, float(excess.dot(c))
 
     def _measure_shadow(self, z):
         (x, s), m = z, self.W.m
@@ -371,37 +365,50 @@ class _RowSpace(_Halfspaces):
 
     Cimmino's step moves ``x`` by ``-A^T c / m`` (see ``_Diagonal``), so the
     iterates never leave ``x_0 + row(A)``, and ``w`` goes to ``w - c / m``.
-    With ``r_0 = A x_0`` and ``G = A A^T`` (``ProductSet._gram``),
-    ``A x = r_0 + G w`` gives ``c`` and the gap through the parent's
-    ``_residuals``: an iteration costs one product with the ``m x m`` matrix
-    ``G`` instead of two with the ``m x n`` matrix ``A``. The run starts at
-    ``w = 0``.
+    With ``q = A x_0 - b``, taken once per run, and ``G = A A^T``
+    (``ProductSet._gram``), ``A x - b = q + G w``: an iteration costs one
+    product with the ``m x m`` matrix ``G`` instead of two with the
+    ``m x n`` matrix ``A``. The measurement writes ``r = max(q + G w, 0)``
+    and ``c / m = r / (m ||a_i||^2)``, with that divisor also taken once per
+    run, into the run's two m-vectors, so that an iteration allocates only
+    the next ``w``; the gap is ``(m <r, c / m>)^(1/2)``. The ``c / m`` that a
+    measurement returns is overwritten by the next measurement, after the
+    step has used it. The run starts at ``w = 0``.
 
     ``fits`` is false, and ``run_prod`` uses ``_Halfspaces``, when the normals
-    are dependent or when the rounding of ``A x`` is not far below ``tol``
-    (``ROW_HEADROOM``). ``x_0`` can still be far larger than ``A x_0`` shows,
-    and ``x_0 + A^T w`` then loses ``w``; so ``dist`` is the parent's
-    ``_dist`` at ``x`` itself, in closed form, and ``lift`` maps ``w`` to the
-    parent's ``lift`` of ``x``.
+    are dependent or when the rounding of ``A x - b`` is not far below
+    ``tol`` (``ROW_HEADROOM``): ``q`` rounds at 2^-53 of the scale of
+    ``A x_0`` and ``b``, the scale that guard measures, and ``q + G w`` adds
+    rounding of that size again. ``x_0`` can still be far larger than
+    ``A x_0`` shows, and ``x_0 + A^T w`` then loses ``w``; so ``dist`` is the
+    parent's ``_dist`` at ``x`` itself, in closed form, and ``lift`` maps
+    ``w`` to the parent's ``lift`` of ``x``.
     """
 
     def __init__(self, W: ProductSet, x0: np.ndarray, tol: float):
         super().__init__(W, Method.MAP)
+        rows, m = self._rows, W.m
         self._x0 = x0
-        self._r0 = r0 = self._rows.A @ x0
-        scale = abs(r0).max() + abs(self._rows.b).max()
+        r0 = rows.A @ x0
+        scale = abs(r0).max() + abs(rows.b).max()
         # NaN fails the first test; G is built only for a product that fits
         self.fits = ROW_HEADROOM * scale < tol and W._gram is not None
+        self._q = r0 - rows.b
+        self._m_a_sq = m * rows.a_sq
+        self._r, self._c = np.empty(m), np.empty(m)
 
     def _measure_iterate(self, w):
-        c, sq = self._residuals(self._r0 + self.W._gram @ w)
-        return w, math.sqrt(sq), c
+        r = self.W._gram.dot(w, out=self._r)  # np.matmul's bits, with less call overhead
+        r += self._q
+        np.maximum(r, 0.0, out=r)
+        c = np.divide(r, self._m_a_sq, out=self._c)
+        return w, math.sqrt(self.W.m * r.dot(c)), c
 
     def dist(self, w):
         return self._dist(self._point(w))
 
     def _map_step(self, w, y, g, c):
-        return w - c / self.W.m
+        return w - c
 
     def _point(self, w):
         return self._x0 + w @ self._rows.A

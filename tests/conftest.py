@@ -1,6 +1,7 @@
 """Shared helpers: anchored random sets with a known common point, and the
 iterates of a run, recorded on the test side of the driver."""
 
+import json
 from types import SimpleNamespace
 from unittest import mock
 
@@ -48,6 +49,18 @@ INCONSISTENT_PROBLEMS = {
     "polyhedral-with-affine": (_problem_file("polyhedral", 2, 2, [_X, _Y],
                                              {"A": [[1.0, 1.0]], "b": [9.0]}),
                                "polyhedral instance has no affine part"),
+}
+
+# a problem file in R^5 with two halfspaces, and the n, m or seed of it that
+# is not a JSON integer, which int() would truncate or coerce, with the reason
+# the reader gives
+_IN_R5 = _problem_file("polyhedral", 5, 2, [
+    {"type": "halfspace", "a": [float(i == j) for j in range(5)], "b": 1.0} for i in range(2)])
+NON_INTEGER_FIELDS = {
+    f"{name}-{kind}": ({**_IN_R5, name: value},
+                       f"field '{name}' must be an integer, got {json.dumps(value)}")
+    for name, kind, value in (("n", "float", 5.9), ("m", "float", 2.5), ("seed", "float", 7.8),
+                              ("seed", "bool", True), ("n", "string", "5"))
 }
 
 

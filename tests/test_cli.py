@@ -13,7 +13,7 @@ from crmfeas.instances import (
     write_problem,
 )
 from crmfeas.sets import Ball
-from conftest import INCONSISTENT_PROBLEMS
+from conftest import INCONSISTENT_PROBLEMS, NON_INTEGER_FIELDS
 
 
 def test_bench_soc_csv_deterministic(tmp_path):
@@ -184,6 +184,7 @@ def test_a_problem_with_no_infeasible_start_is_a_usage_error(tmp_path, capsys):
     '{"schema": 2}',
     '{"schema": 1, "kind": "polyhedral", "sets": [{"type": "soc", "n": [3]}]}',
     *(pytest.param(json.dumps(doc), id=name) for name, (doc, _) in INCONSISTENT_PROBLEMS.items()),
+    *(pytest.param(json.dumps(doc), id=name) for name, (doc, _) in NON_INTEGER_FIELDS.items()),
 ])
 def test_bad_problem_file_is_a_usage_error(tmp_path, capsys, content):
     problem = tmp_path / "problem.json"

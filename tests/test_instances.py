@@ -1,6 +1,7 @@
 """Instance generators: feasibility, determinism, start points, problem files."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from crmfeas.instances import (
 )
 from crmfeas.product_space import ProductSet
 from crmfeas.sets import Halfspace, SecondOrderCone
-from conftest import INCONSISTENT_PROBLEMS
+from conftest import INCONSISTENT_PROBLEMS, NON_INTEGER_FIELDS
 
 
 def replay_polyhedral_draws(n, seed):
@@ -236,6 +237,18 @@ class TestProblemFiles:
         path.write_text(json.dumps(doc))
         with pytest.raises(ParseError, match=f"^inconsistent problem file: {reason}$"):
             read_problem(path)
+
+    @pytest.mark.parametrize("name", NON_INTEGER_FIELDS)
+    def test_a_count_or_seed_that_is_not_an_integer_is_a_parse_error(self, tmp_path, name):
+        doc, reason = NON_INTEGER_FIELDS[name]
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match=f"^{re.escape(reason)}$"):
+            read_problem(path)
+        # the same file with integers reads
+        path.write_text(json.dumps({**doc, "n": 5, "m": 2, "seed": 0}))
+        back = read_problem(path)
+        assert (back.n, back.m, back.seed) == (5, 2, 0)
 
     def test_corrupted_certificate(self, tmp_path):
         inst = gen_polyhedral_instance(10, 1)

@@ -399,6 +399,21 @@ class TestIterationInRn:
         trace = _assert_matches_reference(W, z0, SolverConfig(method=Method.MAP, max_iter=300))
         assert trace.status is Status.MAX_ITER
 
+    @pytest.mark.parametrize("index, iterations", [(2, 4656), (7, 6518)])
+    def test_m171_map_runs_on_w_as_on_x(self, index, iterations):
+        # the whole MAP-prod run from the first start of the benchmark's two
+        # m = 171 instances, on w (_RowSpace) and forced onto x (_Halfspaces)
+        W, z0 = _poly_case(index, 0)
+        cfg = SolverConfig(method=Method.MAP, tol=1e-6)
+        assert type(_prod_problem(W, z0, cfg)[0]) is _RowSpace
+        trace = run_prod(W, z0, cfg)
+        assert (trace.iterations, trace.status) == (iterations, Status.CONVERGED)
+        x0 = z0.reshape(W.m, W.block_dim).mean(axis=0)
+        ref = _drive(_Halfspaces(W, Method.MAP), x0, cfg)
+        assert (ref.iterations, ref.status) == (iterations, Status.CONVERGED)
+        scale = 1.0 + la.norm(ref.final_point)
+        assert la.norm(trace.final_point - ref.final_point) <= 1e-10 * scale
+
     def test_poly_grid_drm_matches_the_product_space_driver(self):
         cfg = SolverConfig(method=Method.DRM, tol=1e-6)
         for index, start in [(0, j) for j in range(20)] + [(2, 0), (7, 0)]:
@@ -725,7 +740,8 @@ def test_a_run_whose_first_measurement_fails_ends_at_its_start(W):
 
 def test_row_space_is_the_halfspace_adapter_on_w():
     # poly instance 0 at its first start, at w = 0 and at the iterates of its
-    # MAP-prod run: dist and lift at w are those of _Halfspaces at x_0 + A^T w
+    # MAP-prod run: dist and lift at w are those of _Halfspaces at x_0 + A^T w,
+    # and the gap is theirs up to the rounding of A x_0 - b + G w
     W, z0 = _poly_case(0, 0)
     cfg = SolverConfig(method=Method.MAP, max_iter=200)
     problem, w = _prod_problem(W, z0, cfg)
@@ -737,7 +753,28 @@ def test_row_space_is_the_halfspace_adapter_on_w():
         assert problem.dist(w) == halfspaces._dist(x)
         assert problem.lift(w).tobytes() == halfspaces.lift(x).tobytes()
         y, g, c = problem.measure(w)
+        assert g == pytest.approx(halfspaces.measure(x)[1], rel=1e-12)
         w = problem.step(w, y, g, c)
+
+
+@pytest.mark.parametrize("index", [0, 2])
+def test_a_row_space_iteration_allocates_only_the_next_iterate(index):
+    # poly instance 0 (m = 57) and instance 2 (m = 171) at their first start:
+    # the measurement writes into the run's own vectors, and the step makes w
+    W, z0 = _poly_case(index, 0)
+    problem, w = _prod_problem(W, z0, SolverConfig(method=Method.MAP))
+    assert type(problem) is _RowSpace
+    measure, step = problem.measure, problem.step
+    w = step(w, *measure(w))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        w = step(w, *measure(w))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one float vector of length m and its array header
+    assert peak - before <= 8 * W.m + 256
 
 
 class TestHalfspaceGram:
