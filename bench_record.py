@@ -34,11 +34,13 @@ workloads (``perfbench/workloads.py``) at its first start:
 ``ProductSet._projection_sums`` at the block mean and the DRM-prod
 measurement (``_Diagonal.measure``) on each ``mixed`` instance, the MAP-prod
 measurement (``_RowSpace.measure``) and one whole MAP-prod iteration, that
-measurement and its step (``poly.map_step``), on each ``poly`` instance,
-and, as controls that a change to the product space leaves alone, the MAP
-measurement of a cone run on each ``cone`` instance and a whole CRM ``run``
-with ``max_iter=1`` on each ``cone`` instance (``cone.run_us``): the fixed
-cost of a cone run, which its few iterations add little to. Two more are
+measurement and its step (``poly.map_step``), and the same two for DRM-prod
+(``poly.drm_measure`` and ``poly.drm_step``, from the first iterate), on
+each ``poly`` instance, and, as controls that a change to the product space
+leaves alone, the MAP measurement of a cone run on each ``cone`` instance
+and a whole CRM ``run`` with ``max_iter=1`` on each ``cone`` instance
+(``cone.run_us``): the fixed cost of a cone run, which its few iterations
+add little to. Two more are
 also timed at the block mean of the first start's MAP-prod final point
 (``final_us``), where most balls hold the point: the MAP-prod measurement of
 each ``mixed`` instance, by the run's own problem, and that problem's ball
@@ -214,6 +216,10 @@ def time_layers(small: bool) -> dict:
             "poly.map_measure": layer(False, ((p.index, *prod(p, Method.MAP))
                                               for p in problems["poly"])),
             "poly.map_step": layer(False, ((p.index, *prod(p, Method.MAP, stepped))
+                                           for p in problems["poly"])),
+            "poly.drm_measure": layer(False, ((p.index, *prod(p, Method.DRM))
+                                              for p in problems["poly"])),
+            "poly.drm_step": layer(False, ((p.index, *prod(p, Method.DRM, stepped))
                                            for p in problems["poly"])),
         }
     return {"unit": "us", "number": number, "repeats": repeats, "timings": timings}

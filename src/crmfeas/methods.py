@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -63,6 +64,14 @@ STALL_FLOOR = 2.0 ** -40
 _SQRT_HALF = math.sqrt(0.5)
 
 
+def _positive_int(value, name: str) -> int:
+    """``value`` as an ``int``; ``ValueError`` unless it is an integer of at
+    least 1. A numpy integer is one, a bool or a float is not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
+
+
 class Method(str, enum.Enum):
     CRM = "CRM"
     MAP = "MAP"
@@ -81,7 +90,8 @@ class Status(str, enum.Enum):
 class SolverConfig:
     """Driver configuration.
 
-    ``tol`` is the gap tolerance of the stopping rule (default ``1e-6``).
+    ``tol`` is the gap tolerance of the stopping rule (default ``1e-6``) and
+    ``max_iter``, an integer of at least 1, the most steps a run takes.
     """
 
     tol: float = 1e-6
@@ -91,8 +101,7 @@ class SolverConfig:
     def __post_init__(self):
         if not 0.0 < self.tol < math.inf:
             raise ValueError(f"tol must be positive and finite, got {self.tol}")
-        if self.max_iter <= 0:
-            raise ValueError("max_iter must be positive")
+        _positive_int(self.max_iter, "max_iter")
         if not isinstance(self.method, Method):
             raise ValueError(f"method must be one of {[m.value for m in Method]}")
 

@@ -15,9 +15,9 @@ own row slice. One adapter, ``_Diagonal``, runs all three on any product but
 one of halfspaces. A product of halfspaces ``A x <= b`` has its own,
 ``_Halfspaces``, which takes the projection sums in closed form and runs DRM
 on blocks ``x + s_i a_i`` kept as the pair ``(x, s)``; with independent
-normals MAP runs on ``w`` with ``x = x_0 + A^T w``, one product with
-``A A^T`` per iteration (``_RowSpace``). No product-space method runs the
-two-set problem of :mod:`crmfeas.methods`.
+normals MAP and DRM run on ``w`` with ``x = x_0 + A^T w`` instead, one
+product with ``A A^T`` per iteration (``_RowSpace``). No product-space
+method runs the two-set problem of :mod:`crmfeas.methods`.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from numpy import linalg as la
 from .circumcenter import circumcenter  # noqa: F401
 from .errors import DimensionMismatch, NotDiagonal
 from .methods import (IterationTrace, Method, SolverConfig, _ByMethod, _crm_coefficient, _drive,
-                      crm_step)
+                      _positive_int, crm_step)
 from .sets import ConvexSet, _check_finite, _HalfspaceRows, _row_projector, as_point
 
 __all__ = [
@@ -50,7 +50,10 @@ DIAG_TOL = 1e-8
 RANK_TOL = 2.0 ** -20
 # _RowSpace runs only while this multiple of the largest entry of A x_0 and of
 # b is below tol: the rounding of A x - b = (A x_0 - b) + G w, about 2^-52 of
-# that scale, then stays 2^10 times below tol.
+# that scale, then stays 2^10 times below tol. Its DRM carries A x - b as a
+# running sum, which gains that rounding at every step, and takes it afresh
+# as (A x_0 - b) + G w every floor(tol / (ROW_HEADROOM * scale)) steps, so
+# that the sum too stays 2^10 times below tol.
 ROW_HEADROOM = 2.0 ** -42
 
 
@@ -182,10 +185,8 @@ class DiagonalSubspace(ConvexSet):
     """
 
     def __init__(self, n: int, m: int):
-        if n < 1 or m < 1:
-            raise ValueError("block dimension and count must be positive")
-        self.n = int(n)
-        self.m = int(m)
+        self.n = _positive_int(n, "block dimension n")
+        self.m = _positive_int(m, "block count m")
         self.dim = self.n * self.m
 
     def _project(self, z):
@@ -201,9 +202,7 @@ class DiagonalSubspace(ConvexSet):
 
 def lift(x, m: int) -> np.ndarray:
     """Concatenate ``m`` copies of ``x``; the result lies in ``D`` exactly."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    return np.tile(as_point(x), m)
+    return np.tile(as_point(x), _positive_int(m, "m"))
 
 
 def restrict(z, m: int, tol: float | None = None) -> np.ndarray:
@@ -212,8 +211,8 @@ def restrict(z, m: int, tol: float | None = None) -> np.ndarray:
     Raises ``NotDiagonal`` when some block deviates from the average by more
     than ``tol`` (default ``1e-8 * (1 + ||z||)``).
     """
-    z = as_point(z)
-    if m < 1 or z.size % m:
+    z, m = as_point(z), _positive_int(m, "m")
+    if z.size % m:
         raise DimensionMismatch(f"dimension {z.size} is not divisible into {m} blocks")
     X = z.reshape(m, z.size // m)
     mean = X.mean(axis=0)
@@ -329,7 +328,9 @@ class _Halfspaces(_Diagonal):
     squared gap ``m ||d||^2 - 2 <s + c, A d> + sum (s_i + c_i)^2 ||a_i||^2``,
     which can round to 0 or below on an iterate far larger than its gap. An
     iteration takes three products with ``A`` and no vector of R^(nm); as in
-    ``_Diagonal``, a pair is never lifted.
+    ``_Diagonal``, a pair is never lifted. ``run_prod`` uses this form for
+    MAP and DRM only where ``_RowSpace`` does not fit: dependent normals, or
+    a start far out.
     """
 
     def __init__(self, W: ProductSet, method: Method):
@@ -360,20 +361,40 @@ class _Halfspaces(_Diagonal):
 
 
 class _RowSpace(_Halfspaces):
-    """MAP on ``W ∩ D``, as ``_Halfspaces`` runs it, when the normals are
-    independent, on iterates ``x = x_0 + A^T w`` kept as ``w in R^m``.
+    """MAP and DRM on ``W ∩ D``, as ``_Halfspaces`` runs them, when the normals
+    are independent, on points ``x = x_0 + A^T w`` kept as ``w in R^m``.
 
-    Cimmino's step moves ``x`` by ``-A^T c / m`` (see ``_Diagonal``), so the
-    iterates never leave ``x_0 + row(A)``, and ``w`` goes to ``w - c / m``.
-    With ``q = A x_0 - b``, taken once per run, and ``G = A A^T``
-    (``ProductSet._gram``), ``A x - b = q + G w``: an iteration costs one
-    product with the ``m x m`` matrix ``G`` instead of two with the
-    ``m x n`` matrix ``A``. The measurement writes ``r = max(q + G w, 0)``
-    and ``c / m = r / (m ||a_i||^2)``, with that divisor also taken once per
-    run, into the run's two m-vectors, so that an iteration allocates only
-    the next ``w``; the gap is ``(m <r, c / m>)^(1/2)``. The ``c / m`` that a
-    measurement returns is overwritten by the next measurement, after the
-    step has used it. The run starts at ``w = 0``.
+    Neither method moves ``x`` off ``x_0 + row(A)``: Cimmino's step moves it
+    by ``-A^T c / m`` (see ``_Diagonal``) and a DRM step by ``A^T s / m`` (see
+    ``_Halfspaces``). With ``q = A x_0 - b``, taken once per run, and
+    ``G = A A^T`` (``ProductSet._gram``), ``A x - b = q + G w``, and an
+    iteration costs one product with the ``m x m`` matrix ``G`` instead of
+    two or three with the ``m x n`` matrix ``A``, and matrix-vector products
+    only.
+
+    MAP goes from ``w`` to ``w - c / m``. Its measurement writes
+    ``r = max(q + G w, 0)`` and ``c / m = r / (m ||a_i||^2)``, with that
+    divisor also taken once per run, into the run's two m-vectors, so that an
+    iteration allocates only the next ``w``; the gap is ``(m <r, c / m>)^(1/2)``.
+    The ``c / m`` that a measurement returns is overwritten by the next
+    measurement, after the step has used it. The run starts at ``w = 0``.
+    A gap that is not finite has ``w`` checked for non-finite entries.
+
+    DRM iterates, the blocks ``z_i = x + s_i a_i``, are kept as ``(w, s, u)``
+    with ``u = A x - b`` carried along, from ``(0, 0, q)``. With ``s / m``,
+    ``d = A^T s / m`` and ``h = A d = G (s / m)``, the shadow ``y = x + d`` is
+    the point of ``w + s / m``, ``A y - b = u + h``, the reflected blocks
+    have ``a_i^T v_i - b_i = (u + 2 h)_i - s_i ||a_i||^2``, and
+    ``m ||d||^2 = <s, h>``. With ``p = (u + 2 h) / ||a_i||^2``,
+    ``r = s + c = max(p, s)``, so the squared gap is
+    ``<s, h> - 2 <r, h> + <r * r, ||a_i||^2>``, and the step goes to
+    ``(w + s / m, s - r, u + h)``. ``u`` is a running sum, whose rounding
+    grows by about ``2^-52`` of the scale of ``A x_0`` and ``b`` per step, so
+    every ``floor(tol / (ROW_HEADROOM * scale))`` steps (``ROW_HEADROOM``) the
+    step takes it afresh as ``q + G w``. A gap that is not finite has the
+    iterate checked for non-finite entries, where ``_Halfspaces`` checks the
+    reflected point: any non-finite entry of ``s`` or ``h`` makes the gap
+    non-finite.
 
     ``fits`` is false, and ``run_prod`` uses ``_Halfspaces``, when the normals
     are dependent or when the rounding of ``A x - b`` is not far below
@@ -381,34 +402,71 @@ class _RowSpace(_Halfspaces):
     ``A x_0`` and ``b``, the scale that guard measures, and ``q + G w`` adds
     rounding of that size again. ``x_0`` can still be far larger than
     ``A x_0`` shows, and ``x_0 + A^T w`` then loses ``w``; so ``dist`` is the
-    parent's ``_dist`` at ``x`` itself, in closed form, and ``lift`` maps
-    ``w`` to the parent's ``lift`` of ``x``.
+    parent's ``_dist`` at ``x`` itself, in closed form, for both methods, and
+    ``lift`` maps ``w`` to the parent's ``lift`` of ``x``.
     """
 
-    def __init__(self, W: ProductSet, x0: np.ndarray, tol: float):
-        super().__init__(W, Method.MAP)
+    def __init__(self, W: ProductSet, x0: np.ndarray, tol: float, method: Method = Method.MAP):
+        super().__init__(W, method)
         rows, m = self._rows, W.m
         self._x0 = x0
         r0 = rows.A @ x0
-        scale = abs(r0).max() + abs(rows.b).max()
+        lost = ROW_HEADROOM * (abs(r0).max() + abs(rows.b).max())
         # NaN fails the first test; G is built only for a product that fits
-        self.fits = ROW_HEADROOM * scale < tol and W._gram is not None
+        self.fits = lost < tol and W._gram is not None
+        # DRM steps from one fresh u to the next: at least 1 where the run fits
+        self._every = np.floor(tol / lost) if lost else math.inf
         self._q = r0 - rows.b
         self._m_a_sq = m * rows.a_sq
         self._r, self._c = np.empty(m), np.empty(m)
+
+    def start(self, w):
+        if self._method is not Method.DRM:
+            return w
+        self._since = 0  # DRM steps since u was taken afresh
+        return w, np.zeros(self.W.m), self._q
 
     def _measure_iterate(self, w):
         r = self.W._gram.dot(w, out=self._r)  # np.matmul's bits, with less call overhead
         r += self._q
         np.maximum(r, 0.0, out=r)
         c = np.divide(r, self._m_a_sq, out=self._c)
-        return w, math.sqrt(self.W.m * r.dot(c)), c
+        g = math.sqrt(self.W.m * r.dot(c))
+        if not math.isfinite(g):  # where _Halfspaces checks x at every measurement
+            _check_finite(w)
+        return w, g, c
+
+    def _measure_shadow(self, z):
+        w, s, u = z
+        a_sq = self._rows.a_sq
+        s_m = s / self.W.m
+        h = self.W._gram.dot(s_m)
+        p = u + h
+        p += h
+        p /= a_sq
+        r = np.maximum(p, s, out=p)
+        gg = s.dot(h) - 2.0 * r.dot(h) + (r * r).dot(a_sq)
+        if not math.isfinite(gg):
+            for v in z:
+                _check_finite(v)
+        return w + s_m, 0.0 if gg < 0.0 else math.sqrt(gg), (h, r)  # NaN stays NaN
 
     def dist(self, w):
         return self._dist(self._point(w))
 
     def _map_step(self, w, y, g, c):
         return w - c
+
+    def _drm_step(self, z, y, g, data):
+        h, r = data  # y is the next w
+        self._since += 1
+        if self._since < self._every:
+            u = z[2] + h
+        else:
+            self._since = 0
+            u = self.W._gram.dot(y)
+            u += self._q
+        return y, z[1] - r, u
 
     def _point(self, w):
         return self._x0 + w @ self._rows.A
@@ -424,13 +482,7 @@ def run_prod(W: ProductSet, z0, config: SolverConfig) -> IterationTrace:
     ``U := D``. CRM and MAP iterates stay in ``D``, so they run in R^n on the
     block mean ``x`` (Pierra's EPPM and Cimmino's method, see ``_Diagonal``),
     equal to the R^(nm) iteration up to rounding, and stop on
-    ``||z - P_W(z)|| < tol``. MAP runs on ``w in R^m`` with
-    ``x = x_0 + A^T w`` instead (see ``_RowSpace``), again equal up to
-    rounding, when every factor of ``W`` is a ``Halfspace`` (exactly that
-    class), the ``m`` normals are independent (so ``m <= n``) and the
-    largest entries of ``A x_0`` and ``b``, with ``x_0`` the block mean of
-    ``z0``, add up to less than ``tol / ROW_HEADROOM``; any other product,
-    or a start farther out, keeps ``x``. DRM iterates leave ``D``: ``z`` of
+    ``||z - P_W(z)|| < tol``. DRM iterates leave ``D``: ``z`` of
     ``(z + R_W(R_D(z))) / 2``, whose reflections ``R_D(z)`` are the textbook
     DRM iterates, stopping on ``||P_D(z) - P_W(R_D(z))|| < tol``, which
     equals its fixed-point residual ``||z^(k+1) - z^k||``. They run as
@@ -440,7 +492,13 @@ def run_prod(W: ProductSet, z0, config: SolverConfig) -> IterationTrace:
     ``methods._TwoSets``; when every factor of ``W`` is a ``Halfspace``
     (exactly that class), as pairs ``(x, s)`` in R^n x R^m (see
     ``_Halfspaces``), equal to the R^(nm) iteration up to rounding, from
-    ``(that mean, 0)``.
+    ``(that mean, 0)``. MAP and DRM run on ``w in R^m`` with
+    ``x = x_0 + A^T w`` instead (see ``_RowSpace``; DRM as ``(w, s, u)``),
+    again equal up to rounding, when every factor of ``W`` is a
+    ``Halfspace``, the ``m`` normals are independent (so ``m <= n``) and the
+    largest entries of ``A x_0`` and ``b``, with ``x_0`` the block mean of
+    ``z0``, add up to less than ``tol / ROW_HEADROOM``; any other product of
+    halfspaces, or a start farther out, keeps ``x`` or ``(x, s)``.
     ``final_point`` is the point of R^(nm) on the diagonal where the last gap
     was measured: ``lift(x)`` for CRM and MAP, the shadow ``P_D(z)`` for DRM.
     """
@@ -457,6 +515,7 @@ def _prod_problem(W: ProductSet, z0: np.ndarray, config: SolverConfig):
     x = z0.reshape(W.m, W.block_dim).mean(axis=0)
     if W._halfspaces is None:
         return _Diagonal(W, config.method), x
-    if config.method is Method.MAP and (rows := _RowSpace(W, x, config.tol)).fits:
+    if config.method is not Method.CRM and (
+            rows := _RowSpace(W, x, config.tol, config.method)).fits:
         return rows, np.zeros(W.m)
     return _Halfspaces(W, config.method), x

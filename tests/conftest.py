@@ -120,8 +120,9 @@ def lift_iterate(problem, z):
 
     ``problem.lift`` maps only the points a run tracks, which the iterates of
     CRM and MAP and of a DRM run in R^n are; a DRM iterate kept as span
-    coordinates (``_ConeAffine``), as the pair ``(x, s)`` (``_Halfspaces``)
-    or as blocks in group order (``_Diagonal``) is lifted here."""
+    coordinates (``_ConeAffine``), as the pair ``(x, s)`` (``_Halfspaces``),
+    as ``(w, s, u)`` with ``x = x_0 + A^T w`` (``_RowSpace``) or as blocks in
+    group order (``_Diagonal``) is lifted here."""
     if problem._method is not Method.DRM or isinstance(problem, methods._TwoSets):
         return problem.lift(z)
     if isinstance(problem, methods._ConeAffine):
@@ -133,6 +134,9 @@ def lift_iterate(problem, z):
         x[0] += delta
         return x
     W = problem.W
+    if isinstance(problem, product_space._RowSpace):
+        w, s, _ = z
+        return (problem._point(w) + s[:, None] * W._halfspaces.A).ravel()
     if isinstance(problem, product_space._Halfspaces):
         x, s = z
         return (x + s[:, None] * W._halfspaces.A).ravel()

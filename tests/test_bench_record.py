@@ -65,6 +65,8 @@ def test_small_record_of_one_workload_has_every_field(tmp_path):
         "cone.run_us": ("run", True),
         "poly.map_measure": ("_RowSpace.measure", False),
         "poly.map_step": ("_RowSpace.measure+step", False),
+        "poly.drm_measure": ("_RowSpace.measure", False),
+        "poly.drm_step": ("_RowSpace.measure+step", False),
     }
     for name, t in layers["timings"].items():
         # two layers are also timed at the MAP-prod final point

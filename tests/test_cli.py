@@ -112,7 +112,7 @@ def test_bad_tolerance_is_a_usage_error(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert err == ["crmfeas: error: tol must be positive and finite, got nan",
                    "crmfeas: error: tol must be positive and finite, got 0.0",
-                   "crmfeas: error: max_iter must be positive"]
+                   "crmfeas: error: max_iter must be an integer >= 1, got 0"]
 
 
 def test_empty_grid_is_a_usage_error(capsys):

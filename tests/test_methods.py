@@ -433,6 +433,20 @@ class TestDriver:
         with pytest.raises(ValueError):
             SolverConfig(max_iter=0)
 
+    # NaN never reaches the limit, 2.5 would stop after 3 steps, and True is a bool
+    @pytest.mark.parametrize("max_iter", [math.nan, math.inf, 2.5, 3.0, True, np.True_, -1, "10"])
+    def test_max_iter_must_be_an_integer_of_at_least_1(self, max_iter):
+        with pytest.raises(ValueError, match="max_iter"):
+            SolverConfig(method=Method.DRM, max_iter=max_iter)
+
+    def test_max_iter_may_be_a_numpy_integer(self):
+        # the disjoint balls of the outcome table, which DRM-prod never solves
+        W = ProductSet([Ball([-2.0, 0.0], 1.0), Ball([2.0, 0.0], 1.0)])
+        for max_iter in (np.int64(3), np.uint8(3), 3):
+            trace = run_prod(W, lift([0.3, 1.3], 2), SolverConfig(method=Method.DRM,
+                                                                   max_iter=max_iter))
+            assert (trace.iterations, trace.status) == (3, Status.MAX_ITER)
+
 
 class ScriptedProblem:
     """A problem for ``_drive`` whose iterate ``k`` is the step count and

@@ -64,6 +64,25 @@ class TestLiftRestrict:
         with pytest.raises(ValueError):
             lift([1.0], 0)
 
+    # 2.5 would truncate or fail to reshape, 2.0 and True would pass as 2 and 1
+    @pytest.mark.parametrize("count", [2.5, 2.0, True, np.True_, 0, -1, float("nan"), "2"])
+    def test_counts_must_be_integers_of_at_least_1(self, count):
+        with pytest.raises(ValueError, match="integer"):
+            DiagonalSubspace(count, 2)
+        with pytest.raises(ValueError, match="integer"):
+            DiagonalSubspace(2, count)
+        with pytest.raises(ValueError, match="integer"):
+            lift([1.0, 2.0], count)
+        with pytest.raises(ValueError, match="integer"):
+            restrict([1.0, 2.0, 1.0, 2.0], count)
+
+    def test_counts_may_be_numpy_integers(self):
+        D = DiagonalSubspace(np.int64(2), np.uint8(3))
+        assert (D.n, D.m, D.dim) == (2, 3, 6) and type(D.n) is type(D.m) is int
+        z = lift([1.0, 2.0], np.int32(3))
+        assert np.array_equal(z, [1.0, 2.0] * 3)
+        assert np.array_equal(restrict(z, np.int64(3)), [1.0, 2.0])
+
 
 def _anchored_factors(rng, anchor, kinds):
     """One factor through ``anchor`` of each kind in ``kinds``, in that order."""
@@ -414,6 +433,42 @@ class TestIterationInRn:
         scale = 1.0 + la.norm(ref.final_point)
         assert la.norm(trace.final_point - ref.final_point) <= 1e-10 * scale
 
+    def test_poly_drm_runs_on_w_as_on_x(self):
+        # every DRM-prod run of the benchmark's poly workload, instance 0 at its
+        # 20 starts and the two m = 171 instances at their first, on w
+        # (_RowSpace) and forced onto (x, s) (_Halfspaces)
+        cfg = SolverConfig(method=Method.DRM, tol=1e-6)
+        total = 0
+        for index, start in [(0, j) for j in range(20)] + [(2, 0), (7, 0)]:
+            W, z0 = _poly_case(index, start)
+            assert type(_prod_problem(W, z0, cfg)[0]) is _RowSpace
+            trace = run_prod(W, z0, cfg)
+            x0 = z0.reshape(W.m, W.block_dim).mean(axis=0)
+            ref = _drive(_Halfspaces(W, Method.DRM), x0, cfg)
+            assert (trace.iterations, trace.status) == (ref.iterations, ref.status), (index, start)
+            assert ref.status is Status.CONVERGED
+            scale = 1.0 + la.norm(ref.final_point)
+            assert la.norm(trace.final_point - ref.final_point) <= 1e-10 * scale
+            total += trace.iterations
+        assert total == 984  # a perfbench poly round's DRM total
+
+    def test_drm_on_w_takes_a_x_minus_b_afresh_and_ends_as_on_x(self):
+        # poly instance 0 from a start 3e4 out, where the largest entry of A x_0
+        # is about 1e6: u = A x - b is taken afresh as q + G w every 4 steps,
+        # and the run retraces the R^(nm) iteration and ends as the run on (x, s)
+        W, z0 = _poly_case(0, 0)
+        x0 = z0.reshape(W.m, W.block_dim).mean(axis=0)
+        x0 = x0 + 3e4 * np.random.default_rng(3).standard_normal(W.block_dim)
+        cfg = SolverConfig(method=Method.DRM, tol=1e-6, max_iter=200)
+        problem, _ = _prod_problem(W, lift(x0, W.m), cfg)
+        assert type(problem) is _RowSpace and problem._every == 4
+        trace = _assert_drm_matches_reference(W, lift(x0, W.m), cfg)
+        assert (trace.iterations, trace.status) == (43, Status.CONVERGED)
+        ref = _drive(_Halfspaces(W, Method.DRM), x0, cfg)
+        assert (ref.iterations, ref.status) == (43, Status.CONVERGED)
+        scale = 1.0 + la.norm(ref.final_point)
+        assert la.norm(trace.final_point - ref.final_point) <= 1e-10 * scale
+
     def test_poly_grid_drm_matches_the_product_space_driver(self):
         cfg = SolverConfig(method=Method.DRM, tol=1e-6)
         for index, start in [(0, j) for j in range(20)] + [(2, 0), (7, 0)]:
@@ -697,14 +752,14 @@ def test_only_a_product_of_halfspaces_gets_the_halfspace_kernel():
         kernel = W._halfspaces
         assert (type(kernel) is _HalfspaceRows) == (name == "halfspaces"), name
         assert kernel is None or kernel is W._groups[0][1], name
-        # near the halfspaces MAP fits on w; far out it keeps x
-        for start, map_problem in (([5.0, 1.0, 2.0], _RowSpace), ([1e300, 1.0, 2.0], _Halfspaces)):
+        # near the halfspaces MAP and DRM fit on w; far out they keep x
+        for start, row_problem in (([5.0, 1.0, 2.0], _RowSpace), ([1e300, 1.0, 2.0], _Halfspaces)):
             for method in Method:
                 problem, _ = _prod_problem(W, lift(start, W.m), SolverConfig(method=method))
                 if kernel is None:
                     expected = _Diagonal
                 else:
-                    expected = map_problem if method is Method.MAP else _Halfspaces
+                    expected = _Halfspaces if method is Method.CRM else row_problem
                 assert type(problem) is expected, (name, start, method)
                 if expected is _Halfspaces:  # the closed forms need no block array
                     assert problem._work is None, (name, start, method)
@@ -736,6 +791,22 @@ def test_a_run_whose_first_measurement_fails_ends_at_its_start(W):
         trace = run_prod(W, z0, SolverConfig(method=method))
         assert (trace.status, trace.iterations) == (Status.NONFINITE, 0), method
         assert trace.final_point.tobytes() == np.tile([np.inf, 0.5], 2).tobytes(), method
+
+
+def test_a_non_finite_entry_ends_a_row_space_run_as_on_x():
+    # a normal of squared norm 1e-310: the projection of the start onto its
+    # halfspace overflows, and MAP and DRM on w end NONFINITE at the
+    # iteration where the runs on x end so
+    W = ProductSet([Halfspace([1e-155, 0.0, 0.0], -1.0), Halfspace([0.0, 1.0, 0.0], 0.0)])
+    x0 = np.array([0.0, 1.0, 0.0])
+    for method in (Method.MAP, Method.DRM):
+        cfg = SolverConfig(method=method, max_iter=50)
+        assert type(_prod_problem(W, lift(x0, 2), cfg)[0]) is _RowSpace
+        trace = run_prod(W, lift(x0, 2), cfg)
+        with np.errstate(over="ignore", invalid="ignore"):  # as run_prod drives
+            ref = _drive(_Halfspaces(W, method), x0, cfg)
+        assert (trace.iterations, trace.status) == (ref.iterations, ref.status) \
+            == (1, Status.NONFINITE), method
 
 
 def test_row_space_is_the_halfspace_adapter_on_w():
@@ -777,6 +848,35 @@ def test_a_row_space_iteration_allocates_only_the_next_iterate(index):
     assert peak - before <= 8 * W.m + 256
 
 
+def _wide_halfspaces(m, n):
+    """``m`` halfspaces in R^n that hold a common point, and a start near it."""
+    rng = np.random.default_rng(0)
+    A, x = rng.standard_normal((m, n)), rng.standard_normal(n)
+    return (ProductSet([Halfspace(a, float(a @ x) + 0.1) for a in A]),
+            lift(x + 0.01 * rng.standard_normal(n), m))
+
+
+@pytest.mark.parametrize("case", [(0, 0), (2, 0), None], ids=["poly-0", "poly-2", "wide"])
+def test_a_row_space_drm_iteration_allocates_a_few_m_vectors(case):
+    # poly instance 0 (m = 57) and instance 2 (m = 171) at their first start,
+    # and 3 halfspaces in R^20000, where one vector of R^n would take 160 kB:
+    # an iteration allocates the next (w, s, u) and a few m-vectors besides
+    W, z0 = _wide_halfspaces(3, 20_000) if case is None else _poly_case(*case)
+    problem, w = _prod_problem(W, z0, SolverConfig(method=Method.DRM))
+    assert type(problem) is _RowSpace
+    measure, step = problem.measure, problem.step
+    z = problem.start(w)
+    z = step(z, *measure(z))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        z = step(z, *measure(z))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before <= 7 * (8 * W.m + 128)
+
+
 class TestHalfspaceGram:
     """``ProductSet._gram`` is ``A A^T`` for independent normals, and None
     for dependent ones, which more normals than dimensions always are."""
@@ -806,8 +906,9 @@ class TestHalfspaceGram:
 def _adapter_runs(cfg):
     """(adapter class, entry point, its arguments) of every adapter that
     ``cfg.method`` reaches. CRM and MAP run on plane coordinates
-    (``_ConeAffine``) or ``x``, DRM on span coordinates, ``(m, n)`` blocks
-    (``_Diagonal``) or ``(x, s)`` (``_Halfspaces``), MAP on ``w`` (``_RowSpace``)."""
+    (``_ConeAffine``) or ``x``, DRM on span coordinates or ``(m, n)`` blocks
+    (``_Diagonal``), and MAP and DRM on a product of halfspaces on ``w``
+    (``_RowSpace``), CRM on ``x`` (``_Halfspaces``)."""
     mixed = ProductSet([Ball([0.0, 0.0, 0.0], 1.0), Box([-1.0] * 3, [1.0] * 3),
                         Halfspace([1.0, 0.0, 0.0], 0.5)])
     halfspaces = ProductSet([Halfspace([1.0, 0.0, 0.0], 0.5), Halfspace([0.0, 1.0, 0.0], 0.5)])
@@ -819,7 +920,7 @@ def _adapter_runs(cfg):
     yield "_Diagonal", run_prod, (mixed, lift(start, 3), cfg)  # several groups
     # one group, which holds a workspace too in a CRM or MAP _Diagonal
     yield "_Diagonal", run_prod, (TWO_BALLS, lift(start[:2], 2), cfg)
-    rows = "_RowSpace" if cfg.method is Method.MAP else "_Halfspaces"
+    rows = "_Halfspaces" if cfg.method is Method.CRM else "_RowSpace"
     yield rows, run_prod, (halfspaces, lift(start, 2), cfg)
 
 
