@@ -32,7 +32,7 @@ The per-layer section holds timeit medians, per call, of the calls one
 iteration of a benchmark run makes, on every instance of the benchmark's
 workloads (``perfbench/workloads.py``) at its first start:
 ``ProductSet._projection_sums`` at the block mean and the DRM-prod
-measurement (``_Diagonal.measure``) on each ``mixed`` instance, the MAP-prod
+measurement (``_TwoSets.measure``) on each ``mixed`` instance, the MAP-prod
 measurement (``_RowSpace.measure``) and one whole MAP-prod iteration, that
 measurement and its step (``poly.map_step``), and the same two for DRM-prod
 (``poly.drm_measure`` and ``poly.drm_step``, from the first iterate), on

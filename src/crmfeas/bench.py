@@ -10,6 +10,7 @@ method) and the exported files.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import json
 import statistics
@@ -156,7 +157,7 @@ def performance_profile(costs, methods) -> list[ProfileCurve]:
     curves = []
     for j, name in enumerate(methods):
         col = sorted(row[j] for row in ratios)
-        fractions = [sum(1 for r in col if r <= tau) / runs for tau in thresholds]
+        fractions = [bisect.bisect_right(col, tau) / runs for tau in thresholds]
         curves.append(ProfileCurve(method=name, thresholds=list(thresholds), fraction_solved=fractions))
     return curves
 

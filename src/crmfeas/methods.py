@@ -237,7 +237,7 @@ class _TwoSets(_ByMethod):
     ``data`` is a projection onto ``K``. The problem calls the sets'
     ``_project`` on vectors known to be finite, and checks for non-finite
     entries only where the public ``project`` would have rejected one that
-    is not.
+    is not. It runs the product-space DRM too (see ``product_space.run_prod``).
     """
 
     def __init__(self, K: ConvexSet, U: ConvexSet, method: Method):
@@ -255,10 +255,12 @@ class _TwoSets(_ByMethod):
 
     def _measure_shadow(self, z):
         y = self.U._project(z)
+        v = 2.0 * y
+        v -= z
         # 2y - z is non-finite when z is or when it overflows; a box or a cone
         # can project it back to finite points, so the gap proves nothing here
-        pk = self.K._project(_check_finite(2.0 * y - z))
-        r = y - pk
+        pk = self.K._project(_check_finite(v))
+        r = np.subtract(y, pk, out=v if pk is not v else None)  # v is spent unless it is pk
         return y, math.sqrt(r.dot(r)), pk
 
     def _dist(self, y):
@@ -279,7 +281,10 @@ class _TwoSets(_ByMethod):
         return self.U._project(pk)
 
     def _drm_step(self, z, y, g, pk):
-        return z + pk - y
+        # z + pk - y in place: pk is 2y - z or a new array (ConvexSet._project)
+        pk += z
+        pk -= y
+        return pk
 
     def lift(self, z):
         return z

@@ -9,15 +9,14 @@ and the driver of :mod:`crmfeas.methods` apply with ``K := W`` and
 
 On the diagonal the product-space MAP and CRM are Cimmino's method and
 Pierra's extrapolated parallel projection method in R^n, and ``run_prod``
-runs them in that form; its DRM runs on ``(m, n)`` arrays whose rows are the
-blocks in the group order of ``W``, each group of factors projected into its
-own row slice. One adapter, ``_Diagonal``, runs all three on any product but
-one of halfspaces. A product of halfspaces ``A x <= b`` has its own,
-``_Halfspaces``, which takes the projection sums in closed form and runs DRM
-on blocks ``x + s_i a_i`` kept as the pair ``(x, s)``; with independent
-normals MAP and DRM run on ``w`` with ``x = x_0 + A^T w`` instead, one
-product with ``A A^T`` per iteration (``_RowSpace``). No product-space
-method runs the two-set problem of :mod:`crmfeas.methods`.
+runs them in that form (``_Diagonal``). DRM leaves the diagonal, and on any
+product but one of halfspaces ``run_prod`` runs it as the two-set problem of
+:mod:`crmfeas.methods` on ``W``, its factors in group order, and ``D``. A
+product of halfspaces ``A x <= b`` has its own adapter, ``_Halfspaces``,
+which takes the projection sums in closed form and runs DRM on blocks
+``x + s_i a_i`` kept as the pair ``(x, s)``; with independent normals MAP
+and DRM run on ``w`` with ``x = x_0 + A^T w`` instead, one product with
+``A A^T`` per iteration (``_RowSpace``).
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from numpy import linalg as la
 from .circumcenter import circumcenter  # noqa: F401
 from .errors import DimensionMismatch, NotDiagonal
 from .methods import (IterationTrace, Method, SolverConfig, _ByMethod, _crm_coefficient, _drive,
-                      _positive_int, crm_step)
+                      _positive_int, _TwoSets, crm_step)
 from .sets import ConvexSet, _check_finite, _HalfspaceRows, _row_projector, as_point
 
 __all__ = [
@@ -66,9 +65,9 @@ class ProductSet(ConvexSet):
     pass (see :func:`crmfeas.sets._row_projector`): halfspaces as the rows of
     ``A x <= b``, balls and boxes through their stacked parameters,
     second-order cones row by row, and other sets one at a time, each
-    group's kernel writing into its row slice of one group-ordered array
-    (``_project_rows``). ``_project`` gathers the blocks into group order
-    before and back after. ``_halfspaces`` is the kernel of a product whose
+    group's kernel writing into its row slice of one group-ordered array;
+    ``_project`` gathers the blocks into group order before and back after,
+    unlike ``_grouped``. ``_halfspaces`` is the kernel of a product whose
     factors are all ``Halfspace`` (exactly that class), else None: only such
     a product has closed forms for the runs of ``run_prod``, which picks its
     adapter by it, and only such a product builds ``_gram``.
@@ -111,18 +110,28 @@ class ProductSet(ConvexSet):
 
     def _project(self, z):
         X = z.reshape(self.m, self.block_dim)
-        if self._order is None:
-            return self._project_rows(X).ravel()
-        return self._project_rows(X[self._order])[self._inverse].ravel()
-
-    def _project_rows(self, X):
-        """The projections of the rows of a group-ordered ``(m, n)`` array ``X``
-        as a new group-ordered array: each group's kernel writes into its own
-        row slice."""
+        if self._order is not None:
+            X = X[self._order]
         P = np.empty((self.m, self.block_dim))
         for rows_slice, rows in self._groups:
             rows.project(X[rows_slice], P[rows_slice])
-        return P
+        return (P if self._inverse is None else P[self._inverse]).ravel()
+
+    @property
+    def _grouped(self):
+        """The product in group order: itself if that is its factor order, else
+        a copy sharing the row kernels, built on first use and kept in ``_copy``
+        (never itself, a reference cycle), attribute by attribute: ``copy.copy``
+        and ``cached_property`` read ``__dict__``, which slows later lookups."""
+        if self._order is None:
+            return self
+        if getattr(self, "_copy", None) is None:
+            W = self._copy = ProductSet.__new__(ProductSet)
+            W.factors = [self.factors[i] for i in self._order]
+            W.block_dim, W.m, W.dim = self.block_dim, self.m, self.dim
+            W._order = W._inverse = None
+            W._groups, W._halfspaces = self._groups, self._halfspaces
+        return self._copy
 
     def _workspace(self):
         """A group-ordered ``(m, n)`` array and each group's kernel with its row
@@ -235,10 +244,10 @@ def crm_prod_step(W: ProductSet, z) -> np.ndarray:
 
 
 class _Diagonal(_ByMethod):
-    """``W ∩ D`` for :func:`crmfeas.methods._drive`, for one method, on any
+    """``W ∩ D`` for :func:`crmfeas.methods._drive`, for CRM or MAP, on any
     product ``W`` but one of halfspaces (see ``_Halfspaces``).
 
-    CRM and MAP iterates ``z = lift(x)`` are kept as ``x in R^n``.
+    Iterates ``z = lift(x)`` are kept as ``x in R^n``.
     ``P_W(z)`` has blocks ``P_{X_i}(x)``; let ``p`` be their sum and
     ``r_i = P_{X_i}(x) - x``. The gap is ``(sum ||r_i||^2)^(1/2)``, and MAP's
     ``P_D(P_W(z))`` is ``lift(p / m)``: Cimmino's method. CRM's
@@ -247,27 +256,12 @@ class _Diagonal(_ByMethod):
     from which the CRM rule gives ``x + 2 t (p / m - x)``: Pierra's
     extrapolated parallel projection method (Pierra 1984; Combettes 1994).
     The gap is the distance from ``lift(x)`` to ``W``, so there is no ``dist``.
-    ``_sums`` writes the projections of every ``x`` of such a run into one
+    ``_sums`` writes the projections of every ``x`` of a run into one
     array that the run allocates (``ProductSet._workspace``).
-
-    DRM iterates ``z`` are kept as ``(m, n)`` arrays with their blocks in the
-    group order of ``W``, and the run holds no workspace. The shadow
-    ``P_D(z)`` is the row mean ``y``; ``P``, the projection of ``2 y - z``
-    onto ``W`` (``ProductSet._project_rows``), gives the gap ``||y - P||``
-    and the step ``z + P - y``: the R^(nm) iteration with its blocks
-    permuted, and no block gathered or scattered. ``dist`` is the distance
-    from ``lift(y)`` to ``W``. The points the run tracks, ``x`` and ``y``,
-    lie in R^n, and ``lift`` maps them to R^(nm); a DRM iterate is never
-    lifted.
     """
 
     def __init__(self, W: ProductSet, method: Method):
-        self.W, self._method = W, method
-        self._work = None if method is Method.DRM else W._workspace()
-
-    def start(self, x):
-        """The first iterate, from the block mean ``x`` of the start."""
-        return np.tile(x, (self.W.m, 1)) if self._method is Method.DRM else x
+        self.W, self._method, self._work = W, method, W._workspace()
 
     def _sums(self, x):
         return self.W._projection_sums(x, self._work)
@@ -276,9 +270,6 @@ class _Diagonal(_ByMethod):
         _check_finite(x)  # as P_W(lift(x)) checks its argument in R^(nm)
         total, sq = self._sums(x)
         return x, math.sqrt(sq), (total, sq)
-
-    def _dist(self, y):
-        return math.sqrt(self._sums(y)[1])
 
     def _map_step(self, x, y, g, data):
         return data[0] / self.W.m
@@ -292,21 +283,14 @@ class _Diagonal(_ByMethod):
         _check_finite(x)  # as P_D(z + t d) checks its argument in R^(nm)
         return x
 
-    def _measure_shadow(self, Z):
-        y = Z.mean(axis=0)
-        V = 2.0 * y - Z
-        _check_finite(V.ravel())  # as the reflection through D is checked
-        P = self.W._project_rows(V)
-        R = np.subtract(y, P, out=V).ravel()
-        return y, math.sqrt(R.dot(R)), P
-
-    def _drm_step(self, Z, y, g, P):
-        P += Z  # z + P - y in place: P is this iteration's own projection
-        P -= y
-        return P
-
     def lift(self, x):
         return np.tile(x, self.W.m)
+
+
+def _gap(gg: float) -> float:
+    """The gap from its squared Gram expansion: 0 where that rounds below 0,
+    and inf, as in R^(nm), where it overflows to NaN at a finite iterate."""
+    return 0.0 if gg < 0.0 else math.sqrt(gg) if gg == gg else math.inf
 
 
 class _Halfspaces(_Diagonal):
@@ -325,16 +309,16 @@ class _Halfspaces(_Diagonal):
     ||a_i||^2`` and project to ``v_i - c_i a_i`` with ``c = max(a_i^T v_i -
     b_i, 0) / ||a_i||^2``, so the step ``z + P_W(v) - y`` goes to
     ``(y, -c)``. The gap blocks ``y - P(v_i) = (s_i + c_i) a_i - d`` give the
-    squared gap ``m ||d||^2 - 2 <s + c, A d> + sum (s_i + c_i)^2 ||a_i||^2``,
-    which can round to 0 or below on an iterate far larger than its gap. An
-    iteration takes three products with ``A`` and no vector of R^(nm); as in
-    ``_Diagonal``, a pair is never lifted. ``run_prod`` uses this form for
+    squared gap ``m ||d||^2 - 2 <s + c, A d> + sum (s_i + c_i)^2 ||a_i||^2``
+    (see ``_gap``). An iteration takes three products with ``A`` and no
+    vector of R^(nm); a pair is never lifted. ``dist`` is the distance from
+    ``lift(y)`` to ``W``, in closed form. ``run_prod`` uses this form for
     MAP and DRM only where ``_RowSpace`` does not fit: dependent normals, or
     a start far out.
     """
 
     def __init__(self, W: ProductSet, method: Method):
-        self.W, self._method, self._rows, self._work = W, method, W._halfspaces, None
+        self.W, self._method, self._rows = W, method, W._halfspaces
 
     def start(self, x):
         return (x, np.zeros(self.W.m)) if self._method is Method.DRM else x
@@ -354,7 +338,10 @@ class _Halfspaces(_Diagonal):
         c = np.maximum(A @ v - s * a_sq - b, 0.0) / a_sq
         r = s + c
         gg = m * float(d.dot(d)) - 2.0 * float(r.dot(A @ d)) + float((r * r).dot(a_sq))
-        return y, 0.0 if gg < 0.0 else math.sqrt(gg), c  # NaN stays NaN
+        return y, _gap(gg), c
+
+    def _dist(self, y):
+        return math.sqrt(self._sums(y)[1])
 
     def _drm_step(self, z, y, g, c):
         return y, -c
@@ -394,7 +381,7 @@ class _RowSpace(_Halfspaces):
     step takes it afresh as ``q + G w``. A gap that is not finite has the
     iterate checked for non-finite entries, where ``_Halfspaces`` checks the
     reflected point: any non-finite entry of ``s`` or ``h`` makes the gap
-    non-finite.
+    non-finite, and at a finite iterate it is ``inf`` (see ``_gap``).
 
     ``fits`` is false, and ``run_prod`` uses ``_Halfspaces``, when the normals
     are dependent or when the rounding of ``A x - b`` is not far below
@@ -449,7 +436,7 @@ class _RowSpace(_Halfspaces):
         if not math.isfinite(gg):
             for v in z:
                 _check_finite(v)
-        return w + s_m, 0.0 if gg < 0.0 else math.sqrt(gg), (h, r)  # NaN stays NaN
+        return w + s_m, _gap(gg), (h, r)
 
     def dist(self, w):
         return self._dist(self._point(w))
@@ -485,18 +472,17 @@ def run_prod(W: ProductSet, z0, config: SolverConfig) -> IterationTrace:
     ``||z - P_W(z)|| < tol``. DRM iterates leave ``D``: ``z`` of
     ``(z + R_W(R_D(z))) / 2``, whose reflections ``R_D(z)`` are the textbook
     DRM iterates, stopping on ``||P_D(z) - P_W(R_D(z))|| < tol``, which
-    equals its fixed-point residual ``||z^(k+1) - z^k||``. They run as
-    ``(m, n)`` arrays with the blocks in the group order of ``W`` (see
-    ``_Diagonal``), the R^(nm) iteration with its blocks permuted, from ``m``
-    rows of the mean of ``z0``'s blocks, and not as the two-set problem
-    ``methods._TwoSets``; when every factor of ``W`` is a ``Halfspace``
-    (exactly that class), as pairs ``(x, s)`` in R^n x R^m (see
-    ``_Halfspaces``), equal to the R^(nm) iteration up to rounding, from
-    ``(that mean, 0)``. MAP and DRM run on ``w in R^m`` with
-    ``x = x_0 + A^T w`` instead (see ``_RowSpace``; DRM as ``(w, s, u)``),
-    again equal up to rounding, when every factor of ``W`` is a
-    ``Halfspace``, the ``m`` normals are independent (so ``m <= n``) and the
-    largest entries of ``A x_0`` and ``b``, with ``x_0`` the block mean of
+    equals its fixed-point residual ``||z^(k+1) - z^k||``. They run as the
+    two-set problem of :func:`crmfeas.methods.run` on ``W`` with its factors
+    in group order (``ProductSet._grouped``) and ``D``, the R^(nm) iteration
+    with its blocks permuted, from ``lift`` of the mean of ``z0``'s blocks;
+    when every factor of ``W`` is a ``Halfspace`` (exactly that class), as
+    pairs ``(x, s)`` in R^n x R^m (see ``_Halfspaces``), equal to the R^(nm)
+    iteration up to rounding, from ``(that mean, 0)``. MAP and DRM run on
+    ``w in R^m`` with ``x = x_0 + A^T w`` instead (see ``_RowSpace``; DRM as
+    ``(w, s, u)``), again equal up to rounding, when every factor of ``W`` is
+    a ``Halfspace``, the ``m`` normals are independent (so ``m <= n``) and
+    the largest entries of ``A x_0`` and ``b``, with ``x_0`` the block mean of
     ``z0``, add up to less than ``tol / ROW_HEADROOM``; any other product of
     halfspaces, or a start farther out, keeps ``x`` or ``(x, s)``.
     ``final_point`` is the point of R^(nm) on the diagonal where the last gap
@@ -510,10 +496,14 @@ def run_prod(W: ProductSet, z0, config: SolverConfig) -> IterationTrace:
 def _prod_problem(W: ProductSet, z0: np.ndarray, config: SolverConfig):
     """The problem that ``run_prod`` drives from the checked start ``z0``, and
     that start as a point the problem tracks (see ``_drive``): the block mean
-    of ``z0``, or ``w = 0`` on the row space; to be called, as ``run_prod``
+    of ``z0``, its lift for DRM on any product but one of halfspaces, or
+    ``w = 0`` on the row space; to be called, as ``run_prod``
     does, with overflow ignored."""
     x = z0.reshape(W.m, W.block_dim).mean(axis=0)
     if W._halfspaces is None:
+        if config.method is Method.DRM:
+            D = DiagonalSubspace(W.block_dim, W.m)
+            return _TwoSets(W._grouped, D, config.method), np.tile(x, W.m)
         return _Diagonal(W, config.method), x
     if config.method is not Method.CRM and (
             rows := _RowSpace(W, x, config.tol, config.method)).fits:

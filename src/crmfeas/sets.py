@@ -67,6 +67,9 @@ class ConvexSet:
     dim: int
 
     def _project(self, x: np.ndarray) -> np.ndarray:
+        """Nearest point of the set to the finite vector ``x``, unchecked: a new
+        array or ``x`` itself, never one the set keeps, so that a caller may
+        write into it (as a DRM step does) wherever it may write into ``x``."""
         raise NotImplementedError
 
     def project(self, x) -> np.ndarray:

@@ -119,10 +119,11 @@ def lift_iterate(problem, z):
     """The point of R^n, or of R^(nm), of an iterate ``z`` of ``problem``.
 
     ``problem.lift`` maps only the points a run tracks, which the iterates of
-    CRM and MAP and of a DRM run in R^n are; a DRM iterate kept as span
-    coordinates (``_ConeAffine``), as the pair ``(x, s)`` (``_Halfspaces``),
-    as ``(w, s, u)`` with ``x = x_0 + A^T w`` (``_RowSpace``) or as blocks in
-    group order (``_Diagonal``) is lifted here."""
+    CRM and MAP and of a two-set DRM run are; the product-space DRM on any
+    product but one of halfspaces is such a run, on ``W`` in group order, and
+    its iterates keep that order. A DRM iterate kept as span coordinates
+    (``_ConeAffine``), as the pair ``(x, s)`` (``_Halfspaces``) or as
+    ``(w, s, u)`` with ``x = x_0 + A^T w`` (``_RowSpace``) is lifted here."""
     if problem._method is not Method.DRM or isinstance(problem, methods._TwoSets):
         return problem.lift(z)
     if isinstance(problem, methods._ConeAffine):
@@ -133,14 +134,12 @@ def lift_iterate(problem, z):
         x += gamma * w
         x[0] += delta
         return x
-    W = problem.W
+    A = problem.W._halfspaces.A
     if isinstance(problem, product_space._RowSpace):
         w, s, _ = z
-        return (problem._point(w) + s[:, None] * W._halfspaces.A).ravel()
-    if isinstance(problem, product_space._Halfspaces):
-        x, s = z
-        return (x + s[:, None] * W._halfspaces.A).ravel()
-    return (z if W._inverse is None else z[W._inverse]).ravel()
+        return (problem._point(w) + s[:, None] * A).ravel()
+    x, s = z
+    return (x + s[:, None] * A).ravel()
 
 
 def drive_recorded(problem, y, config):

@@ -58,7 +58,7 @@ def test_small_record_of_one_workload_has_every_field(tmp_path):
     assert (layers["unit"], layers["number"] > 0, layers["repeats"] > 0) == ("us", True, True)
     assert {name: (t["callee"], t["control"]) for name, t in layers["timings"].items()} == {
         "mixed.projection_sums": ("ProductSet._projection_sums", False),
-        "mixed.drm_measure": ("_Diagonal.measure", False),
+        "mixed.drm_measure": ("_TwoSets.measure", False),
         "mixed.map_measure": ("_Diagonal.measure", False),
         "mixed.ball_project": ("_BallRows.project", False),
         "cone.map_measure": ("_ConeAffine.measure", True),

@@ -57,6 +57,22 @@ def test_profile_subcommand(tmp_path):
     assert len(lines) > 1
 
 
+def test_profile_without_out_prints_one_line_per_method(tmp_path, capsys):
+    # two runs: CRM best on both, MAP 3 times slower on one and failed on the
+    # other, DRM 1.5 times slower on both; the ratios are 1, 1.5 and 3
+    runs = tmp_path / "runs.csv"
+    runs.write_text("instance_seed,start_seed,method,iterations,final_gap,status\n"
+                    "1,1,CRM,10,1e-7,converged\n1,1,DRM,15,1e-7,converged\n"
+                    "1,1,MAP,30,1e-7,converged\n1,2,CRM,20,1e-7,converged\n"
+                    "1,2,DRM,30,1e-7,converged\n1,2,MAP,9,1e-3,max_iter\n")
+    assert main(["profile", str(runs)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "CRM: solved 100.0% within tau=3",
+        "DRM: solved 100.0% within tau=3",
+        "MAP: solved 50.0% within tau=3",
+    ]
+
+
 def test_solve_soc_problem(tmp_path, capsys):
     problem = tmp_path / "problem.json"
     write_problem(gen_soc_instance(20, 42), problem)

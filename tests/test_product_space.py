@@ -373,8 +373,9 @@ def _poly_case(index, start):
 
 def _assert_drm_matches_reference(W, z0, cfg):
     """DRM-prod, on a product of halfspaces kept as ``(x, s)`` and on any other
-    product in group order, against the R^(nm) iteration, iterate by
-    iterate."""
+    product in group order, against the R^(nm) iteration in factor order,
+    iterate by iterate: the reference iterates are permuted into group
+    order, that of the fast iterates."""
     fast, fast_iterates = recorded(run_prod, W, z0, cfg)
     D = DiagonalSubspace(W.block_dim, W.m)
     ref, ref_iterates = drive_recorded(_TwoSets(W, D, Method.DRM), D._project(z0), cfg)
@@ -383,6 +384,8 @@ def _assert_drm_matches_reference(W, z0, cfg):
     assert la.norm(fast.final_point - ref.final_point) <= 1e-10 * scale
     assert len(fast_iterates) == len(ref_iterates)
     for a, b in zip(fast_iterates, ref_iterates):
+        if W._order is not None:
+            b = b.reshape(W.m, W.block_dim)[W._order].ravel()
         assert la.norm(a - b) <= 1e-12 * (1.0 + la.norm(b))
     return fast
 
@@ -757,12 +760,12 @@ def test_only_a_product_of_halfspaces_gets_the_halfspace_kernel():
             for method in Method:
                 problem, _ = _prod_problem(W, lift(start, W.m), SolverConfig(method=method))
                 if kernel is None:
-                    expected = _Diagonal
+                    expected = _TwoSets if method is Method.DRM else _Diagonal
                 else:
                     expected = _Halfspaces if method is Method.CRM else row_problem
                 assert type(problem) is expected, (name, start, method)
                 if expected is _Halfspaces:  # the closed forms need no block array
-                    assert problem._work is None, (name, start, method)
+                    assert not hasattr(problem, "_work"), (name, start, method)
 
 
 @pytest.mark.parametrize("index", [0, 2])
@@ -791,6 +794,56 @@ def test_a_run_whose_first_measurement_fails_ends_at_its_start(W):
         trace = run_prod(W, z0, SolverConfig(method=method))
         assert (trace.status, trace.iterations) == (Status.NONFINITE, 0), method
         assert trace.final_point.tobytes() == np.tile([np.inf, 0.5], 2).tobytes(), method
+
+
+def test_drm_prod_runs_the_two_set_problem_on_w_in_group_order():
+    # a ball, a box and a ball: group order [0, 2, 1]. DRM-prod is the two-set
+    # DRM on the grouped copy of W, which shares W's kernels, is built once
+    # and kept, and projects as W does with the blocks permuted, bitwise
+    rng = np.random.default_rng(4)
+    W = ProductSet([Ball([0.0, 0.0], 1.0), Box([-1.0, -1.0], [0.5, 0.5]),
+                    Ball([0.5, 0.0], 1.0)])
+    assert W._order.tolist() == [0, 2, 1]
+    cfg = SolverConfig(method=Method.DRM)
+    problem, z = _prod_problem(W, lift([3.0, 1.0], 3), cfg)
+    assert type(problem) is _TwoSets and type(problem.U) is DiagonalSubspace
+    assert z.tobytes() == lift([3.0, 1.0], 3).tobytes()
+    Wg = problem.K
+    assert Wg is W._grouped and _prod_problem(W, z, cfg)[0].K is Wg
+    assert Wg._order is None and Wg._groups is W._groups
+    assert Wg.factors == [W.factors[i] for i in (0, 2, 1)] and Wg.factors is not W.factors
+    for _ in range(5):
+        z = 3.0 * rng.standard_normal(W.dim)
+        grouped = z.reshape(3, 2)[W._order].ravel()
+        assert Wg._project(grouped).tobytes() == \
+            W._project(z).reshape(3, 2)[W._order].ravel().tobytes()
+    # a product in group order runs on itself, and keeps no copy of itself
+    assert _prod_problem(TWO_BALLS, lift([0.0, 2.0], 2), cfg)[0].K is TWO_BALLS
+    assert not hasattr(TWO_BALLS, "_copy")
+    # W and its copy die with their last references, with the cyclic GC off
+    gc.disable()
+    try:
+        refs = weakref.ref(W), weakref.ref(Wg)
+        del W, Wg, problem
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
+
+
+def test_an_overflowing_gram_expansion_records_inf_as_in_r_nm():
+    # from these finite starts the Gram expansion of the halfspace DRM-prod
+    # gap overflows to inf - inf, on w (tol 1e300) and on (x, s) (tol 1e-6);
+    # the R^(nm) gap overflows to inf, and both forms record that
+    W = ProductSet([Halfspace([1.0, 0.0, 0.0], 0.0), Halfspace([0.0, 1.0, 0.0], 0.0)])
+    z0 = lift([1e305, 1e305, 1.0], 2)
+    for tol, adapter in ((1e300, _RowSpace), (1e-6, _Halfspaces)):
+        cfg = SolverConfig(method=Method.DRM, tol=tol, max_iter=50)
+        assert type(_prod_problem(W, z0, cfg)[0]) is adapter
+        trace = run_prod(W, z0, cfg)
+        ref = run(W, DiagonalSubspace(3, 2), z0, cfg)
+        assert trace.gaps == ref.gaps == [np.inf] * 4 + [0.0], adapter
+        assert (trace.iterations, trace.status) == (ref.iterations, ref.status) \
+            == (4, Status.CONVERGED), adapter
 
 
 def test_a_non_finite_entry_ends_a_row_space_run_as_on_x():
@@ -906,9 +959,9 @@ class TestHalfspaceGram:
 def _adapter_runs(cfg):
     """(adapter class, entry point, its arguments) of every adapter that
     ``cfg.method`` reaches. CRM and MAP run on plane coordinates
-    (``_ConeAffine``) or ``x``, DRM on span coordinates or ``(m, n)`` blocks
-    (``_Diagonal``), and MAP and DRM on a product of halfspaces on ``w``
-    (``_RowSpace``), CRM on ``x`` (``_Halfspaces``)."""
+    (``_ConeAffine``) or ``x`` (``_Diagonal``), DRM on span coordinates or in
+    R^(nm) (``_TwoSets``), and MAP and DRM on a product of halfspaces on
+    ``w`` (``_RowSpace``), CRM on ``x`` (``_Halfspaces``)."""
     mixed = ProductSet([Ball([0.0, 0.0, 0.0], 1.0), Box([-1.0] * 3, [1.0] * 3),
                         Halfspace([1.0, 0.0, 0.0], 0.5)])
     halfspaces = ProductSet([Halfspace([1.0, 0.0, 0.0], 0.5), Halfspace([0.0, 1.0, 0.0], 0.5)])
@@ -917,9 +970,10 @@ def _adapter_runs(cfg):
                             start, cfg)
     yield "_ConeAffine", run, (SecondOrderCone(3), AffineSubspace([[1.0, 0.0, 1.0]], [2.0]),
                                -start, cfg)
-    yield "_Diagonal", run_prod, (mixed, lift(start, 3), cfg)  # several groups
-    # one group, which holds a workspace too in a CRM or MAP _Diagonal
-    yield "_Diagonal", run_prod, (TWO_BALLS, lift(start[:2], 2), cfg)
+    diagonal = "_TwoSets" if cfg.method is Method.DRM else "_Diagonal"
+    yield diagonal, run_prod, (mixed, lift(start, 3), cfg)  # several groups
+    # one group, which holds a workspace too in a _Diagonal
+    yield diagonal, run_prod, (TWO_BALLS, lift(start[:2], 2), cfg)
     rows = "_Halfspaces" if cfg.method is Method.CRM else "_RowSpace"
     yield rows, run_prod, (halfspaces, lift(start, 2), cfg)
 
@@ -966,8 +1020,8 @@ class TestProblemsAreFreed:
             for name, solve, args in _adapter_runs(cfg):
                 problem, z = PROBLEM_OF[solve](*args)
                 assert type(problem).__name__ == name
-                if name == "_Diagonal":  # a workspace but in a DRM run
-                    assert (problem._work is None) == (method is Method.DRM)
+                if name == "_Diagonal":
+                    assert problem._work is not None
                 ref = weakref.ref(problem)
                 _drive(problem, z, cfg)
                 del problem

@@ -10,7 +10,7 @@ from numpy import linalg as la
 
 from crmfeas.errors import DimensionMismatch, ParseError
 from crmfeas.methods import Method
-from crmfeas.product_space import ProductSet, _Halfspaces
+from crmfeas.product_space import DiagonalSubspace, ProductSet, _Halfspaces
 from crmfeas.sets import (
     AffineSubspace,
     Ball,
@@ -439,6 +439,79 @@ class TestSliceKernelsKeepTheirBits:
         for p, x in zip(P, X):
             with np.errstate(over="ignore"):  # the single cone's dot reports the overflow
                 _assert_same_bits(p, cone._project(x))
+
+
+def _kept_arrays(obj, seen=None):
+    """Every array that a set keeps: its own, and those of the factors, row
+    kernels and cached forms that it holds."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        yield obj
+        return
+    if isinstance(obj, (list, tuple)):
+        items = obj
+    elif type(obj).__module__.startswith("crmfeas."):
+        items = vars(obj).values()
+    else:
+        return
+    for item in items:
+        yield from _kept_arrays(item, seen)
+
+
+def _mixed_product():
+    """A product whose group order permutes its blocks, with its grouped form
+    built."""
+    W = ProductSet([Ball([0.0, 0.0, 0.0], 1.0), Box([-1.0] * 3, [1.0] * 3),
+                    Halfspace([1.0, 0.0, 0.0], 0.5), Ball([0.5, 0.0, 0.0], 1.0),
+                    SecondOrderCone(3), Hyperplane([0.0, 0.0, 1.0], 0.0)])
+    assert W._order is not None and W._grouped is not None
+    return W
+
+
+# (set, points): inside, on the boundary and outside, and for the cone in and
+# on its polar too
+PROJECT_CASES = {
+    "halfspace": (Halfspace([1.0, 0.0, 0.0], 1.0),
+                  [[0.0, 2.0, -1.0], [1.0, 2.0, -1.0], [3.0, 2.0, -1.0]]),
+    "hyperplane": (Hyperplane([1.0, 1.0, 0.0], 2.0), [[1.0, 1.0, 5.0], [3.0, 0.0, 0.0]]),
+    "affine-rows": (AffineSubspace([[1.0, 0.0, 1.0]], [2.0]),
+                    [[1.0, 0.0, 1.0], [1.0, 5.0, 1.0], [3.0, 0.0, 0.0]]),
+    "affine-null": (AffineSubspace([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [1.0, 2.0]),
+                    [[1.0, 2.0, 0.0], [1.0, 2.0, 7.0], [0.0, 0.0, 0.0]]),
+    "ball": (Ball([0.0, 0.0, 0.0], 1.0),
+             [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [3.0, 4.0, 0.0]]),
+    "box": (Box([-1.0] * 3, [1.0] * 3), [[0.0, 0.5, 0.0], [1.0, 0.0, -1.0], [2.0, -3.0, 0.0]]),
+    "soc": (SecondOrderCone(3),
+            [[2.0, 1.0, 0.0], [5.0, 3.0, 4.0], [0.0, 0.0, 0.0], [-5.0, 3.0, 4.0],
+             [-6.0, 1.0, 0.0], [0.0, 3.0, 4.0]]),
+    "product": (_mixed_product(), [np.tile(x, 6) for x in
+                                   ([0.0, 0.0, 0.0], [0.2, 0.1, 0.0], [3.0, -4.0, 2.0])]),
+    "grouped product": (_mixed_product()._grouped, [np.tile([3.0, -4.0, 2.0], 6)]),
+    "halfspace product": (ProductSet([Halfspace([1.0, 0.0, 0.0], 0.5),
+                                      Halfspace([0.0, 1.0, 0.0], 0.5)]),
+                          [[0.0] * 6, [1.0, 0.0, 0.0, 0.0, 1.0, 0.0]]),
+    "diagonal": (DiagonalSubspace(3, 2), [[1.0, 2.0, 3.0] * 2, [1.0, 2.0, 3.0, 0.0, 0.0, 0.0]]),
+}
+
+
+@pytest.mark.parametrize("name", PROJECT_CASES)
+def test_project_returns_its_argument_or_a_new_array(name):
+    # a DRM step writes into the projection it measured: it must not be an
+    # array that the set keeps, so that writing into it changes no later
+    # projection
+    s, points = PROJECT_CASES[name]
+    kept = list(_kept_arrays(s))
+    for point in points:
+        x = np.array(point, dtype=float)
+        before = s._project(x.copy()).tobytes()
+        p = s._project(x)
+        assert p is x or not np.shares_memory(p, x), (name, point)
+        assert not any(np.shares_memory(p, a) for a in kept), (name, point)
+        p += 1.0
+        assert s._project(np.array(point, dtype=float)).tobytes() == before, (name, point)
 
 
 class TestAffineBasis:
