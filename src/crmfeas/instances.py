@@ -209,17 +209,6 @@ def gen_polyhedral_instance(n: int, seed: int) -> ProblemInstance:
     )
 
 
-def _in_solution_set(instance: ProblemInstance, x: np.ndarray, tol: float) -> bool:
-    if instance.affine is not None and not instance.affine.contains(x, tol):
-        return False
-    return all(s.contains(x, tol) for s in instance.sets)
-
-
-def _start_gap(instance: ProblemInstance, projected: np.ndarray) -> float:
-    K = instance.sets[0] if instance.kind is Kind.AFFINE_CONIC else ProductSet(instance.sets)
-    return float(la.norm(projected - K.project(projected)))
-
-
 def gen_start(instance: ProblemInstance, seed: int, min_gap: float = 1e-6) -> StartPoint:
     """Random infeasible start for ``instance``, deterministic in ``seed``.
 
@@ -230,7 +219,10 @@ def gen_start(instance: ProblemInstance, seed: int, min_gap: float = 1e-6) -> St
     rejections ``ExhaustedRejection`` is raised.
     """
     rng = np.random.default_rng(seed)
-    n = instance.n
+    n, affine = instance.n, instance.affine
+    # the sets before the affine part, whose test projects onto it
+    parts = instance.sets if affine is None else [*instance.sets, affine]
+    K = ProductSet(instance.sets) if affine is None else instance.sets[0]
     for _ in range(1000):
         x = rng.standard_normal(n)
         scale = float(rng.uniform(5.0, 15.0))
@@ -238,13 +230,10 @@ def gen_start(instance: ProblemInstance, seed: int, min_gap: float = 1e-6) -> St
         if nx == 0.0:
             continue
         raw = (scale / nx) * x
-        if _in_solution_set(instance, raw, 1e-9):
+        if all(s.contains(raw, 1e-9) for s in parts):
             continue
-        if instance.kind is Kind.AFFINE_CONIC:
-            projected = instance.affine.project(raw)
-        else:
-            projected = lift(raw, instance.m)
-        if _start_gap(instance, projected) <= min_gap:
+        projected = lift(raw, instance.m) if affine is None else affine.project(raw)
+        if float(la.norm(projected - K.project(projected))) <= min_gap:
             continue
         return StartPoint(raw=raw, projected=projected, seed=int(seed))
     raise ExhaustedRejection("could not draw an infeasible start in 1000 attempts")

@@ -65,15 +65,17 @@ class ProductSet(ConvexSet):
     pass (see :func:`crmfeas.sets._row_projector`): halfspaces as the rows of
     ``A x <= b``, balls and boxes through their stacked parameters,
     second-order cones row by row, and other sets one at a time, each
-    group's kernel writing into its row slice of one group-ordered array;
-    ``_project`` gathers the blocks into group order before and back after,
-    unlike ``_grouped``. ``_halfspaces`` is the kernel of a product whose
-    factors are all ``Halfspace`` (exactly that class), else None: only such
-    a product has closed forms for the runs of ``run_prod``, which picks its
-    adapter by it, and only such a product builds ``_gram``.
-    ``_projection_sums`` of any product fills a group-ordered
-    array from one point and reduces it once, in a CRM-prod or MAP-prod run
-    that run's own array (``_workspace``), so that the set stays immutable.
+    group's kernel writing into its row slice of one group-ordered array.
+    Where that order is not the factor order, ``_inner`` is the product of
+    the same factors in group order, whose kernels this product shares, and
+    ``_project`` gathers the blocks into group order, projects them with
+    ``_inner`` and scatters them back. ``_halfspaces`` is the kernel of a
+    product whose factors are all ``Halfspace`` (exactly that class), else
+    None: only such a product has closed forms for the runs of ``run_prod``,
+    which picks its adapter by it, and only such a product builds ``_gram``.
+    ``_projection_sums`` of any product fills a group-ordered array from one
+    point and reduces it once, in a CRM-prod or MAP-prod run that run's own
+    array (``_workspace``), so that the set stays immutable.
     The result does not depend on the order of the factors beyond rounding.
     """
 
@@ -93,14 +95,17 @@ class ProductSet(ConvexSet):
         for i, f in enumerate(self.factors):
             groups.setdefault(type(f), []).append(i)
         # the group order: row j of a group-ordered (m, n) array holds block
-        # _order[j], and block i is its row _inverse[i]; both are None when
-        # the group order is the factor order
+        # _order[j], and block i is its row _inverse[i]; these and _inner are
+        # None when the group order is the factor order
         order = [i for idx in groups.values() for i in idx]
-        self._order = self._inverse = None
+        self._inner = self._order = self._inverse = self._halfspaces = None
         if order != list(range(self.m)):
+            self._inner = ProductSet([self.factors[i] for i in order])
+            self._groups = self._inner._groups
             # not argsort, whose first call maps numpy's sort kernels, 0.4 MB
             self._order, self._inverse = np.array(order), np.empty(self.m, dtype=np.intp)
             self._inverse[self._order] = np.arange(self.m)
+            return
         self._groups, start = [], 0
         for idx in groups.values():
             rows = _row_projector([self.factors[i] for i in idx])
@@ -110,28 +115,13 @@ class ProductSet(ConvexSet):
 
     def _project(self, z):
         X = z.reshape(self.m, self.block_dim)
-        if self._order is not None:
-            X = X[self._order]
+        if self._inner is not None:
+            P = self._inner._project(X[self._order].ravel()).reshape(self.m, self.block_dim)
+            return P[self._inverse].ravel()
         P = np.empty((self.m, self.block_dim))
         for rows_slice, rows in self._groups:
             rows.project(X[rows_slice], P[rows_slice])
-        return (P if self._inverse is None else P[self._inverse]).ravel()
-
-    @property
-    def _grouped(self):
-        """The product in group order: itself if that is its factor order, else
-        a copy sharing the row kernels, built on first use and kept in ``_copy``
-        (never itself, a reference cycle), attribute by attribute: ``copy.copy``
-        and ``cached_property`` read ``__dict__``, which slows later lookups."""
-        if self._order is None:
-            return self
-        if getattr(self, "_copy", None) is None:
-            W = self._copy = ProductSet.__new__(ProductSet)
-            W.factors = [self.factors[i] for i in self._order]
-            W.block_dim, W.m, W.dim = self.block_dim, self.m, self.dim
-            W._order = W._inverse = None
-            W._groups, W._halfspaces = self._groups, self._halfspaces
-        return self._copy
+        return P.ravel()
 
     def _workspace(self):
         """A group-ordered ``(m, n)`` array and each group's kernel with its row
@@ -214,21 +204,19 @@ def lift(x, m: int) -> np.ndarray:
     return np.tile(as_point(x), _positive_int(m, "m"))
 
 
-def restrict(z, m: int, tol: float | None = None) -> np.ndarray:
+def restrict(z, m: int) -> np.ndarray:
     """Blockwise average of a near-diagonal point (the inverse of ``lift``).
 
     Raises ``NotDiagonal`` when some block deviates from the average by more
-    than ``tol`` (default ``1e-8 * (1 + ||z||)``).
+    than ``1e-8 * (1 + ||z||)``.
     """
     z, m = as_point(z), _positive_int(m, "m")
     if z.size % m:
         raise DimensionMismatch(f"dimension {z.size} is not divisible into {m} blocks")
     X = z.reshape(m, z.size // m)
     mean = X.mean(axis=0)
-    if tol is None:
-        tol = DIAG_TOL * (1.0 + float(la.norm(X)))
     dev = float(np.max(la.norm(X - mean, axis=1))) if m > 1 else 0.0
-    if dev > tol:
+    if dev > DIAG_TOL * (1.0 + float(la.norm(X))):
         raise NotDiagonal(f"blocks deviate from their mean by {dev:.3e}")
     return mean
 
@@ -393,14 +381,15 @@ class _RowSpace(_Halfspaces):
     ``lift`` maps ``w`` to the parent's ``lift`` of ``x``.
     """
 
-    def __init__(self, W: ProductSet, x0: np.ndarray, tol: float, method: Method = Method.MAP):
+    def __init__(self, W: ProductSet, x0: np.ndarray, tol: float, method: Method):
         super().__init__(W, method)
         rows, m = self._rows, W.m
         self._x0 = x0
         r0 = rows.A @ x0
         lost = ROW_HEADROOM * (abs(r0).max() + abs(rows.b).max())
-        # NaN fails the first test; G is built only for a product that fits
-        self.fits = lost < tol and W._gram is not None
+        # NaN fails the test; G is built only for a product that fits
+        self._G = W._gram if lost < tol else None
+        self.fits = self._G is not None
         # DRM steps from one fresh u to the next: at least 1 where the run fits
         self._every = np.floor(tol / lost) if lost else math.inf
         self._q = r0 - rows.b
@@ -414,7 +403,7 @@ class _RowSpace(_Halfspaces):
         return w, np.zeros(self.W.m), self._q
 
     def _measure_iterate(self, w):
-        r = self.W._gram.dot(w, out=self._r)  # np.matmul's bits, with less call overhead
+        r = self._G.dot(w, out=self._r)  # np.matmul's bits, with less call overhead
         r += self._q
         np.maximum(r, 0.0, out=r)
         c = np.divide(r, self._m_a_sq, out=self._c)
@@ -427,7 +416,7 @@ class _RowSpace(_Halfspaces):
         w, s, u = z
         a_sq = self._rows.a_sq
         s_m = s / self.W.m
-        h = self.W._gram.dot(s_m)
+        h = self._G.dot(s_m)
         p = u + h
         p += h
         p /= a_sq
@@ -451,7 +440,7 @@ class _RowSpace(_Halfspaces):
             u = z[2] + h
         else:
             self._since = 0
-            u = self.W._gram.dot(y)
+            u = self._G.dot(y)
             u += self._q
         return y, z[1] - r, u
 
@@ -474,7 +463,7 @@ def run_prod(W: ProductSet, z0, config: SolverConfig) -> IterationTrace:
     DRM iterates, stopping on ``||P_D(z) - P_W(R_D(z))|| < tol``, which
     equals its fixed-point residual ``||z^(k+1) - z^k||``. They run as the
     two-set problem of :func:`crmfeas.methods.run` on ``W`` with its factors
-    in group order (``ProductSet._grouped``) and ``D``, the R^(nm) iteration
+    in group order (``ProductSet._inner``) and ``D``, the R^(nm) iteration
     with its blocks permuted, from ``lift`` of the mean of ``z0``'s blocks;
     when every factor of ``W`` is a ``Halfspace`` (exactly that class), as
     pairs ``(x, s)`` in R^n x R^m (see ``_Halfspaces``), equal to the R^(nm)
@@ -503,7 +492,7 @@ def _prod_problem(W: ProductSet, z0: np.ndarray, config: SolverConfig):
     if W._halfspaces is None:
         if config.method is Method.DRM:
             D = DiagonalSubspace(W.block_dim, W.m)
-            return _TwoSets(W._grouped, D, config.method), np.tile(x, W.m)
+            return _TwoSets(W._inner or W, D, config.method), np.tile(x, W.m)
         return _Diagonal(W, config.method), x
     if config.method is not Method.CRM and (
             rows := _RowSpace(W, x, config.tol, config.method)).fits:

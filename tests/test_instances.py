@@ -24,7 +24,7 @@ from crmfeas.instances import (
     write_problem,
 )
 from crmfeas.product_space import ProductSet
-from crmfeas.sets import Halfspace, SecondOrderCone
+from crmfeas.sets import AffineSubspace, Halfspace, SecondOrderCone
 from conftest import INCONSISTENT_PROBLEMS, NON_INTEGER_FIELDS
 
 
@@ -116,6 +116,16 @@ class TestStartPoints:
         assert np.array_equal(st.projected, np.tile(st.raw, inst.m))
         W = ProductSet(inst.sets)
         assert la.norm(st.projected - W.project(st.projected)) > 1e-6
+
+    def test_a_draw_in_the_cone_but_off_the_affine_part_is_kept(self):
+        # C_2 = {|x_1| <= x_0} holds a quarter of the draws, and the line
+        # x_0 = 0.01 meets it only where |x_1| <= 0.01: such a draw does not
+        # solve the problem, and its projection onto the line lies off C_2
+        cone = SecondOrderCone(2)
+        inst = ProblemInstance(kind=Kind.AFFINE_CONIC, sets=[cone],
+                               affine=AffineSubspace([[1.0, 0.0]], [0.01]), n=2, m=1,
+                               seed=0, certificate=[0.01, 0.0])
+        assert any(cone.contains(gen_start(inst, seed).raw, 1e-9) for seed in range(40))
 
     def test_determinism(self):
         inst = gen_soc_instance(30, 2)

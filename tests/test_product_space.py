@@ -49,12 +49,14 @@ class TestLiftRestrict:
 
     def test_restrict_examples(self):
         assert np.array_equal(restrict([1.0, 2.0, 1.0, 2.0], 2), [1.0, 2.0])
-        # averaging definition, visible when the diagonality check is waived
-        assert np.array_equal(restrict([1.0, 3.0, 3.0, 5.0], 2, tol=np.inf), [2.0, 4.0])
+        # the blockwise mean, of blocks within 1e-8 (1 + ||z||) of it
+        assert np.array_equal(restrict([0.0, 0.0, 1e-8, 0.0], 2), [5e-9, 0.0])
 
     def test_restrict_rejects_disagreeing_blocks(self):
         with pytest.raises(NotDiagonal):
             restrict([0.0, 0.0, 1.0, 1.0], 2)
+        with pytest.raises(NotDiagonal):  # 1.5e-8 from the mean
+            restrict([0.0, 0.0, 3e-8, 0.0], 2)
 
     def test_restrict_bad_block_count(self):
         with pytest.raises(DimensionMismatch):
@@ -293,7 +295,7 @@ class TestRunProd:
         for method in (Method.CRM, Method.MAP, Method.DRM):
             trace = run_prod(OVERLAP, z0, SolverConfig(method=method, tol=1e-6))
             assert trace.status is Status.CONVERGED
-            x = restrict(trace.final_point, 2, tol=1e-6)
+            x = restrict(trace.final_point, 2)
             for ball in OVERLAP.factors:
                 assert ball.contains(x, tol=2e-6)
 
@@ -321,7 +323,7 @@ class TestRunProd:
         D = DiagonalSubspace(2, 2)
         trace = run(OVERLAP, D, lift([0.0, 2.0], 2), SolverConfig(method=Method.CRM, tol=1e-6))
         assert trace.status is Status.CONVERGED
-        x = restrict(trace.final_point, 2, tol=1e-5)
+        x = restrict(trace.final_point, 2)
         for ball in OVERLAP.factors:
             assert ball.contains(x, tol=1e-5)
 
@@ -509,7 +511,7 @@ class TestIterationInRn:
         x0 = anchor + off * rng.standard_normal(dim)
         for method in (Method.CRM, Method.MAP):
             cfg = SolverConfig(method=method, max_iter=2000)
-            assert _RowSpace(W, x0, cfg.tol).fits
+            assert _RowSpace(W, x0, cfg.tol, cfg.method).fits
             _assert_matches_reference(W, lift(x0, W.m), cfg)
 
     def test_row_space_never_converges_on_a_gap_the_rn_measure_rejects(self):
@@ -521,7 +523,7 @@ class TestIterationInRn:
         x0 = np.array([T + s, -T, 0.0])
         cfg = SolverConfig(method=Method.MAP, max_iter=500)
         assert ROW_HEADROOM * (s + 1.0) < cfg.tol < ROW_HEADROOM * 2.0 * s
-        assert _RowSpace(W, x0, cfg.tol).fits
+        assert _RowSpace(W, x0, cfg.tol, cfg.method).fits
         trace = run_prod(W, lift(x0, 2), cfg)
         assert (trace.status, trace.iterations) == (Status.MAX_ITER, 500)
         assert min(trace.gaps) >= cfg.tol
@@ -798,8 +800,9 @@ def test_a_run_whose_first_measurement_fails_ends_at_its_start(W):
 
 def test_drm_prod_runs_the_two_set_problem_on_w_in_group_order():
     # a ball, a box and a ball: group order [0, 2, 1]. DRM-prod is the two-set
-    # DRM on the grouped copy of W, which shares W's kernels, is built once
-    # and kept, and projects as W does with the blocks permuted, bitwise
+    # DRM on W's inner product, its factors in group order, which builds the
+    # kernels that W shares and projects as W does with the blocks permuted,
+    # bitwise
     rng = np.random.default_rng(4)
     W = ProductSet([Ball([0.0, 0.0], 1.0), Box([-1.0, -1.0], [0.5, 0.5]),
                     Ball([0.5, 0.0], 1.0)])
@@ -809,18 +812,20 @@ def test_drm_prod_runs_the_two_set_problem_on_w_in_group_order():
     assert type(problem) is _TwoSets and type(problem.U) is DiagonalSubspace
     assert z.tobytes() == lift([3.0, 1.0], 3).tobytes()
     Wg = problem.K
-    assert Wg is W._grouped and _prod_problem(W, z, cfg)[0].K is Wg
-    assert Wg._order is None and Wg._groups is W._groups
+    assert Wg is W._inner and _prod_problem(W, z, cfg)[0].K is Wg
+    assert Wg._inner is None and Wg._order is None
+    assert W._groups is Wg._groups  # no kernel is built twice
     assert Wg.factors == [W.factors[i] for i in (0, 2, 1)] and Wg.factors is not W.factors
     for _ in range(5):
         z = 3.0 * rng.standard_normal(W.dim)
         grouped = z.reshape(3, 2)[W._order].ravel()
         assert Wg._project(grouped).tobytes() == \
             W._project(z).reshape(3, 2)[W._order].ravel().tobytes()
-    # a product in group order runs on itself, and keeps no copy of itself
+    # a product in group order has no inner product and runs on itself
+    assert TWO_BALLS._inner is None
     assert _prod_problem(TWO_BALLS, lift([0.0, 2.0], 2), cfg)[0].K is TWO_BALLS
-    assert not hasattr(TWO_BALLS, "_copy")
-    # W and its copy die with their last references, with the cyclic GC off
+    # W and its inner product die with their last references, with the
+    # cyclic GC off
     gc.disable()
     try:
         refs = weakref.ref(W), weakref.ref(Wg)

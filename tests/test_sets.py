@@ -462,12 +462,12 @@ def _kept_arrays(obj, seen=None):
 
 
 def _mixed_product():
-    """A product whose group order permutes its blocks, with its grouped form
-    built."""
+    """A product whose group order permutes its blocks, so that it holds the
+    product of its factors in group order."""
     W = ProductSet([Ball([0.0, 0.0, 0.0], 1.0), Box([-1.0] * 3, [1.0] * 3),
                     Halfspace([1.0, 0.0, 0.0], 0.5), Ball([0.5, 0.0, 0.0], 1.0),
                     SecondOrderCone(3), Hyperplane([0.0, 0.0, 1.0], 0.0)])
-    assert W._order is not None and W._grouped is not None
+    assert W._order is not None and W._inner is not None
     return W
 
 
@@ -489,7 +489,7 @@ PROJECT_CASES = {
              [-6.0, 1.0, 0.0], [0.0, 3.0, 4.0]]),
     "product": (_mixed_product(), [np.tile(x, 6) for x in
                                    ([0.0, 0.0, 0.0], [0.2, 0.1, 0.0], [3.0, -4.0, 2.0])]),
-    "grouped product": (_mixed_product()._grouped, [np.tile([3.0, -4.0, 2.0], 6)]),
+    "grouped product": (_mixed_product()._inner, [np.tile([3.0, -4.0, 2.0], 6)]),
     "halfspace product": (ProductSet([Halfspace([1.0, 0.0, 0.0], 0.5),
                                       Halfspace([0.0, 1.0, 0.0], 0.5)]),
                           [[0.0] * 6, [1.0, 0.0, 0.0, 0.0, 1.0, 0.0]]),
