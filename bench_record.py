@@ -31,8 +31,9 @@ they are not absolute.
 The per-layer section holds timeit medians, per call, of the calls one
 iteration of a benchmark run makes, on every instance of the benchmark's
 workloads (``perfbench/workloads.py``) at its first start:
-``ProductSet._projection_sums`` at the block mean and the DRM-prod
-measurement (``_TwoSets.measure``) on each ``mixed`` instance, the MAP-prod
+``ProductSet._projection_sums`` at the block mean, into a workspace built
+once as a run builds it, and the DRM-prod measurement
+(``_TwoSets.measure``) on each ``mixed`` instance, the MAP-prod
 measurement (``_RowSpace.measure``) and one whole MAP-prod iteration, that
 measurement and its step (``poly.map_step``), and the same two for DRM-prod
 (``poly.drm_measure`` and ``poly.drm_step``, from the first iterate), on
@@ -176,8 +177,8 @@ def time_layers(small: bool) -> dict:
 
     def sums(p):
         W = p.W
-        x = p.starts[0].reshape(W.m, W.block_dim).mean(axis=0)
-        return "ProductSet._projection_sums", lambda: W._projection_sums(x)
+        x, work = p.starts[0].reshape(W.m, W.block_dim).mean(axis=0), W._workspace()
+        return "ProductSet._projection_sums", lambda: W._projection_sums(x, work)
 
     def prod(p, method, timed=measured):
         return timed(*_prod_problem(p.W, p.starts[0], config(method)))

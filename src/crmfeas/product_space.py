@@ -9,14 +9,12 @@ and the driver of :mod:`crmfeas.methods` apply with ``K := W`` and
 
 On the diagonal the product-space MAP and CRM are Cimmino's method and
 Pierra's extrapolated parallel projection method in R^n, and ``run_prod``
-runs them in that form (``_Diagonal``). DRM leaves the diagonal, and on any
-product but one of halfspaces ``run_prod`` runs it as the two-set problem of
-:mod:`crmfeas.methods` on ``W``, its factors in group order, and ``D``. A
-product of halfspaces ``A x <= b`` has its own adapter, ``_Halfspaces``,
-which takes the projection sums in closed form and runs DRM on blocks
-``x + s_i a_i`` kept as the pair ``(x, s)``; with independent normals MAP
-and DRM run on ``w`` with ``x = x_0 + A^T w`` instead, one product with
-``A A^T`` per iteration (``_RowSpace``).
+runs them in that form (``_Diagonal``). DRM leaves the diagonal, and
+``run_prod`` runs it as the two-set problem of :mod:`crmfeas.methods` on
+``W``, its factors in group order, and ``D``. A product of halfspaces
+``A x <= b`` takes its projection sums in closed form (``_Halfspaces``), and
+from a start that is not far out runs DRM, and MAP where its normals are
+independent, on ``w`` with ``x = x_0 + A^T w`` instead (``_RowSpace``).
 """
 
 from __future__ import annotations
@@ -73,9 +71,9 @@ class ProductSet(ConvexSet):
     product whose factors are all ``Halfspace`` (exactly that class), else
     None: only such a product has closed forms for the runs of ``run_prod``,
     which picks its adapter by it, and only such a product builds ``_gram``.
-    ``_projection_sums`` of any product fills a group-ordered array from one
-    point and reduces it once, in a CRM-prod or MAP-prod run that run's own
-    array (``_workspace``), so that the set stays immutable.
+    ``_projection_sums`` of any product fills the caller's group-ordered
+    array (``_workspace``) from one point and reduces it once; a CRM-prod or
+    MAP-prod run allocates its own, so that the set stays immutable.
     The result does not depend on the order of the factors beyond rounding.
     """
 
@@ -129,12 +127,12 @@ class ProductSet(ConvexSet):
         P = np.empty((self.m, self.block_dim))
         return P, [(rows, P[rows_slice]) for rows_slice, rows in self._groups]
 
-    def _projection_sums(self, x, work=None):
+    def _projection_sums(self, x, work):
         """``(sum P_{X_i}(x), sum ||P_{X_i}(x) - x||^2)`` over the factors, for
         ``x in R^n``: the projections of ``x`` onto every factor added up at
-        once, each group's kernel writing into its view of ``work``, the
-        caller's ``_workspace()``, or of a new one."""
-        P, views = work or self._workspace()
+        once, each group's kernel writing into its view of ``work``, a
+        ``_workspace()`` of this product."""
+        P, views = work
         for rows, out in views:
             rows.project(x, out)
         total = P.sum(axis=0)
@@ -275,41 +273,20 @@ class _Diagonal(_ByMethod):
         return np.tile(x, self.W.m)
 
 
-def _gap(gg: float) -> float:
-    """The gap from its squared Gram expansion: 0 where that rounds below 0,
-    and inf, as in R^(nm), where it overflows to NaN at a finite iterate."""
-    return 0.0 if gg < 0.0 else math.sqrt(gg) if gg == gg else math.inf
-
-
 class _Halfspaces(_Diagonal):
     """``_Diagonal`` on a product ``W`` of ``Halfspace`` factors (exactly that
     class), the rows of ``A x <= b`` (``W._halfspaces``), in closed forms, so
-    that no run holds a workspace.
+    that no run holds a workspace: CRM-prod, and MAP-prod where ``_RowSpace``
+    does not fit.
 
     With ``c = max(A x - b, 0) / ||a_i||^2`` the projections of ``x`` sum to
     ``m x - A^T c`` and their squared residuals to ``<max(A x - b, 0), c>``
-    (``_sums``), in O(m + n) memory besides ``A``.
-
-    DRM iterates ``z`` with blocks ``z_i = x + s_i a_i`` are kept as the pair
-    ``(x, s)``, ``x in R^n`` and ``s in R^m``, from ``(x, 0)``. The shadow,
-    the block mean, is ``y = x + d`` with ``d = A^T s / m``. The reflected
-    blocks ``v_i = 2 y - z_i`` have ``a_i^T v_i = (A (y + d))_i - s_i
-    ||a_i||^2`` and project to ``v_i - c_i a_i`` with ``c = max(a_i^T v_i -
-    b_i, 0) / ||a_i||^2``, so the step ``z + P_W(v) - y`` goes to
-    ``(y, -c)``. The gap blocks ``y - P(v_i) = (s_i + c_i) a_i - d`` give the
-    squared gap ``m ||d||^2 - 2 <s + c, A d> + sum (s_i + c_i)^2 ||a_i||^2``
-    (see ``_gap``). An iteration takes three products with ``A`` and no
-    vector of R^(nm); a pair is never lifted. ``dist`` is the distance from
-    ``lift(y)`` to ``W``, in closed form. ``run_prod`` uses this form for
-    MAP and DRM only where ``_RowSpace`` does not fit: dependent normals, or
-    a start far out.
+    (``_sums``), in O(m + n) memory besides ``A``. ``_dist`` is the distance
+    from ``lift(x)`` to ``W``, in closed form.
     """
 
     def __init__(self, W: ProductSet, method: Method):
         self.W, self._method, self._rows = W, method, W._halfspaces
-
-    def start(self, x):
-        return (x, np.zeros(self.W.m)) if self._method is Method.DRM else x
 
     def _sums(self, x):
         A, b, a_sq = self._rows.A, self._rows.b, self._rows.a_sq
@@ -317,35 +294,23 @@ class _Halfspaces(_Diagonal):
         c = excess / a_sq
         return self.W.m * x - c @ A, float(excess.dot(c))
 
-    def _measure_shadow(self, z):
-        (x, s), m = z, self.W.m
-        A, b, a_sq = self._rows.A, self._rows.b, self._rows.a_sq
-        d = (s @ A) / m
-        y = x + d
-        v = _check_finite(y + d)  # 2 y - z, as the reflection through D is checked
-        c = np.maximum(A @ v - s * a_sq - b, 0.0) / a_sq
-        r = s + c
-        gg = m * float(d.dot(d)) - 2.0 * float(r.dot(A @ d)) + float((r * r).dot(a_sq))
-        return y, _gap(gg), c
-
     def _dist(self, y):
         return math.sqrt(self._sums(y)[1])
 
-    def _drm_step(self, z, y, g, c):
-        return y, -c
-
 
 class _RowSpace(_Halfspaces):
-    """MAP and DRM on ``W ∩ D``, as ``_Halfspaces`` runs them, when the normals
-    are independent, on points ``x = x_0 + A^T w`` kept as ``w in R^m``.
+    """MAP and DRM on ``W ∩ D`` for a product of halfspaces, on points
+    ``x = x_0 + A^T w`` kept as ``w in R^m``.
 
     Neither method moves ``x`` off ``x_0 + row(A)``: Cimmino's step moves it
-    by ``-A^T c / m`` (see ``_Diagonal``) and a DRM step by ``A^T s / m`` (see
-    ``_Halfspaces``). With ``q = A x_0 - b``, taken once per run, and
-    ``G = A A^T`` (``ProductSet._gram``), ``A x - b = q + G w``, and an
-    iteration costs one product with the ``m x m`` matrix ``G`` instead of
-    two or three with the ``m x n`` matrix ``A``, and matrix-vector products
-    only.
+    by ``-A^T c / m`` (see ``_Diagonal``) and a DRM step by ``A^T s / m``
+    (below). With ``q = A x_0 - b``, taken once per run, ``A x - b = q + G w``
+    for ``G = A A^T``. Where the normals are independent, ``G`` is
+    ``ProductSet._gram``, and an iteration costs one product with the
+    ``m x m`` matrix ``G`` instead of two or three with the ``m x n`` matrix
+    ``A``, and matrix-vector products only. Where they are dependent, as more
+    normals than dimensions always are, there is no ``G``, and DRM takes
+    ``G v`` as ``A (A^T v)``, in O(m + n) memory besides ``A``.
 
     MAP goes from ``w`` to ``w - c / m``. Its measurement writes
     ``r = max(q + G w, 0)`` and ``c / m = r / (m ||a_i||^2)``, with that
@@ -353,32 +318,38 @@ class _RowSpace(_Halfspaces):
     iteration allocates only the next ``w``; the gap is ``(m <r, c / m>)^(1/2)``.
     The ``c / m`` that a measurement returns is overwritten by the next
     measurement, after the step has used it. The run starts at ``w = 0``.
-    A gap that is not finite has ``w`` checked for non-finite entries.
+    A gap that is not finite has ``w`` checked for non-finite entries. MAP
+    needs ``G``: with dependent normals ``w`` would drift in the null space
+    of ``A^T``, and its stall rule, which compares ``w`` bitwise, would never
+    fire.
 
     DRM iterates, the blocks ``z_i = x + s_i a_i``, are kept as ``(w, s, u)``
     with ``u = A x - b`` carried along, from ``(0, 0, q)``. With ``s / m``,
-    ``d = A^T s / m`` and ``h = A d = G (s / m)``, the shadow ``y = x + d`` is
-    the point of ``w + s / m``, ``A y - b = u + h``, the reflected blocks
-    have ``a_i^T v_i - b_i = (u + 2 h)_i - s_i ||a_i||^2``, and
-    ``m ||d||^2 = <s, h>``. With ``p = (u + 2 h) / ||a_i||^2``,
-    ``r = s + c = max(p, s)``, so the squared gap is
-    ``<s, h> - 2 <r, h> + <r * r, ||a_i||^2>``, and the step goes to
+    ``d = A^T s / m`` and ``h = A d = G (s / m)``, the shadow, the block mean
+    ``y = x + d``, is the point of ``w + s / m``, ``A y - b = u + h``, and
+    ``m ||d||^2 = <s, h>``. The reflected blocks ``v_i = 2 y - z_i`` have
+    ``a_i^T v_i - b_i = (u + 2 h)_i - s_i ||a_i||^2`` and project to
+    ``v_i - c_i a_i`` with ``c_i = max(a_i^T v_i - b_i, 0) / ||a_i||^2``;
+    with ``p = (u + 2 h) / ||a_i||^2``, ``r = s + c = max(p, s)``. The gap blocks ``y - P(v_i) = r_i a_i - d``
+    give the squared gap ``<s, h> - 2 <r, h> + <r * r, ||a_i||^2>``, which is
+    0 where it rounds below 0 and, as in R^(nm), inf where it overflows to
+    NaN at a finite iterate; and the step ``z + P_W(v) - y`` goes to
     ``(w + s / m, s - r, u + h)``. ``u`` is a running sum, whose rounding
     grows by about ``2^-52`` of the scale of ``A x_0`` and ``b`` per step, so
     every ``floor(tol / (ROW_HEADROOM * scale))`` steps (``ROW_HEADROOM``) the
     step takes it afresh as ``q + G w``. A gap that is not finite has the
-    iterate checked for non-finite entries, where ``_Halfspaces`` checks the
+    iterate checked for non-finite entries, where the R^(nm) run checks the
     reflected point: any non-finite entry of ``s`` or ``h`` makes the gap
-    non-finite, and at a finite iterate it is ``inf`` (see ``_gap``).
+    non-finite.
 
-    ``fits`` is false, and ``run_prod`` uses ``_Halfspaces``, when the normals
-    are dependent or when the rounding of ``A x - b`` is not far below
+    ``fits`` is false when the rounding of ``A x - b`` is not far below
     ``tol`` (``ROW_HEADROOM``): ``q`` rounds at 2^-53 of the scale of
     ``A x_0`` and ``b``, the scale that guard measures, and ``q + G w`` adds
-    rounding of that size again. ``x_0`` can still be far larger than
-    ``A x_0`` shows, and ``x_0 + A^T w`` then loses ``w``; so ``dist`` is the
-    parent's ``_dist`` at ``x`` itself, in closed form, for both methods, and
-    ``lift`` maps ``w`` to the parent's ``lift`` of ``x``.
+    rounding of that size again; for MAP also when the normals are
+    dependent. ``x_0`` can still be far larger than ``A x_0`` shows, and
+    ``x_0 + A^T w`` then loses ``w``; so ``dist`` is the parent's ``_dist``
+    at ``x`` itself, in closed form, for both methods, and ``lift`` maps
+    ``w`` to the parent's ``lift`` of ``x``.
     """
 
     def __init__(self, W: ProductSet, x0: np.ndarray, tol: float, method: Method):
@@ -387,9 +358,9 @@ class _RowSpace(_Halfspaces):
         self._x0 = x0
         r0 = rows.A @ x0
         lost = ROW_HEADROOM * (abs(r0).max() + abs(rows.b).max())
-        # NaN fails the test; G is built only for a product that fits
-        self._G = W._gram if lost < tol else None
-        self.fits = self._G is not None
+        fits = lost < tol  # NaN fails the test
+        self._G = W._gram if fits else None  # G is built only for a product that fits
+        self.fits = fits and (self._G is not None or method is Method.DRM)
         # DRM steps from one fresh u to the next: at least 1 where the run fits
         self._every = np.floor(tol / lost) if lost else math.inf
         self._q = r0 - rows.b
@@ -412,11 +383,16 @@ class _RowSpace(_Halfspaces):
             _check_finite(w)
         return w, g, c
 
+    def _times_gram(self, v):
+        """``A A^T v``: one product with ``G``, or two with ``A`` without it."""
+        G = self._G
+        return G.dot(v) if G is not None else self._rows.A @ (v @ self._rows.A)
+
     def _measure_shadow(self, z):
         w, s, u = z
         a_sq = self._rows.a_sq
         s_m = s / self.W.m
-        h = self._G.dot(s_m)
+        h = self._times_gram(s_m)
         p = u + h
         p += h
         p /= a_sq
@@ -425,7 +401,8 @@ class _RowSpace(_Halfspaces):
         if not math.isfinite(gg):
             for v in z:
                 _check_finite(v)
-        return w + s_m, _gap(gg), (h, r)
+        g = 0.0 if gg < 0.0 else math.sqrt(gg) if gg == gg else math.inf
+        return w + s_m, g, (h, r)
 
     def dist(self, w):
         return self._dist(self._point(w))
@@ -440,7 +417,7 @@ class _RowSpace(_Halfspaces):
             u = z[2] + h
         else:
             self._since = 0
-            u = self._G.dot(y)
+            u = self._times_gram(y)
             u += self._q
         return y, z[1] - r, u
 
@@ -464,16 +441,16 @@ def run_prod(W: ProductSet, z0, config: SolverConfig) -> IterationTrace:
     equals its fixed-point residual ``||z^(k+1) - z^k||``. They run as the
     two-set problem of :func:`crmfeas.methods.run` on ``W`` with its factors
     in group order (``ProductSet._inner``) and ``D``, the R^(nm) iteration
-    with its blocks permuted, from ``lift`` of the mean of ``z0``'s blocks;
-    when every factor of ``W`` is a ``Halfspace`` (exactly that class), as
-    pairs ``(x, s)`` in R^n x R^m (see ``_Halfspaces``), equal to the R^(nm)
-    iteration up to rounding, from ``(that mean, 0)``. MAP and DRM run on
-    ``w in R^m`` with ``x = x_0 + A^T w`` instead (see ``_RowSpace``; DRM as
-    ``(w, s, u)``), again equal up to rounding, when every factor of ``W`` is
-    a ``Halfspace``, the ``m`` normals are independent (so ``m <= n``) and
-    the largest entries of ``A x_0`` and ``b``, with ``x_0`` the block mean of
-    ``z0``, add up to less than ``tol / ROW_HEADROOM``; any other product of
-    halfspaces, or a start farther out, keeps ``x`` or ``(x, s)``.
+    with its blocks permuted, from ``lift`` of the mean of ``z0``'s blocks,
+    which holds about seven points of R^(nm) at once. When every factor of
+    ``W`` is a ``Halfspace`` (exactly that class) and the largest entries of
+    ``A x_0`` and ``b``, with ``x_0`` the block mean of ``z0``, add up to
+    less than ``tol / ROW_HEADROOM``, DRM, and MAP when the ``m`` normals are
+    independent (so ``m <= n``), run on ``w in R^m`` with ``x = x_0 + A^T w``
+    instead (see ``_RowSpace``; DRM as ``(w, s, u)``), again equal up to
+    rounding, in O(m + n) memory besides ``A``, ``A A^T`` and ``final_point``;
+    other MAP and CRM runs on halfspaces take their sums in closed form
+    (``_Halfspaces``).
     ``final_point`` is the point of R^(nm) on the diagonal where the last gap
     was measured: ``lift(x)`` for CRM and MAP, the shadow ``P_D(z)`` for DRM.
     """
@@ -484,17 +461,14 @@ def run_prod(W: ProductSet, z0, config: SolverConfig) -> IterationTrace:
 
 def _prod_problem(W: ProductSet, z0: np.ndarray, config: SolverConfig):
     """The problem that ``run_prod`` drives from the checked start ``z0``, and
-    that start as a point the problem tracks (see ``_drive``): the block mean
-    of ``z0``, its lift for DRM on any product but one of halfspaces, or
-    ``w = 0`` on the row space; to be called, as ``run_prod``
-    does, with overflow ignored."""
+    that start as a point the problem tracks (see ``_drive``): ``w = 0`` on
+    the row space, else the block mean of ``z0``, lifted for DRM; to be
+    called, as ``run_prod`` does, with overflow ignored."""
     x = z0.reshape(W.m, W.block_dim).mean(axis=0)
-    if W._halfspaces is None:
-        if config.method is Method.DRM:
-            D = DiagonalSubspace(W.block_dim, W.m)
-            return _TwoSets(W._inner or W, D, config.method), np.tile(x, W.m)
-        return _Diagonal(W, config.method), x
-    if config.method is not Method.CRM and (
+    if W._halfspaces is not None and config.method is not Method.CRM and (
             rows := _RowSpace(W, x, config.tol, config.method)).fits:
         return rows, np.zeros(W.m)
-    return _Halfspaces(W, config.method), x
+    if config.method is Method.DRM:
+        D = DiagonalSubspace(W.block_dim, W.m)
+        return _TwoSets(W._inner or W, D, config.method), np.tile(x, W.m)
+    return (_Diagonal if W._halfspaces is None else _Halfspaces)(W, config.method), x

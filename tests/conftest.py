@@ -122,8 +122,8 @@ def lift_iterate(problem, z):
     CRM and MAP and of a two-set DRM run are; the product-space DRM on any
     product but one of halfspaces is such a run, on ``W`` in group order, and
     its iterates keep that order. A DRM iterate kept as span coordinates
-    (``_ConeAffine``), as the pair ``(x, s)`` (``_Halfspaces``) or as
-    ``(w, s, u)`` with ``x = x_0 + A^T w`` (``_RowSpace``) is lifted here."""
+    (``_ConeAffine``) or as ``(w, s, u)`` with ``x = x_0 + A^T w``
+    (``_RowSpace``) is lifted here."""
     if problem._method is not Method.DRM or isinstance(problem, methods._TwoSets):
         return problem.lift(z)
     if isinstance(problem, methods._ConeAffine):
@@ -134,12 +134,8 @@ def lift_iterate(problem, z):
         x += gamma * w
         x[0] += delta
         return x
-    A = problem.W._halfspaces.A
-    if isinstance(problem, product_space._RowSpace):
-        w, s, _ = z
-        return (problem._point(w) + s[:, None] * A).ravel()
-    x, s = z
-    return (x + s[:, None] * A).ravel()
+    w, s, _ = z
+    return (problem._point(w) + s[:, None] * problem.W._halfspaces.A).ravel()
 
 
 def drive_recorded(problem, y, config):

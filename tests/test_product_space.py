@@ -169,10 +169,11 @@ class TestProjections:
             group = [f for f, k in zip(factors, kinds) if k == kind]
             products.append((ProductSet(group), group))
         for W, sets in products:
+            work = W._workspace()
             for x in points:
                 ps = [f._project(x) for f in sets]
                 tol = 1e-12 * (1.0 + la.norm(x))
-                total, sq = W._projection_sums(x)
+                total, sq = W._projection_sums(x, work)
                 assert la.norm(total - sum(ps)) <= tol
                 assert abs(sq - sum(float((p - x) @ (p - x)) for p in ps)) <= tol
                 z = lift(x, W.m)
@@ -373,10 +374,18 @@ def _poly_case(index, start):
     return ProductSet(inst.sets), z0
 
 
+def _wide_halfspaces(m, n):
+    """``m`` halfspaces in R^n that hold a common point, and a start near it."""
+    rng = np.random.default_rng(0)
+    A, x = rng.standard_normal((m, n)), rng.standard_normal(n)
+    return (ProductSet([Halfspace(a, float(a @ x) + 0.1) for a in A]),
+            lift(x + 0.01 * rng.standard_normal(n), m))
+
+
 def _assert_drm_matches_reference(W, z0, cfg):
-    """DRM-prod, on a product of halfspaces kept as ``(x, s)`` and on any other
-    product in group order, against the R^(nm) iteration in factor order,
-    iterate by iterate: the reference iterates are permuted into group
+    """DRM-prod, on a product of halfspaces kept as ``(w, s, u)`` and on any
+    other product in group order, against the R^(nm) iteration in factor
+    order, iterate by iterate: the reference iterates are permuted into group
     order, that of the fast iterates."""
     fast, fast_iterates = recorded(run_prod, W, z0, cfg)
     D = DiagonalSubspace(W.block_dim, W.m)
@@ -395,9 +404,9 @@ def _assert_drm_matches_reference(W, z0, cfg):
 class TestIterationInRn:
     """CRM and MAP of run_prod iterate x in R^n (MAP on a product of
     halfspaces with independent normals: w in R^m), DRM on a product of
-    halfspaces iterates (x, s) in R^n x R^m, and DRM on any other product
-    iterates R^(nm) with its blocks in group order; they must retrace the
-    R^(nm) iteration."""
+    halfspaces iterates (w, s, u) in R^m x R^m x R^m, and DRM on any other
+    product, or from far out, iterates R^(nm) with its blocks in group
+    order; they must retrace the R^(nm) iteration."""
 
     def test_poly_grid_starts_match_the_product_space_driver(self):
         # the reference polyhedral grid: instance 0 of base seed 137 (m = 57)
@@ -441,26 +450,22 @@ class TestIterationInRn:
     def test_poly_drm_runs_on_w_as_on_x(self):
         # every DRM-prod run of the benchmark's poly workload, instance 0 at its
         # 20 starts and the two m = 171 instances at their first, on w
-        # (_RowSpace) and forced onto (x, s) (_Halfspaces)
+        # (_RowSpace), against the R^(nm) iteration
         cfg = SolverConfig(method=Method.DRM, tol=1e-6)
         total = 0
         for index, start in [(0, j) for j in range(20)] + [(2, 0), (7, 0)]:
             W, z0 = _poly_case(index, start)
+            assert W.m == (57 if index == 0 else 171)
             assert type(_prod_problem(W, z0, cfg)[0]) is _RowSpace
-            trace = run_prod(W, z0, cfg)
-            x0 = z0.reshape(W.m, W.block_dim).mean(axis=0)
-            ref = _drive(_Halfspaces(W, Method.DRM), x0, cfg)
-            assert (trace.iterations, trace.status) == (ref.iterations, ref.status), (index, start)
-            assert ref.status is Status.CONVERGED
-            scale = 1.0 + la.norm(ref.final_point)
-            assert la.norm(trace.final_point - ref.final_point) <= 1e-10 * scale
+            trace = _assert_drm_matches_reference(W, z0, cfg)
+            assert trace.status is Status.CONVERGED, (index, start)
             total += trace.iterations
         assert total == 984  # a perfbench poly round's DRM total
 
     def test_drm_on_w_takes_a_x_minus_b_afresh_and_ends_as_on_x(self):
         # poly instance 0 from a start 3e4 out, where the largest entry of A x_0
         # is about 1e6: u = A x - b is taken afresh as q + G w every 4 steps,
-        # and the run retraces the R^(nm) iteration and ends as the run on (x, s)
+        # and the run retraces the R^(nm) iteration
         W, z0 = _poly_case(0, 0)
         x0 = z0.reshape(W.m, W.block_dim).mean(axis=0)
         x0 = x0 + 3e4 * np.random.default_rng(3).standard_normal(W.block_dim)
@@ -469,18 +474,6 @@ class TestIterationInRn:
         assert type(problem) is _RowSpace and problem._every == 4
         trace = _assert_drm_matches_reference(W, lift(x0, W.m), cfg)
         assert (trace.iterations, trace.status) == (43, Status.CONVERGED)
-        ref = _drive(_Halfspaces(W, Method.DRM), x0, cfg)
-        assert (ref.iterations, ref.status) == (43, Status.CONVERGED)
-        scale = 1.0 + la.norm(ref.final_point)
-        assert la.norm(trace.final_point - ref.final_point) <= 1e-10 * scale
-
-    def test_poly_grid_drm_matches_the_product_space_driver(self):
-        cfg = SolverConfig(method=Method.DRM, tol=1e-6)
-        for index, start in [(0, j) for j in range(20)] + [(2, 0), (7, 0)]:
-            W, z0 = _poly_case(index, start)
-            assert W.m == (57 if index == 0 else 171)
-            trace = _assert_drm_matches_reference(W, z0, cfg)
-            assert trace.status is Status.CONVERGED
 
     # a fixed sequence of draws, as for the catalog products below
     @settings(max_examples=40, deadline=None, derandomize=True)
@@ -606,19 +599,54 @@ class TestIterationInRn:
         W = ProductSet([Halfspace(a, float(a @ x) + 0.1) for a in A])
         z0 = lift(x + 5.0 * rng.standard_normal(n), m)
         del A
+        cfg = SolverConfig(method=method, max_iter=50)
+        # the normals are dependent: DRM runs on w without A A^T, MAP on x
+        expected = _RowSpace if method is Method.DRM else _Halfspaces
+        assert type(_prod_problem(W, z0, cfg)[0]) is expected
         tracemalloc.start()
         try:
-            trace = run_prod(W, z0, SolverConfig(method=method, max_iter=50))
+            trace = run_prod(W, z0, cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert trace.iterations > 0 and trace.final_point.shape == (n * m,)
         assert peak < 1.25 * 8 * n * m
 
+    @pytest.mark.parametrize("W, z0", [
+        # the dependent rows in R^4 of the MAP certificate test below: empty
+        (ProductSet([Halfspace(a, -1.0) for a in
+                     ([1.0, 1.0, 0.0, 0.0], [-1.0, 0.0, 0.5, 0.0], [0.0, -1.0, -0.5, 0.0])]),
+         lift(np.arange(4) + 0.3, 3)),
+        # twelve halfspaces in R^5 that hold a common point, from a start
+        # off them
+        (_wide_halfspaces(12, 5)[0], lift(np.arange(5) + 0.3, 12)),
+    ], ids=["dependent", "m>n"])
+    def test_drm_prod_runs_on_w_without_the_gram_matrix(self, W, z0):
+        cfg = SolverConfig(method=Method.DRM, max_iter=300)
+        problem, _ = _prod_problem(W, z0, cfg)
+        assert type(problem) is _RowSpace and problem._G is None and W._gram is None
+        _assert_drm_matches_reference(W, z0, cfg)
+
+    def test_halfspace_drm_prod_far_out_is_the_r_nm_run(self):
+        # poly instance 0 from a start 1e8 out, beyond ROW_HEADROOM: the run is
+        # run(W, D) itself, bitwise
+        W, z0 = _poly_case(0, 0)
+        x0 = z0.reshape(W.m, W.block_dim).mean(axis=0)
+        z0 = lift(x0 + 1e8 * np.random.default_rng(3).standard_normal(W.block_dim), W.m)
+        cfg = SolverConfig(method=Method.DRM, tol=1e-6, max_iter=300)
+        problem, _ = _prod_problem(W, z0, cfg)
+        assert type(problem) is _TwoSets and problem.K is W
+        trace = run_prod(W, z0, cfg)
+        ref = run(W, DiagonalSubspace(W.block_dim, W.m), z0, cfg)
+        assert trace.iterations > 1
+        assert (trace.iterations, trace.status) == (ref.iterations, ref.status)
+        assert np.array(trace.gaps).tobytes() == np.array(ref.gaps).tobytes()
+        assert trace.final_point.tobytes() == ref.final_point.tobytes()
+
     def test_drm_prod_never_converges_on_an_empty_product_far_out(self):
-        # {x1 <= -1} x {-x1 <= -1} is empty; from this start the Gram expansion
-        # of the gap rounds to 0 at iteration 2, where the shadow is still a
-        # distance sqrt(2) from W
+        # {x1 <= -1} x {-x1 <= -1} is empty; from this start, too far out for
+        # the row space, the run is the R^(nm) one, and from iteration 2 on its
+        # shadow stays a distance sqrt(2) from W
         W = ProductSet([Halfspace([1.0, 0.0], -1.0), Halfspace([-1.0, 0.0], -1.0)])
         cfg = SolverConfig(method=Method.DRM, max_iter=20_000)
         trace = run_prod(W, lift([1e12, 3.0], 2), cfg)
@@ -700,8 +728,8 @@ def _measured_steps(problem, x, steps):
 class TestRunWorkspace:
     """A ``_Diagonal`` run on any product but one of halfspaces projects into
     its own block array, allocated once per run, whether the product has one
-    group or several; its measurements are bitwise those of the allocating
-    sums."""
+    group or several; its measurements are bitwise those of the sums into a
+    workspace of their own."""
 
     @pytest.mark.parametrize("seed, m, kinds", [
         *(pytest.param(seed, m, ANCHORED_KINDS, id=f"{seed}-{m}")
@@ -715,9 +743,10 @@ class TestRunWorkspace:
         problem, x = _prod_problem(W, z0, cfg)
         assert type(problem) is _Diagonal and problem._work is not None
         final = run_prod(W, z0, cfg).final_point.reshape(W.m, W.block_dim).mean(axis=0)
+        work = W._workspace()
         for point in (x, final, x):  # back to the start: nothing carries over
             _, g, (total, sq) = problem.measure(point)
-            expected_total, expected_sq = W._projection_sums(point)
+            expected_total, expected_sq = W._projection_sums(point, work)
             assert total.tobytes() == expected_total.tobytes()
             assert (sq, g) == (expected_sq, np.sqrt(expected_sq))
 
@@ -757,14 +786,17 @@ def test_only_a_product_of_halfspaces_gets_the_halfspace_kernel():
         kernel = W._halfspaces
         assert (type(kernel) is _HalfspaceRows) == (name == "halfspaces"), name
         assert kernel is None or kernel is W._groups[0][1], name
-        # near the halfspaces MAP and DRM fit on w; far out they keep x
-        for start, row_problem in (([5.0, 1.0, 2.0], _RowSpace), ([1e300, 1.0, 2.0], _Halfspaces)):
+        # near the halfspaces MAP and DRM fit on w; far out MAP keeps x and
+        # DRM runs in R^(nm)
+        for start, far in (([5.0, 1.0, 2.0], False), ([1e300, 1.0, 2.0], True)):
             for method in Method:
                 problem, _ = _prod_problem(W, lift(start, W.m), SolverConfig(method=method))
-                if kernel is None:
-                    expected = _TwoSets if method is Method.DRM else _Diagonal
+                if kernel is not None and method is not Method.CRM and not far:
+                    expected = _RowSpace
+                elif method is Method.DRM:
+                    expected = _TwoSets
                 else:
-                    expected = _Halfspaces if method is Method.CRM else row_problem
+                    expected = _Diagonal if kernel is None else _Halfspaces
                 assert type(problem) is expected, (name, start, method)
                 if expected is _Halfspaces:  # the closed forms need no block array
                     assert not hasattr(problem, "_work"), (name, start, method)
@@ -777,7 +809,7 @@ def test_halfspace_projection_sums_equal_the_closed_form(index):
     # projections
     W, z0 = _poly_case(index, 0)
     x = z0.reshape(W.m, W.block_dim).mean(axis=0)
-    total, sq = W._projection_sums(x)
+    total, sq = W._projection_sums(x, W._workspace())
     closed_total, closed_sq = _Halfspaces(W, Method.MAP)._sums(x)
     assert la.norm(total - closed_total) <= 1e-12 * la.norm(closed_total)
     assert abs(sq - closed_sq) <= 1e-12 * closed_sq
@@ -837,11 +869,12 @@ def test_drm_prod_runs_the_two_set_problem_on_w_in_group_order():
 
 def test_an_overflowing_gram_expansion_records_inf_as_in_r_nm():
     # from these finite starts the Gram expansion of the halfspace DRM-prod
-    # gap overflows to inf - inf, on w (tol 1e300) and on (x, s) (tol 1e-6);
-    # the R^(nm) gap overflows to inf, and both forms record that
+    # gap on w (tol 1e300) overflows to inf - inf; the R^(nm) gap overflows
+    # to inf, and the run on w records that. With tol 1e-6 the start is too
+    # far out for w, and the run is the R^(nm) one
     W = ProductSet([Halfspace([1.0, 0.0, 0.0], 0.0), Halfspace([0.0, 1.0, 0.0], 0.0)])
     z0 = lift([1e305, 1e305, 1.0], 2)
-    for tol, adapter in ((1e300, _RowSpace), (1e-6, _Halfspaces)):
+    for tol, adapter in ((1e300, _RowSpace), (1e-6, _TwoSets)):
         cfg = SolverConfig(method=Method.DRM, tol=tol, max_iter=50)
         assert type(_prod_problem(W, z0, cfg)[0]) is adapter
         trace = run_prod(W, z0, cfg)
@@ -854,15 +887,18 @@ def test_an_overflowing_gram_expansion_records_inf_as_in_r_nm():
 def test_a_non_finite_entry_ends_a_row_space_run_as_on_x():
     # a normal of squared norm 1e-310: the projection of the start onto its
     # halfspace overflows, and MAP and DRM on w end NONFINITE at the
-    # iteration where the runs on x end so
+    # iteration where MAP on x and DRM in R^(nm) end so
     W = ProductSet([Halfspace([1e-155, 0.0, 0.0], -1.0), Halfspace([0.0, 1.0, 0.0], 0.0)])
     x0 = np.array([0.0, 1.0, 0.0])
     for method in (Method.MAP, Method.DRM):
         cfg = SolverConfig(method=method, max_iter=50)
         assert type(_prod_problem(W, lift(x0, 2), cfg)[0]) is _RowSpace
         trace = run_prod(W, lift(x0, 2), cfg)
-        with np.errstate(over="ignore", invalid="ignore"):  # as run_prod drives
-            ref = _drive(_Halfspaces(W, method), x0, cfg)
+        if method is Method.DRM:
+            ref = run(W, DiagonalSubspace(3, 2), lift(x0, 2), cfg)
+        else:
+            with np.errstate(over="ignore", invalid="ignore"):  # as run_prod drives
+                ref = _drive(_Halfspaces(W, method), x0, cfg)
         assert (trace.iterations, trace.status) == (ref.iterations, ref.status) \
             == (1, Status.NONFINITE), method
 
@@ -904,14 +940,6 @@ def test_a_row_space_iteration_allocates_only_the_next_iterate(index):
         tracemalloc.stop()
     # one float vector of length m and its array header
     assert peak - before <= 8 * W.m + 256
-
-
-def _wide_halfspaces(m, n):
-    """``m`` halfspaces in R^n that hold a common point, and a start near it."""
-    rng = np.random.default_rng(0)
-    A, x = rng.standard_normal((m, n)), rng.standard_normal(n)
-    return (ProductSet([Halfspace(a, float(a @ x) + 0.1) for a in A]),
-            lift(x + 0.01 * rng.standard_normal(n), m))
 
 
 @pytest.mark.parametrize("case", [(0, 0), (2, 0), None], ids=["poly-0", "poly-2", "wide"])
