@@ -449,18 +449,26 @@ class TestIterationInRn:
 
     def test_poly_drm_runs_on_w_as_on_x(self):
         # every DRM-prod run of the benchmark's poly workload, instance 0 at its
-        # 20 starts and the two m = 171 instances at their first, on w
-        # (_RowSpace), against the R^(nm) iteration
+        # 20 starts and the two m = 171 instances at their first, run on w
+        # (_RowSpace) and converge in a perfbench poly round's DRM total
         cfg = SolverConfig(method=Method.DRM, tol=1e-6)
         total = 0
         for index, start in [(0, j) for j in range(20)] + [(2, 0), (7, 0)]:
             W, z0 = _poly_case(index, start)
-            assert W.m == (57 if index == 0 else 171)
             assert type(_prod_problem(W, z0, cfg)[0]) is _RowSpace
-            trace = _assert_drm_matches_reference(W, z0, cfg)
+            trace = run_prod(W, z0, cfg)
             assert trace.status is Status.CONVERGED, (index, start)
             total += trace.iterations
-        assert total == 984  # a perfbench poly round's DRM total
+        assert total == 984
+
+    def test_poly_grid_drm_matches_the_product_space_driver(self):
+        # the same 22 runs, iterate by iterate against the R^(nm) iteration
+        cfg = SolverConfig(method=Method.DRM, tol=1e-6)
+        for index, start in [(0, j) for j in range(20)] + [(2, 0), (7, 0)]:
+            W, z0 = _poly_case(index, start)
+            assert W.m == (57 if index == 0 else 171)
+            trace = _assert_drm_matches_reference(W, z0, cfg)
+            assert trace.status is Status.CONVERGED, (index, start)
 
     def test_drm_on_w_takes_a_x_minus_b_afresh_and_ends_as_on_x(self):
         # poly instance 0 from a start 3e4 out, where the largest entry of A x_0
