@@ -32,8 +32,9 @@ The per-layer section holds timeit medians, per call, of the calls one
 iteration of a benchmark run makes, on every instance of the benchmark's
 workloads (``perfbench/workloads.py``) at its first start:
 ``ProductSet._projection_sums`` at the block mean, into a workspace built
-once as a run builds it, and the DRM-prod measurement
-(``_TwoSets.measure``) on each ``mixed`` instance, the MAP-prod
+once as a run builds it, the DRM-prod measurement (``_TwoSets.measure``)
+and one whole MAP-prod iteration, the ``_Diagonal`` measurement and its step
+(``mixed.map_step``), on each ``mixed`` instance, the MAP-prod
 measurement (``_RowSpace.measure``) and one whole MAP-prod iteration, that
 measurement and its step (``poly.map_step``), and the same two for DRM-prod
 (``poly.drm_measure`` and ``poly.drm_step``, from the first iterate), on
@@ -41,11 +42,13 @@ each ``poly`` instance, and, as controls that a change to the product space
 leaves alone, the MAP measurement of a cone run on each ``cone`` instance
 and a whole CRM ``run`` with ``max_iter=1`` on each ``cone`` instance
 (``cone.run_us``): the fixed cost of a cone run, which its few iterations
-add little to. Two more are
+add little to. Five more are
 also timed at the block mean of the first start's MAP-prod final point
 (``final_us``), where most balls hold the point: the MAP-prod measurement of
-each ``mixed`` instance, by the run's own problem, and that problem's ball
-kernel alone. Each entry names the callee it timed.
+each ``mixed`` instance, by the run's own problem, and each of that
+problem's four row kernels alone (``mixed.ball_project``,
+``mixed.box_project``, ``mixed.halfspace_project`` and
+``mixed.soc_project``). Each entry names the callee it timed.
 
 ``--small`` runs the benchmark's small workloads for 1 s, grids of a few
 runs and short timings: a check of the file's shape, not a measurement.
@@ -146,7 +149,7 @@ def time_layers(small: bool) -> dict:
     import workloads
     from crmfeas.methods import Method, SolverConfig, _problem, run
     from crmfeas.product_space import _prod_problem, run_prod
-    from crmfeas.sets import _BallRows
+    from crmfeas.sets import _BallRows, _BoxRows, _ConeRows, _HalfspaceRows
 
     number, repeats = LAYER_TIMEIT[small]
     problems = {name: workloads.build(name, small) for name in WORKLOADS}
@@ -184,16 +187,18 @@ def time_layers(small: bool) -> dict:
         return timed(*_prod_problem(p.W, p.starts[0], config(method)))
 
     def map_prod(p):
-        """The calls of the measurement and of the ball kernel of the MAP-prod
-        run from the first start, at that start's block mean and at the block
-        mean of the run's final point."""
+        """The calls of the measurement and, by kernel class, of each row
+        kernel of the MAP-prod run from the first start, at that start's block
+        mean and at the block mean of the run's final point."""
         problem, x = _prod_problem(p.W, p.starts[0], config(Method.MAP))
         final = run_prod(p.W, p.starts[0], config(Method.MAP)).final_point
         points = x, final.reshape(p.W.m, p.W.block_dim).mean(axis=0)
         measure = problem.measure
-        ((rows, out),) = [view for view in problem._work[1] if type(view[0]) is _BallRows]
-        return ((p.index, "_Diagonal.measure", *(lambda x=x: measure(x) for x in points)),
-                (p.index, "_BallRows.project", *(lambda x=x: rows.project(x, out) for x in points)))
+        kernels = {type(rows): (p.index, f"{type(rows).__name__}.project",
+                                *(lambda x=x, rows=rows, out=out: rows.project(x, out)
+                                  for x in points))
+                   for rows, out in problem._work[-1]}
+        return (p.index, "_Diagonal.measure", *(lambda x=x: measure(x) for x in points)), kernels
 
     def cone(p):
         K, U = p.instance.sets[0], p.instance.affine
@@ -211,7 +216,11 @@ def time_layers(small: bool) -> dict:
             "mixed.projection_sums": layer(False, ((p.index, *sums(p)) for p in mixed)),
             "mixed.drm_measure": layer(False, ((p.index, *prod(p, Method.DRM)) for p in mixed)),
             "mixed.map_measure": layer(False, (measure for measure, _ in maps)),
-            "mixed.ball_project": layer(False, (ball for _, ball in maps)),
+            "mixed.map_step": layer(False, ((p.index, *prod(p, Method.MAP, stepped))
+                                            for p in mixed)),
+            **{f"mixed.{kind}_project": layer(False, (kernels[rows] for _, kernels in maps))
+               for kind, rows in (("ball", _BallRows), ("box", _BoxRows),
+                                  ("halfspace", _HalfspaceRows), ("soc", _ConeRows))},
             "cone.map_measure": layer(True, ((p.index, *cone(p)) for p in problems["cone"])),
             "cone.run_us": layer(True, ((p.index, *cone_run(p)) for p in problems["cone"])),
             "poly.map_measure": layer(False, ((p.index, *prod(p, Method.MAP))

@@ -72,8 +72,9 @@ class ProductSet(ConvexSet):
     None: only such a product has closed forms for the runs of ``run_prod``,
     which picks its adapter by it, and only such a product builds ``_gram``.
     ``_projection_sums`` of any product fills the caller's group-ordered
-    array (``_workspace``) from one point and reduces it once; a CRM-prod or
-    MAP-prod run allocates its own, so that the set stays immutable.
+    array (``_workspace``) from one point and reduces it once into a new
+    array; a CRM-prod or MAP-prod run allocates its own workspace, so that
+    the set stays immutable.
     The result does not depend on the order of the factors beyond rounding.
     """
 
@@ -122,22 +123,22 @@ class ProductSet(ConvexSet):
         return P.ravel()
 
     def _workspace(self):
-        """A group-ordered ``(m, n)`` array and each group's kernel with its row
-        view of that array, for ``_projection_sums``."""
+        """A group-ordered ``(m, n)`` array, its flat view, and each group's
+        kernel with its row view of that array, for ``_projection_sums``."""
         P = np.empty((self.m, self.block_dim))
-        return P, [(rows, P[rows_slice]) for rows_slice, rows in self._groups]
+        return P, P.ravel(), [(rows, P[rows_slice]) for rows_slice, rows in self._groups]
 
     def _projection_sums(self, x, work):
         """``(sum P_{X_i}(x), sum ||P_{X_i}(x) - x||^2)`` over the factors, for
         ``x in R^n``: the projections of ``x`` onto every factor added up at
         once, each group's kernel writing into its view of ``work``, a
-        ``_workspace()`` of this product."""
-        P, views = work
+        ``_workspace()`` of this product. The sum is a new array, added as
+        ``P.sum(axis=0)`` adds it, without that method's wrapper."""
+        P, R, views = work
         for rows, out in views:
             rows.project(x, out)
-        total = P.sum(axis=0)
+        total = np.add.reduce(P, 0)
         P -= x
-        R = P.ravel()
         return total, float(R.dot(R))
 
     @cached_property
@@ -178,7 +179,8 @@ class DiagonalSubspace(ConvexSet):
     """Diagonal subspace ``D = {(x, ..., x) in R^(nm)}`` for m blocks of size n.
 
     A linear subspace (contains the origin); its projector replaces every
-    block by the blockwise mean.
+    block by the blockwise mean, the blocks added by ``np.add.reduce`` and
+    divided by m: what ``mean(axis=0)`` computes, without its wrapper.
     """
 
     def __init__(self, n: int, m: int):
@@ -188,7 +190,7 @@ class DiagonalSubspace(ConvexSet):
 
     def _project(self, z):
         out = np.empty((self.m, self.n))
-        out[:] = z.reshape(self.m, self.n).mean(axis=0)
+        out[...] = np.add.reduce(z.reshape(self.m, self.n), 0) / self.m
         return out.ravel()
 
     _linear = _project  # D is a linear subspace: P_D is its own linear part
@@ -242,35 +244,37 @@ class _Diagonal(_ByMethod):
     from which the CRM rule gives ``x + 2 t (p / m - x)``: Pierra's
     extrapolated parallel projection method (Pierra 1984; Combettes 1994).
     The gap is the distance from ``lift(x)`` to ``W``, so there is no ``dist``.
-    ``_sums`` writes the projections of every ``x`` of a run into one
-    array that the run allocates (``ProductSet._workspace``).
+    A measurement writes the projections of ``x`` into one array that the run
+    allocates (``ProductSet._workspace``), and checks ``x`` only where
+    ``sum ||r_i||^2`` is not finite, as each ``r_i`` is non-finite wherever
+    ``x`` is. The step computes the next iterate in ``p``, a new array.
     """
 
     def __init__(self, W: ProductSet, method: Method):
-        self.W, self._method, self._work = W, method, W._workspace()
-
-    def _sums(self, x):
-        return self.W._projection_sums(x, self._work)
+        self.W, self._m, self._method, self._work = W, W.m, method, W._workspace()
 
     def _measure_iterate(self, x):
-        _check_finite(x)  # as P_W(lift(x)) checks its argument in R^(nm)
-        total, sq = self._sums(x)
+        total, sq = self.W._projection_sums(x, self._work)
+        if not math.isfinite(sq):  # as P_W(lift(x)) checks its argument in R^(nm)
+            _check_finite(x)
         return x, math.sqrt(sq), (total, sq)
 
     def _map_step(self, x, y, g, data):
-        return data[0] / self.W.m
+        return np.divide(data[0], self._m, out=data[0])
 
     def _crm_step(self, x, y, g, data):
-        total, sq = data
-        m = self.W.m
-        d = 2.0 * (total / m - x)
+        d, sq = data  # d = 2 (p / m - x), then x + t d, in p
+        m = self._m
+        d /= m
+        d -= x
+        d *= 2.0
         dd = m * float(d.dot(d))
-        x = x + _crm_coefficient(4.0 * sq, dd, dd, math.sqrt(m) * math.sqrt(x.dot(x))) * d
-        _check_finite(x)  # as P_D(z + t d) checks its argument in R^(nm)
-        return x
+        d *= _crm_coefficient(4.0 * sq, dd, dd, math.sqrt(m) * math.sqrt(x.dot(x)))
+        d += x
+        return _check_finite(d)  # as P_D(z + t d) checks its argument in R^(nm)
 
     def lift(self, x):
-        return np.tile(x, self.W.m)
+        return np.tile(x, self._m)
 
 
 class _Halfspaces(_Diagonal):
@@ -281,18 +285,24 @@ class _Halfspaces(_Diagonal):
 
     With ``c = max(A x - b, 0) / ||a_i||^2`` the projections of ``x`` sum to
     ``m x - A^T c`` and their squared residuals to ``<max(A x - b, 0), c>``
-    (``_sums``), in O(m + n) memory besides ``A``. ``_dist`` is the distance
-    from ``lift(x)`` to ``W``, in closed form.
+    (``_sums``), in O(m + n) memory besides ``A``. Those sums can be finite at
+    a non-finite ``x``, so every measurement checks ``x``. ``_dist`` is the
+    distance from ``lift(x)`` to ``W``, in closed form.
     """
 
     def __init__(self, W: ProductSet, method: Method):
-        self.W, self._method, self._rows = W, method, W._halfspaces
+        self.W, self._m, self._method, self._rows = W, W.m, method, W._halfspaces
+
+    def _measure_iterate(self, x):
+        _check_finite(x)
+        total, sq = self._sums(x)
+        return x, math.sqrt(sq), (total, sq)
 
     def _sums(self, x):
         A, b, a_sq = self._rows.A, self._rows.b, self._rows.a_sq
         excess = np.maximum(A @ x - b, 0.0)
         c = excess / a_sq
-        return self.W.m * x - c @ A, float(excess.dot(c))
+        return self._m * x - c @ A, float(excess.dot(c))
 
     def _dist(self, y):
         return math.sqrt(self._sums(y)[1])
@@ -371,14 +381,14 @@ class _RowSpace(_Halfspaces):
         if self._method is not Method.DRM:
             return w
         self._since = 0  # DRM steps since u was taken afresh
-        return w, np.zeros(self.W.m), self._q
+        return w, np.zeros(self._m), self._q
 
     def _measure_iterate(self, w):
         r = self._G.dot(w, out=self._r)  # np.matmul's bits, with less call overhead
         r += self._q
         np.maximum(r, 0.0, out=r)
         c = np.divide(r, self._m_a_sq, out=self._c)
-        g = math.sqrt(self.W.m * r.dot(c))
+        g = math.sqrt(self._m * r.dot(c))
         if not math.isfinite(g):  # where _Halfspaces checks x at every measurement
             _check_finite(w)
         return w, g, c
@@ -391,7 +401,7 @@ class _RowSpace(_Halfspaces):
     def _measure_shadow(self, z):
         w, s, u = z
         a_sq = self._rows.a_sq
-        s_m = s / self.W.m
+        s_m = s / self._m
         h = self._times_gram(s_m)
         p = u + h
         p += h

@@ -150,10 +150,12 @@ class _HalfspaceRows(_Rows):
         self.a_sq = np.einsum("ij,ij->i", self.A, self.A)
 
     def project(self, X, out):
-        r = self.A @ X if X.ndim == 1 else np.einsum("ij,ij->i", self.A, X)
-        excess = np.maximum(r - self.b, 0.0)
-        np.multiply((excess / self.a_sq)[:, None], self.A, out=out)
-        np.subtract(X, out, out=out)
+        c = self.A.dot(X) if X.ndim == 1 else np.einsum("ij,ij->i", self.A, X)
+        c -= self.b
+        np.maximum(c, 0.0, out=c)
+        c /= self.a_sq
+        out[...] = X
+        out -= c[:, None] * self.A
 
 
 class Hyperplane(_Normal):
@@ -283,8 +285,8 @@ class _BallRows(_Rows):
         D = np.subtract(X, self.C, out=out)
         dist = np.sqrt(np.einsum("ij,ij->i", D, D))
         inside = dist <= self.r
-        if inside.all():
-            np.copyto(out, X)
+        if np.logical_and.reduce(inside):  # inside.all() without its wrapper
+            out[...] = X
             return
         # c + (r / dist) (x - c) outside the ball; c + (x - c) is not always x,
         # so the rows inside are copied
@@ -343,7 +345,7 @@ class SecondOrderCone(ConvexSet):
         nu = math.sqrt(u.dot(u))
         if nu <= t:
             return x
-        if nu <= -t:
+        if not nu > -t:  # the polar cone, or a NaN t or ||u||, as in _ConeRows
             return np.zeros_like(x)
         s = 0.5 * (t + nu)
         out = (s / nu) * x
@@ -366,7 +368,7 @@ class _ConeRows(_Rows):
 
     def project(self, X, out):
         if X.ndim == 1:  # one point, so one projection
-            out[:] = self.sets[0]._project(X)
+            out[...] = self.sets[0]._project(X)
             return
         t, U = X[:, 0], X[:, 1:]
         nu = np.sqrt(np.einsum("ij,ij->i", U, U))

@@ -60,7 +60,11 @@ def test_small_record_of_one_workload_has_every_field(tmp_path):
         "mixed.projection_sums": ("ProductSet._projection_sums", False),
         "mixed.drm_measure": ("_TwoSets.measure", False),
         "mixed.map_measure": ("_Diagonal.measure", False),
+        "mixed.map_step": ("_Diagonal.measure+step", False),
         "mixed.ball_project": ("_BallRows.project", False),
+        "mixed.box_project": ("_BoxRows.project", False),
+        "mixed.halfspace_project": ("_HalfspaceRows.project", False),
+        "mixed.soc_project": ("_ConeRows.project", False),
         "cone.map_measure": ("_ConeAffine.measure", True),
         "cone.run_us": ("run", True),
         "poly.map_measure": ("_RowSpace.measure", False),
@@ -68,10 +72,11 @@ def test_small_record_of_one_workload_has_every_field(tmp_path):
         "poly.drm_measure": ("_RowSpace.measure", False),
         "poly.drm_step": ("_RowSpace.measure+step", False),
     }
+    final = {"mixed.map_measure", "mixed.ball_project", "mixed.box_project",
+             "mixed.halfspace_project", "mixed.soc_project"}
     for name, t in layers["timings"].items():
-        # two layers are also timed at the MAP-prod final point
-        timed = ("us", "final_us") if name in ("mixed.map_measure", "mixed.ball_project") \
-            else ("us",)
+        # five layers are also timed at the MAP-prod final point
+        timed = ("us", "final_us") if name in final else ("us",)
         assert {"us", "final_us"} & set(t) == set(timed)
         for key in timed:
             assert len(t[key]) == len(t["instances"]) > 0 and all(us > 0 for us in t[key])

@@ -341,13 +341,27 @@ class TestDriver:
 
     def test_nonfinite_status_in_the_product_space(self):
         D = DiagonalSubspace(2, 2)
-        for W in (ProductSet([BALL, Halfspace([0.0, 1.0], 0.5)]),
-                  ProductSet([Halfspace([1.0, 0.0], 0.0), Halfspace([1.0, 1.0], 0.0)])):
-            # the blockwise mean of the start overflows: no gap can be measured
+        compared = (ProductSet([BALL, Halfspace([0.0, 1.0], 0.5)]),
+                    # closed-form sums, which are finite at [-inf, 0.5]
+                    ProductSet([Halfspace([1.0, 0.0], 0.0), Halfspace([1.0, 1.0], 0.0)]))
+        # one product per row kernel, hyperplanes for the generic one, and a
+        # product whose group order permutes its blocks
+        kernels = (ProductSet([BALL, Ball([1.0, 0.0], 2.0)]),
+                   ProductSet([Box([-1.0, -1.0], [1.0, 1.0]), Box([0.0, 0.0], [2.0, 1.0])]),
+                   ProductSet([SecondOrderCone(2)] * 3),
+                   ProductSet([Hyperplane([1.0, 0.0], 0.0), Hyperplane([1.0, 1.0], 0.0)]),
+                   ProductSet([BALL, Box([-1.0, -1.0], [1.0, 1.0]), Halfspace([0.0, 1.0], 0.5),
+                               SecondOrderCone(2), Ball([1.0, 0.0], 2.0)]))
+        assert kernels[-1]._inner is not None
+        for W in (*compared, *kernels):
+            # the blockwise mean of the start overflows: no gap can be measured.
+            # A RuntimeWarning on the way would fail the run (the suite makes
+            # it an error), and max_iter ends a run that misses the overflow.
             for method, x0 in itertools.product(Method, ([1e308, 0.5], [-1e308, 0.5])):
-                trace = run_prod(W, lift(x0, 2), SolverConfig(method=method))
-                assert trace.status is Status.NONFINITE
-                assert trace.iterations == 0 and np.isnan(trace.gaps[0])
+                trace = run_prod(W, lift(x0, W.m), SolverConfig(method=method, max_iter=50))
+                assert (trace.status, trace.iterations) == (Status.NONFINITE, 0), (W, x0)
+                assert len(trace.gaps) == 1 and np.isnan(trace.gaps[0])
+        for W in compared:
             # the gap overflows: the first CRM step overflows too, and the run
             # stops there as in R^(nm), while MAP-prod comes back and converges
             z0 = lift([1e200, 0.5], 2)
@@ -358,6 +372,15 @@ class TestDriver:
                 assert len(trace.gaps) == len(ref.gaps) == trace.iterations + 1
                 assert np.isinf(trace.gaps[0])
             assert ref.status is Status.CONVERGED and ref.iterations > 1
+
+    def test_a_nan_that_a_map_prod_step_carries_ends_the_next_measurement(self):
+        # x - c overflows for the ball, which projects x to [NaN, 0]: the gap
+        # is NaN at a finite x, and the step carries the NaN into the next
+        # iterate, [NaN, 0], whose measurement projects it onto the cone first
+        W = ProductSet([Ball([-1.5e308, 0.0], 1.0), SecondOrderCone(2)])
+        trace = run_prod(W, lift([8e307, 0.0], 2), SolverConfig(method=Method.MAP, max_iter=50))
+        assert (trace.status, trace.iterations) == (Status.NONFINITE, 1)
+        assert len(trace.gaps) == 2 and np.isnan(trace.gaps).all()
 
     def test_map_stall_needs_a_gap_above_the_rounding_of_the_iterate(self):
         # {x1 <= 0} x {x1 + x2 <= 0} meet; from this start the Cimmino iterate

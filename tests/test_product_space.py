@@ -758,6 +758,25 @@ class TestRunWorkspace:
             assert total.tobytes() == expected_total.tobytes()
             assert (sq, g) == (expected_sq, np.sqrt(expected_sq))
 
+    @pytest.mark.parametrize("method", [Method.CRM, Method.MAP])
+    def test_iterates_and_sums_share_no_memory(self, method):
+        # the steps write into the sum of a measurement; neither it nor the
+        # next iterate may be a view of the workspace or of an earlier
+        # iterate, which must keep its bytes (MAP's stall rule compares them)
+        W, z0 = _mixed_case(*sorted(MIXED_PINS)[0])
+        problem, x = _prod_problem(W, z0, SolverConfig(method=method))
+        P = problem._work[0]
+        iterates, kept = [x], [x.tobytes()]
+        for _ in range(8):
+            y, g, data = problem.measure(x)
+            x = problem.step(x, y, g, data)
+            for new in (data[0], x):
+                assert not np.shares_memory(new, P)
+                assert not any(np.shares_memory(new, z) for z in iterates)
+            iterates.append(x)
+            kept.append(x.tobytes())
+            assert [z.tobytes() for z in iterates] == kept
+
     @pytest.mark.parametrize("seed, m", sorted(MIXED_PINS)[:2])
     def test_interleaved_runs_equal_the_same_runs_one_after_the_other(self, seed, m):
         W, z0 = _mixed_case(seed, m)

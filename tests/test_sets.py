@@ -441,6 +441,16 @@ class TestSliceKernelsKeepTheirBits:
                 _assert_same_bits(p, cone._project(x))
 
 
+def test_a_cone_projects_a_nan_t_or_norm_to_the_origin_as_its_rows_do():
+    # [NaN, 0, 0] has ||u|| = 0, which the closed form would divide by
+    X = np.array([[np.nan, 0.0, 0.0], [np.nan, 1.0, 0.0], [1.0, np.nan, 0.0]])
+    cone = SecondOrderCone(3)
+    P = _slice_projection(_row_projector([cone] * len(X)), X)
+    for p, x in zip(P, X):
+        _assert_same_bits(p, np.zeros(3))
+        _assert_same_bits(cone._project(x), p)
+
+
 def _kept_arrays(obj, seen=None):
     """Every array that a set keeps: its own, and those of the factors, row
     kernels and cached forms that it holds."""
