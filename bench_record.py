@@ -33,9 +33,12 @@ iteration of a benchmark run makes, on every instance of the benchmark's
 workloads (``perfbench/workloads.py``) at its first start:
 ``ProductSet._projection_sums`` at the block mean, into a workspace built
 once as a run builds it, the DRM-prod measurement (``_TwoSets.measure``)
-and one whole MAP-prod iteration, the ``_Diagonal`` measurement and its step
-(``mixed.map_step``), on each ``mixed`` instance, the MAP-prod
-measurement (``_RowSpace.measure``) and one whole MAP-prod iteration, that
+and one whole DRM-prod iteration, that measurement and its step
+(``mixed.drm_step``), one whole MAP-prod iteration, the ``_Diagonal``
+measurement and its step (``mixed.map_step``), and the stacked cone kernel
+of the DRM-prod run on the cone rows of the first iterate's reflection
+``2 P_D(z) - z`` (``mixed.soc_rows_project``), on each ``mixed`` instance,
+the MAP-prod measurement (``_RowSpace.measure``) and one whole MAP-prod iteration, that
 measurement and its step (``poly.map_step``), and the same two for DRM-prod
 (``poly.drm_measure`` and ``poly.drm_step``, from the first iterate), on
 each ``poly`` instance, and, as controls that a change to the product space
@@ -48,7 +51,9 @@ also timed at the block mean of the first start's MAP-prod final point
 each ``mixed`` instance, by the run's own problem, and each of that
 problem's four row kernels alone (``mixed.ball_project``,
 ``mixed.box_project``, ``mixed.halfspace_project`` and
-``mixed.soc_project``). Each entry names the callee it timed.
+``mixed.soc_project``). ``mixed.soc_rows_project`` is also timed
+(``final_us``) on the cone rows of the DRM-prod run's final shadow, which all
+lie in the cone. Each entry names the callee it timed.
 
 ``--small`` runs the benchmark's small workloads for 1 s, grids of a few
 runs and short timings: a check of the file's shape, not a measurement.
@@ -200,6 +205,20 @@ def time_layers(small: bool) -> dict:
                    for rows, out in problem._work[-1]}
         return (p.index, "_Diagonal.measure", *(lambda x=x: measure(x) for x in points)), kernels
 
+    def drm_cones(p):
+        """The call of the stacked cone kernel of the DRM-prod run from the
+        first start, on the cone rows of the first iterate's reflection
+        ``2 P_D(z) - z`` and on those of the run's final shadow, a point of
+        ``D`` whose blocks lie in the cone."""
+        problem, z = _prod_problem(p.W, p.starts[0], config(Method.DRM))
+        final = run_prod(p.W, p.starts[0], config(Method.DRM)).final_point
+        W = problem.K  # the product in group order
+        ((rows_slice, rows),) = [g for g in W._groups if type(g[1]) is _ConeRows]
+        points = [v.reshape(W.m, W.block_dim)[rows_slice]
+                  for v in (2.0 * problem.U._project(z) - z, final)]
+        return (p.index, "_ConeRows.project",
+                *(lambda X=X, out=np.empty_like(X): rows.project(X, out) for X in points))
+
     def cone(p):
         K, U = p.instance.sets[0], p.instance.affine
         return measured(*_problem(K, U, p.starts[0], config(Method.MAP)))
@@ -218,6 +237,10 @@ def time_layers(small: bool) -> dict:
             "mixed.map_measure": layer(False, (measure for measure, _ in maps)),
             "mixed.map_step": layer(False, ((p.index, *prod(p, Method.MAP, stepped))
                                             for p in mixed)),
+            "mixed.drm_step": layer(False, ((p.index, *prod(p, Method.DRM, stepped))
+                                            for p in mixed)),
+            "mixed.soc_rows_project": layer(False, (drm_cones(p) for p in mixed if any(
+                type(rows) is _ConeRows for _, rows in p.W._groups))),
             **{f"mixed.{kind}_project": layer(False, (kernels[rows] for _, kernels in maps))
                for kind, rows in (("ball", _BallRows), ("box", _BoxRows),
                                   ("halfspace", _HalfspaceRows), ("soc", _ConeRows))},

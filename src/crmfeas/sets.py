@@ -364,7 +364,14 @@ class _ConeRows(_Rows):
     both cones (NaN and ``inf`` where ``||u||^2`` overflows, as there), and
     ``(0, 0)`` in the polar cone, whose rows are then set to ``+0.0``. Its
     ``||u||`` comes from ``einsum``, which can round differently from the
-    single cone's ``dot``; where the two agree, so do the rows, bitwise."""
+    single cone's ``dot``; where the two agree, so do the rows, bitwise.
+
+    An array whose rows all lie on one side skips the masks: rows all inside
+    the cone are copied, and rows all outside both cones with a finite
+    ``||u||`` are scaled by ``s / ||u||`` in one plain divide. Both give the
+    masked form's bits, since ``x * 1.0`` is ``x`` and a masked divide is a
+    plain one where it divides. Any other array, with polar, NaN or
+    overflowing rows or rows on both sides, takes the masked form."""
 
     def project(self, X, out):
         if X.ndim == 1:  # one point, so one projection
@@ -372,10 +379,19 @@ class _ConeRows(_Rows):
             return
         t, U = X[:, 0], X[:, 1:]
         nu = np.sqrt(np.einsum("ij,ij->i", U, U))
+        inside = nu <= t
+        if np.logical_and.reduce(inside):  # inside.all() without its wrapper
+            out[...] = X
+            return
         s = 0.5 * (t + nu)
-        inside, mid = nu <= t, nu > np.abs(t)  # mid: nu > 0 where it divides
+        mid = nu > np.abs(t)  # nu > 0 where it divides
+        finite = mid & (nu < math.inf)
+        if np.logical_and.reduce(finite):
+            np.multiply(X, (s / nu)[:, None], out=out)
+            out[:, 0] = s
+            return
         scale = np.where(mid, math.nan, inside)
-        np.divide(s, nu, out=scale, where=mid & (nu < math.inf))
+        np.divide(s, nu, out=scale, where=finite)
         np.multiply(X, scale[:, None], out=out)
         np.copyto(out[:, 0], s, where=mid)
         polar = ~(inside | mid)

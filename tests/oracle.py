@@ -9,6 +9,11 @@ by one stacked linear solve, without any circumcenter.
 with its residual scale evaluated on every call. The solver evaluates the
 scale only for a residual above ``RESIDUAL_TOL`` and must decide every input
 as this rule does.
+
+``masked_cone_rows`` is the stacked path of ``sets._ConeRows.project`` in its
+masked closed form, taken for every stack. The kernel skips the masks where
+all its rows lie on one side of the cone (``cone_rows_side``) and must give
+this form's bits.
 """
 
 from __future__ import annotations
@@ -92,3 +97,36 @@ def full_crm_coefficient(uu: float, du: float, dd: float, z_norm: float) -> floa
             f"no equidistant point in the affine hull (residual {residual:.3e})"
         )
     return t
+
+
+def masked_cone_rows(X: np.ndarray, out: np.ndarray) -> None:
+    """Write into ``out`` the projection of each row of the ``(k, n)`` array
+    ``X`` onto the second-order cone: each row scaled by ``1`` inside the
+    cone and by ``s / ||u||``, with first entry ``s = (t + ||u||) / 2``,
+    outside both cones (NaN and ``inf`` where ``||u||^2`` overflows), and
+    ``+0.0`` rows in the polar cone or where ``t`` or ``||u||`` is NaN."""
+    t, U = X[:, 0], X[:, 1:]
+    nu = np.sqrt(np.einsum("ij,ij->i", U, U))
+    s = 0.5 * (t + nu)
+    inside, mid = nu <= t, nu > np.abs(t)
+    scale = np.where(mid, math.nan, inside)
+    np.divide(s, nu, out=scale, where=mid & (nu < math.inf))
+    np.multiply(X, scale[:, None], out=out)
+    np.copyto(out[:, 0], s, where=mid)
+    polar = ~(inside | mid)
+    if polar.any():
+        out[polar] = 0.0
+
+
+def cone_rows_side(X: np.ndarray) -> str | None:
+    """``"inside"`` if every row of the ``(k, n)`` array ``X`` lies in the
+    second-order cone, ``"outside"`` if every row lies outside both cones
+    with a finite ``||u||``, else None."""
+    t, U = X[:, 0], X[:, 1:]
+    nu = np.sqrt(np.einsum("ij,ij->i", U, U))
+    with np.errstate(invalid="ignore"):
+        if np.all(nu <= t):
+            return "inside"
+        if np.all((nu > np.abs(t)) & (nu < math.inf)):
+            return "outside"
+    return None

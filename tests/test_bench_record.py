@@ -61,6 +61,8 @@ def test_small_record_of_one_workload_has_every_field(tmp_path):
         "mixed.drm_measure": ("_TwoSets.measure", False),
         "mixed.map_measure": ("_Diagonal.measure", False),
         "mixed.map_step": ("_Diagonal.measure+step", False),
+        "mixed.drm_step": ("_TwoSets.measure+step", False),
+        "mixed.soc_rows_project": ("_ConeRows.project", False),
         "mixed.ball_project": ("_BallRows.project", False),
         "mixed.box_project": ("_BoxRows.project", False),
         "mixed.halfspace_project": ("_HalfspaceRows.project", False),
@@ -73,9 +75,9 @@ def test_small_record_of_one_workload_has_every_field(tmp_path):
         "poly.drm_step": ("_RowSpace.measure+step", False),
     }
     final = {"mixed.map_measure", "mixed.ball_project", "mixed.box_project",
-             "mixed.halfspace_project", "mixed.soc_project"}
+             "mixed.halfspace_project", "mixed.soc_project", "mixed.soc_rows_project"}
     for name, t in layers["timings"].items():
-        # five layers are also timed at the MAP-prod final point
+        # six layers are also timed at the final point of a run
         timed = ("us", "final_us") if name in final else ("us",)
         assert {"us", "final_us"} & set(t) == set(timed)
         for key in timed:

@@ -28,9 +28,10 @@ from crmfeas.product_space import (
     run_prod,
 )
 from crmfeas.sets import (AffineSubspace, Ball, Box, Halfspace, Hyperplane, SecondOrderCone,
-                          _HalfspaceRows)
+                          _ConeRows, _HalfspaceRows)
 from conftest import (ANCHORED_KINDS, anchored_affine, anchored_point, anchored_set,
                       drive_recorded, recorded)
+from oracle import cone_rows_side, masked_cone_rows
 
 TWO_BALLS = ProductSet([Ball([-1.0, 0.0], 1.0), Ball([1.0, 0.0], 1.0)])
 OVERLAP = ProductSet([Ball([-1.0, 0.0], 1.25), Ball([1.0, 0.0], 1.25)])
@@ -723,6 +724,35 @@ def test_mixed_product_iteration_counts_pinned(seed, m):
     for method, pinned in MIXED_PINS[seed, m].items():
         trace = run_prod(W, z0, SolverConfig(method=method))
         assert (trace.iterations, trace.status) == pinned, method
+
+
+@pytest.mark.parametrize("seed, m, kinds", [
+    *(pytest.param(seed, m, ANCHORED_KINDS, id=f"{seed}-{m}") for seed, m in sorted(MIXED_PINS)),
+    # four cones and a ball, and eight cones and two balls
+    *(pytest.param(6, m, ("soc",) * 4 + ("ball",), id=f"cones-{m}") for m in (5, 10)),
+])
+def test_drm_prod_keeps_the_bits_of_the_masked_cone_kernel(seed, m, kinds, monkeypatch):
+    # DRM-prod projects the reflected blocks of the cones as one stack; the
+    # kernel skips its masks where they all lie on one side, and the run must
+    # be bitwise the run with the masked form on every stack
+    W, z0 = _mixed_case(seed, m, kinds)
+    cfg = SolverConfig(method=Method.DRM)
+    trace = run_prod(W, z0, cfg)
+    project, sides = _ConeRows.project, set()
+
+    def masked(self, X, out):
+        if X.ndim == 1:
+            project(self, X, out)
+            return
+        sides.add(cone_rows_side(X))
+        masked_cone_rows(X, out)
+
+    monkeypatch.setattr(_ConeRows, "project", masked)
+    former = run_prod(W, z0, cfg)
+    assert {"inside", "outside"} <= sides  # both one-sided forms were reached
+    assert (trace.iterations, trace.status) == (former.iterations, former.status)
+    assert np.array(trace.gaps).tobytes() == np.array(former.gaps).tobytes()
+    assert trace.final_point.tobytes() == former.final_point.tobytes()
 
 
 def _measured_steps(problem, x, steps):

@@ -28,6 +28,7 @@ from crmfeas.sets import (
     set_to_dict,
 )
 from conftest import ANCHORED_KINDS, anchored_point, anchored_set
+from oracle import cone_rows_side, masked_cone_rows
 
 
 def brute_force_soc3_projection(x, lo=-1.6, hi=1.6, step=0.01):
@@ -449,6 +450,81 @@ def test_a_cone_projects_a_nan_t_or_norm_to_the_origin_as_its_rows_do():
     for p, x in zip(P, X):
         _assert_same_bits(p, np.zeros(3))
         _assert_same_bits(cone._project(x), p)
+
+
+_INSIDE = [[0.0, 0.0, 0.0], [5.0, 3.0, -4.0], [1.0, -0.0, 0.0], [5.0, -0.0, -5.0],
+           [2.0, 1.0, 1.0], [1e150, 1e149, -1e149]]
+_OUTSIDE = [[0.0, 3.0, 4.0], [1.0, -3.0, 4.0], [-1.0, -0.0, 4.0], [4.0, 3.0, -4.0],
+            [-4.0, 3.0, 4.0], [1e150, 1e152, 0.0]]
+_POLAR = [[-2.0, 1.0, 0.0], [-5.0, 3.0, -4.0], [-1.0, 0.0, 0.0], [-1.0, -0.0, 0.0]]
+
+
+class TestConeRowsOnOneSide:
+    """The cone kernel on a stack whose rows all lie inside the cone, or all
+    outside both cones with a finite ``||u||``, skips the masks of its closed
+    form; on every stack it gives that form's bits (``oracle.masked_cone_rows``),
+    and it warns on nothing, through ``ProductSet.project`` too."""
+
+    # stacks of rows in R^3; rows on the boundary of the cone (||u|| = t) are
+    # inside, and those on the boundary of the polar cone (||u|| = -t) polar
+    STACKS = {
+        "inside": _INSIDE,
+        "inside, signed zeros": [[-0.0, 0.0, -0.0], [0.0, -0.0, 0.0], [1.0, -0.0, -0.0],
+                                 [-0.0, -0.0, -0.0]],
+        "outside": _OUTSIDE,
+        "outside, signed zeros": [[-0.0, 3.0, -0.0], [0.0, -0.0, -4.0], [-0.0, -0.0, 1e-150]],
+        "outside, one overflowing": _OUTSIDE + [[1e200, -1e200, 1e200]],
+        "outside, one overflowing at t < 0": _OUTSIDE[:2] + [[-1.0, 1e200, 0.0]],
+        "polar": _POLAR,
+        "polar and inside": _INSIDE[:3] + _POLAR[:2],
+        "polar and outside": _POLAR[2:] + _OUTSIDE[:3],
+        "inside and outside": _INSIDE[:2] + _OUTSIDE[:2],
+        "all sides, signed zeros": [[-0.0, 0.0, -0.0], [-0.0, 3.0, -0.0], [-1.0, -0.0, 0.0]],
+        "inside and a NaN": _INSIDE[:2] + [[np.nan, 0.0, 0.0]],
+        "outside and a NaN": _OUTSIDE[:2] + [[1.0, np.nan, 0.0]],
+        "one inside": _INSIDE[1:2],
+        "one outside": _OUTSIDE[:1],
+    }
+
+    # the stacks that skip the masks, and the side their rows lie on
+    ONE_SIDED = {"inside": "inside", "inside, signed zeros": "inside", "one inside": "inside",
+                 "outside": "outside", "outside, signed zeros": "outside",
+                 "one outside": "outside"}
+
+    @staticmethod
+    def _assert_masked_bits(X):
+        expected = np.empty_like(X)
+        with np.errstate(all="ignore"):
+            masked_cone_rows(X, expected)
+        _assert_same_bits(_slice_projection(_row_projector([SecondOrderCone(X.shape[1])]
+                                                           * len(X)), X), expected)
+        if np.isfinite(X).all():  # the public projector refuses a NaN
+            W = ProductSet([SecondOrderCone(X.shape[1])] * len(X))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                P = W.project(X.ravel())
+            _assert_same_bits(P.reshape(X.shape), expected)
+
+    @pytest.mark.parametrize("name", STACKS)
+    def test_stacks(self, name):
+        X = np.array(self.STACKS[name])
+        assert cone_rows_side(X) == self.ONE_SIDED.get(name)
+        self._assert_masked_bits(X)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 12),
+           sides=st.lists(st.sampled_from(["inside", "cone boundary", "outside",
+                                           "polar", "polar boundary"]), min_size=1, max_size=8),
+           exp=st.integers(-150, 150))
+    def test_random_stacks(self, seed, n, sides, exp):
+        rng = np.random.default_rng(seed)
+        U = rng.standard_normal((len(sides), n - 1)) * 10.0 ** exp
+        nu = la.norm(U, axis=1)
+        ratio = {"inside": 1.0 + abs(rng.standard_normal()), "cone boundary": 1.0,
+                 "outside": rng.uniform(-0.99, 0.99), "polar": -1.0 - abs(rng.standard_normal()),
+                 "polar boundary": -1.0}
+        t = nu * np.array([ratio[side] for side in sides])
+        self._assert_masked_bits(np.column_stack([t, U]))
 
 
 def _kept_arrays(obj, seen=None):
