@@ -28,32 +28,22 @@ faster in a process that has freed large blocks (the grids do) than in a
 fresh one. Times at reference speed compare two files recorded the same way;
 they are not absolute.
 
-The per-layer section holds timeit medians, per call, of the calls one
-iteration of a benchmark run makes, on every instance of the benchmark's
-workloads (``perfbench/workloads.py``) at its first start:
-``ProductSet._projection_sums`` at the block mean, into a workspace built
-once as a run builds it, the DRM-prod measurement (``_TwoSets.measure``)
-and one whole DRM-prod iteration, that measurement and its step
-(``mixed.drm_step``), one whole MAP-prod iteration, the ``_Diagonal``
-measurement and its step (``mixed.map_step``), and the stacked cone kernel
-of the DRM-prod run on the cone rows of the first iterate's reflection
-``2 P_D(z) - z`` (``mixed.soc_rows_project``), on each ``mixed`` instance,
-the MAP-prod measurement (``_RowSpace.measure``) and one whole MAP-prod iteration, that
-measurement and its step (``poly.map_step``), and the same two for DRM-prod
-(``poly.drm_measure`` and ``poly.drm_step``, from the first iterate), on
-each ``poly`` instance, and, as controls that a change to the product space
-leaves alone, the MAP measurement of a cone run on each ``cone`` instance
-and a whole CRM ``run`` with ``max_iter=1`` on each ``cone`` instance
-(``cone.run_us``): the fixed cost of a cone run, which its few iterations
-add little to. Five more are
-also timed at the block mean of the first start's MAP-prod final point
-(``final_us``), where most balls hold the point: the MAP-prod measurement of
-each ``mixed`` instance, by the run's own problem, and each of that
-problem's four row kernels alone (``mixed.ball_project``,
-``mixed.box_project``, ``mixed.halfspace_project`` and
-``mixed.soc_project``). ``mixed.soc_rows_project`` is also timed
-(``final_us``) on the cone rows of the DRM-prod run's final shadow, which all
-lie in the cone. Each entry names the callee it timed.
+The per-layer section holds timeit medians, per call, by one rule, on every
+instance of the benchmark's workloads (``perfbench/workloads.py``) at its
+first start. For each method the problem is built as ``run`` or
+``run_prod`` builds it, and ``<workload>.<method>.measure`` times its
+``measure`` and ``.iteration`` one whole iteration ``step(z, *measure(z))``,
+at the first iterate (``us``) and at the run's last iterate that steps
+(``final_us``), reached by replaying ``step``, which must end on the run's
+last gap; ``.run_us`` times a whole run with ``max_iter=1``. Each row kernel
+of a ``mixed`` product in group order is timed as ``mixed.MAP.<kernel>`` in
+its 1-D form at those two MAP-prod iterates and as ``mixed.DRM.<kernel>`` in
+its 2-D form on the lifted first DRM-prod iterate and on the final shadow.
+Each entry names the adapter class or kernel it timed.
+
+The source section counts the code, docstring, comment and blank lines of
+each ``src/crmfeas/*.py``: docstrings by ``ast``, every line of them, blank
+ones included; comment lines, those holding only a comment, by ``tokenize``.
 
 ``--small`` runs the benchmark's small workloads for 1 s, grids of a few
 runs and short timings: a check of the file's shape, not a measurement.
@@ -148,114 +138,95 @@ def _median_us(call, number: int, repeats: int) -> float:
 
 
 def time_layers(small: bool) -> dict:
-    """Per-layer timeit medians, per call in microseconds, on every instance
-    of the benchmark's workloads."""
+    """Per-layer timeit medians, per call in microseconds, by the rule of the
+    module docstring."""
     import numpy as np
     import workloads
     from crmfeas.methods import Method, SolverConfig, _problem, run
     from crmfeas.product_space import _prod_problem, run_prod
-    from crmfeas.sets import _BallRows, _BoxRows, _ConeRows, _HalfspaceRows
 
     number, repeats = LAYER_TIMEIT[small]
-    problems = {name: workloads.build(name, small) for name in WORKLOADS}
+    timings: dict[str, dict] = {}
 
-    def config(method):
-        return SolverConfig(tol=workloads.TOL, max_iter=workloads.MAX_ITER, method=method)
+    def layer(name, index, callee, *calls):
+        """Time ``calls``, at the first and the final point, as instance
+        ``index`` of layer ``name``, which times ``callee`` on every instance."""
+        entry = timings.setdefault(name, {"callee": callee, "instances": []})
+        if entry["callee"] != callee:
+            raise RuntimeError(f"layer {name} times {entry['callee']} and {callee}")
+        entry["instances"].append(index)
+        for key, call in zip(("us", "final_us"), calls):
+            entry.setdefault(key, []).append(_median_us(call, number, repeats))
+            entry[f"median_{key}"] = statistics.median(entry[key])
 
-    def layer(control, calls):
-        """One entry from the (instance, callee, call at the first start[, call
-        at its MAP-prod final point]) of every instance."""
-        calls = list(calls)
-        (callee,) = {c[1] for c in calls}
-        entry = {"callee": callee, "control": control, "instances": [c[0] for c in calls]}
-        for key, k in (("us", 2), ("final_us", 3)):
-            if len(calls[0]) > k:
-                us = [_median_us(c[k], number, repeats) for c in calls]
-                entry[key], entry[f"median_{key}"] = us, statistics.median(us)
-        return entry
-
-    def measured(problem, start):
-        z = problem.start(start)  # the first iterate
-        return f"{type(problem).__name__}.measure", lambda: problem.measure(z)
-
-    def stepped(problem, start):
-        z = problem.start(start)  # one whole iteration from the first iterate
-        measure, step = problem.measure, problem.step
-        return f"{type(problem).__name__}.measure+step", lambda: step(z, *measure(z))
-
-    def sums(p):
-        W = p.W
-        x, work = p.starts[0].reshape(W.m, W.block_dim).mean(axis=0), W._workspace()
-        return "ProductSet._projection_sums", lambda: W._projection_sums(x, work)
-
-    def prod(p, method, timed=measured):
-        return timed(*_prod_problem(p.W, p.starts[0], config(method)))
-
-    def map_prod(p):
-        """The calls of the measurement and, by kernel class, of each row
-        kernel of the MAP-prod run from the first start, at that start's block
-        mean and at the block mean of the run's final point."""
-        problem, x = _prod_problem(p.W, p.starts[0], config(Method.MAP))
-        final = run_prod(p.W, p.starts[0], config(Method.MAP)).final_point
-        points = x, final.reshape(p.W.m, p.W.block_dim).mean(axis=0)
-        measure = problem.measure
-        kernels = {type(rows): (p.index, f"{type(rows).__name__}.project",
-                                *(lambda x=x, rows=rows, out=out: rows.project(x, out)
-                                  for x in points))
-                   for rows, out in problem._work[-1]}
-        return (p.index, "_Diagonal.measure", *(lambda x=x: measure(x) for x in points)), kernels
-
-    def drm_cones(p):
-        """The call of the stacked cone kernel of the DRM-prod run from the
-        first start, on the cone rows of the first iterate's reflection
-        ``2 P_D(z) - z`` and on those of the run's final shadow, a point of
-        ``D`` whose blocks lie in the cone."""
-        problem, z = _prod_problem(p.W, p.starts[0], config(Method.DRM))
-        final = run_prod(p.W, p.starts[0], config(Method.DRM)).final_point
-        W = problem.K  # the product in group order
-        ((rows_slice, rows),) = [g for g in W._groups if type(g[1]) is _ConeRows]
-        points = [v.reshape(W.m, W.block_dim)[rows_slice]
-                  for v in (2.0 * problem.U._project(z) - z, final)]
-        return (p.index, "_ConeRows.project",
-                *(lambda X=X, out=np.empty_like(X): rows.project(X, out) for X in points))
-
-    def cone(p):
-        K, U = p.instance.sets[0], p.instance.affine
-        return measured(*_problem(K, U, p.starts[0], config(Method.MAP)))
-
-    def cone_run(p):
-        K, U, z0 = p.instance.sets[0], p.instance.affine, p.starts[0]
-        cfg = SolverConfig(tol=workloads.TOL, max_iter=1, method=Method.CRM)
-        return "run", lambda: run(K, U, z0, cfg)
-
-    mixed = problems["mixed"]
     with np.errstate(over="ignore", invalid="ignore"):  # as run and run_prod call them
-        maps = [map_prod(p) for p in mixed]
-        timings = {
-            "mixed.projection_sums": layer(False, ((p.index, *sums(p)) for p in mixed)),
-            "mixed.drm_measure": layer(False, ((p.index, *prod(p, Method.DRM)) for p in mixed)),
-            "mixed.map_measure": layer(False, (measure for measure, _ in maps)),
-            "mixed.map_step": layer(False, ((p.index, *prod(p, Method.MAP, stepped))
-                                            for p in mixed)),
-            "mixed.drm_step": layer(False, ((p.index, *prod(p, Method.DRM, stepped))
-                                            for p in mixed)),
-            "mixed.soc_rows_project": layer(False, (drm_cones(p) for p in mixed if any(
-                type(rows) is _ConeRows for _, rows in p.W._groups))),
-            **{f"mixed.{kind}_project": layer(False, (kernels[rows] for _, kernels in maps))
-               for kind, rows in (("ball", _BallRows), ("box", _BoxRows),
-                                  ("halfspace", _HalfspaceRows), ("soc", _ConeRows))},
-            "cone.map_measure": layer(True, ((p.index, *cone(p)) for p in problems["cone"])),
-            "cone.run_us": layer(True, ((p.index, *cone_run(p)) for p in problems["cone"])),
-            "poly.map_measure": layer(False, ((p.index, *prod(p, Method.MAP))
-                                              for p in problems["poly"])),
-            "poly.map_step": layer(False, ((p.index, *prod(p, Method.MAP, stepped))
-                                           for p in problems["poly"])),
-            "poly.drm_measure": layer(False, ((p.index, *prod(p, Method.DRM))
-                                              for p in problems["poly"])),
-            "poly.drm_step": layer(False, ((p.index, *prod(p, Method.DRM, stepped))
-                                           for p in problems["poly"])),
-        }
+        for workload in WORKLOADS:
+            for p in workloads.build(workload, small):
+                solve, build, sets = ((run, _problem, (p.instance.sets[0], p.instance.affine))
+                                      if workload == "cone" else (run_prod, _prod_problem, (p.W,)))
+                for method in Method:
+                    cfg, once = (SolverConfig(tol=workloads.TOL, max_iter=k, method=method)
+                                 for k in (workloads.MAX_ITER, 1))
+                    trace = solve(*sets, p.starts[0], cfg)
+                    problem, y = build(*sets, p.starts[0], cfg)
+                    measure, step = problem.measure, problem.step
+                    first = last = z = problem.start(y)
+                    for _ in range(trace.iterations):  # the run again, step by step
+                        last, z = z, step(z, *measure(z))
+                    shadow, gap, _ = measure(z)
+                    if gap != trace.gaps[-1]:
+                        raise RuntimeError(f"{workload} {p.index} {method.value}: replaying the "
+                                           f"run ends on gap {gap}, not {trace.gaps[-1]}")
+                    name, adapter = f"{workload}.{method.value}", type(problem).__name__
+                    layer(f"{name}.measure", p.index, f"{adapter}.measure",
+                          *(lambda z=z: measure(z) for z in (first, last)))
+                    layer(f"{name}.iteration", p.index, f"{adapter}.measure+step",
+                          *(lambda z=z: step(z, *measure(z)) for z in (first, last)))
+                    layer(f"{name}.run_us", p.index, f"{solve.__name__}({adapter})",
+                          lambda: solve(*sets, p.starts[0], once))
+                    if workload != "mixed" or method is Method.CRM:
+                        continue
+                    W = p.W._inner or p.W  # the product in group order
+                    if method is Method.DRM:  # the stacks of the lifted start and final shadow
+                        first, last = (v.reshape(W.m, W.block_dim) for v in (first, shadow))
+                    for rows_slice, rows in W._groups:
+                        kind, out = type(rows).__name__, np.empty((W.m, W.block_dim))[rows_slice]
+                        points = (x[rows_slice] if x.ndim == 2 else x for x in (first, last))
+                        layer(f"{name}.{kind}", p.index, f"{kind}.project",
+                              *(lambda x=x: rows.project(x, out) for x in points))
     return {"unit": "us", "number": number, "repeats": repeats, "timings": timings}
+
+
+def count_source() -> dict:
+    """The code, docstring, comment and blank lines of each ``src/crmfeas/*.py``
+    and their totals, by the rule of the module docstring."""
+    import ast
+    import io
+    import tokenize
+
+    src, files = os.path.join(ROOT, "src", "crmfeas"), {}
+    # the tokens of no line of code: layout, and comments
+    layout = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
+              tokenize.ENDMARKER, tokenize.ENCODING}
+    for name in sorted(f for f in os.listdir(src) if f.endswith(".py")):
+        with open(os.path.join(src, name), encoding="utf-8") as f:
+            text = f.read()
+        doc = {i for node in ast.walk(ast.parse(text)) if isinstance(node, (
+            ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+               and ast.get_docstring(node, clean=False) is not None
+               for i in range(node.body[0].lineno, node.body[0].end_lineno + 1)}
+        code, comment = set(), set()
+        for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+            if tok.type == tokenize.COMMENT and not tok.line[:tok.start[1]].strip():
+                comment.add(tok.start[0])
+            elif tok.type not in layout:
+                code.update(range(tok.start[0], tok.end[0] + 1))
+        lines = text.splitlines()
+        files[name] = {"code": len(code - doc), "docstring": len(doc),
+                       "comment": len(comment - doc), "blank": sum(
+                           not line.strip() for i, line in enumerate(lines, 1) if i not in doc)}
+    return {"files": files, "total": {key: sum(c[key] for c in files.values())
+                                      for key in ("code", "docstring", "comment", "blank")}}
 
 
 def record(label: str, small: bool = False, workloads=WORKLOADS) -> str:
@@ -283,6 +254,7 @@ def record(label: str, small: bool = False, workloads=WORKLOADS) -> str:
                   "polyhedral_prod": time_grid(bench_polyhedral_prod, poly_i, poly_s,
                                                poly_seed, reference, calls)},
         "layers": time_layers(small),
+        "source": count_source(),
     }
     path = os.path.join(ROOT, f"BENCH_{label}.json")
     with open(path, "w", encoding="utf-8") as f:

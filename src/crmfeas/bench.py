@@ -184,7 +184,7 @@ def profile_from_records(records) -> list[ProfileCurve]:
 
 def _grid_unit(args) -> list[RunRecord]:
     """All runs of one instance of a grid (picklable for the process pool)."""
-    kind, n, tol, max_iter, instance_seed, start_seeds, record_gaps = args
+    kind, n, configs, instance_seed, start_seeds, record_gaps = args
     if kind == "soc":
         instance = gen_soc_instance(n, instance_seed)
         solve = partial(run, instance.sets[0], instance.affine)
@@ -193,9 +193,8 @@ def _grid_unit(args) -> list[RunRecord]:
         solve = partial(run_prod, ProductSet(instance.sets))
     records = []
     for start_seed in start_seeds:
-        start = gen_start(instance, start_seed, min_gap=tol)
-        for name, method in zip(_GRID_METHODS[kind], (Method.CRM, Method.DRM, Method.MAP)):
-            cfg = SolverConfig(tol=tol, max_iter=max_iter, method=method)
+        start = gen_start(instance, start_seed, min_gap=configs[0].tol)
+        for name, cfg in zip(_GRID_METHODS[kind], configs):
             trace = solve(start.projected, cfg)
             records.append(
                 RunRecord(
@@ -220,13 +219,17 @@ def check_grid_size(num_instances: int, starts_per_instance: int) -> None:
 def _run_grid(kind, num_instances, starts_per_instance, n, tol, max_iter,
               base_seed, jobs, record_gaps) -> BenchResult:
     check_grid_size(num_instances, starts_per_instance)
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    configs = tuple(SolverConfig(tol=tol, max_iter=max_iter, method=method)
+                    for method in (Method.CRM, Method.DRM, Method.MAP))
     units = []
     for i in range(num_instances):
         instance_seed = derive_seed(base_seed, _INSTANCE_TAG, i)
         start_seeds = [
             derive_seed(base_seed, _START_TAG, i, j) for j in range(starts_per_instance)
         ]
-        units.append((kind, n, tol, max_iter, instance_seed, start_seeds, record_gaps))
+        units.append((kind, n, configs, instance_seed, start_seeds, record_gaps))
 
     if jobs > 1:
         # imported here, so that `import crmfeas` does not load multiprocessing

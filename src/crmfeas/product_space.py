@@ -71,10 +71,6 @@ class ProductSet(ConvexSet):
     product whose factors are all ``Halfspace`` (exactly that class), else
     None: only such a product has closed forms for the runs of ``run_prod``,
     which picks its adapter by it, and only such a product builds ``_gram``.
-    ``_projection_sums`` of any product fills the caller's group-ordered
-    array (``_workspace``) from one point and reduces it once into a new
-    array; a CRM-prod or MAP-prod run allocates its own workspace, so that
-    the set stays immutable.
     The result does not depend on the order of the factors beyond rounding.
     """
 
@@ -121,25 +117,6 @@ class ProductSet(ConvexSet):
         for rows_slice, rows in self._groups:
             rows.project(X[rows_slice], P[rows_slice])
         return P.ravel()
-
-    def _workspace(self):
-        """A group-ordered ``(m, n)`` array, its flat view, and each group's
-        kernel with its row view of that array, for ``_projection_sums``."""
-        P = np.empty((self.m, self.block_dim))
-        return P, P.ravel(), [(rows, P[rows_slice]) for rows_slice, rows in self._groups]
-
-    def _projection_sums(self, x, work):
-        """``(sum P_{X_i}(x), sum ||P_{X_i}(x) - x||^2)`` over the factors, for
-        ``x in R^n``: the projections of ``x`` onto every factor added up at
-        once, each group's kernel writing into its view of ``work``, a
-        ``_workspace()`` of this product. The sum is a new array, added as
-        ``P.sum(axis=0)`` adds it, without that method's wrapper."""
-        P, R, views = work
-        for rows, out in views:
-            rows.project(x, out)
-        total = np.add.reduce(P, 0)
-        P -= x
-        return total, float(R.dot(R))
 
     @cached_property
     def _gram(self):
@@ -244,17 +221,27 @@ class _Diagonal(_ByMethod):
     from which the CRM rule gives ``x + 2 t (p / m - x)``: Pierra's
     extrapolated parallel projection method (Pierra 1984; Combettes 1994).
     The gap is the distance from ``lift(x)`` to ``W``, so there is no ``dist``.
-    A measurement writes the projections of ``x`` into one array that the run
-    allocates (``ProductSet._workspace``), and checks ``x`` only where
+    A measurement has each group's kernel project ``x`` into its row view of
+    a group-ordered ``(m, n)`` array of the run's own, so that ``W`` stays
+    immutable, and reduces it into ``p``, a new array, as ``P.sum(axis=0)``
+    adds it, without that method's wrapper. It checks ``x`` only where
     ``sum ||r_i||^2`` is not finite, as each ``r_i`` is non-finite wherever
-    ``x`` is. The step computes the next iterate in ``p``, a new array.
+    ``x`` is. The step computes the next iterate in ``p``.
     """
 
     def __init__(self, W: ProductSet, method: Method):
-        self.W, self._m, self._method, self._work = W, W.m, method, W._workspace()
+        self._m, self._method = W.m, method
+        P = np.empty((W.m, W.block_dim))
+        # the array, its flat view, and each group's kernel with its row view
+        self._work = P, P.ravel(), [(rows, P[rows_slice]) for rows_slice, rows in W._groups]
 
     def _measure_iterate(self, x):
-        total, sq = self.W._projection_sums(x, self._work)
+        P, R, views = self._work
+        for rows, out in views:
+            rows.project(x, out)
+        total = np.add.reduce(P, 0)
+        P -= x
+        sq = float(R.dot(R))
         if not math.isfinite(sq):  # as P_W(lift(x)) checks its argument in R^(nm)
             _check_finite(x)
         return x, math.sqrt(sq), (total, sq)
@@ -464,6 +451,8 @@ def run_prod(W: ProductSet, z0, config: SolverConfig) -> IterationTrace:
     ``final_point`` is the point of R^(nm) on the diagonal where the last gap
     was measured: ``lift(x)`` for CRM and MAP, the shadow ``P_D(z)`` for DRM.
     """
+    if not isinstance(W, ProductSet):
+        raise ValueError(f"W must be a ProductSet, not {type(W).__name__}")
     z0 = as_point(z0, W.dim)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow ends in a Status
         return _drive(*_prod_problem(W, z0, config), config)

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from crmfeas import bench
 from crmfeas.bench import (
     BenchResult,
     RunRecord,
@@ -147,6 +148,10 @@ class TestPerformanceProfile:
         with pytest.raises(ValueError):
             performance_profile([[1, 2], [3]], methods=["a", "b"])
 
+    def test_one_label_per_column_required(self):
+        with pytest.raises(ValueError, match="one method label per column"):
+            performance_profile([[1, 2], [3, 4]], methods=["a"])
+
 
 class TestBenchSoc:
     def test_single_run_reproducible(self):
@@ -199,6 +204,22 @@ class TestBenchPoly:
         res = bench_polyhedral_prod(num_instances=1, starts_per_instance=2, n=20, base_seed=8)
         assert {s.method for s in res.stats} == {"CRM-prod", "DRM-prod", "MAP-prod"}
         assert all(s.failures == 0 for s in res.stats)
+
+
+@pytest.mark.parametrize("grid", [bench_soc, bench_polyhedral_prod])
+@pytest.mark.parametrize("setting, match", [
+    ({"jobs": 0}, "jobs"), ({"jobs": -3}, "jobs"),  # neither may run serially unsaid
+    ({"tol": 0.0}, "tol"), ({"tol": float("nan")}, "tol"), ({"max_iter": 0}, "max_iter"),
+])
+def test_grid_settings_are_checked_before_any_instance_is_generated(monkeypatch, grid,
+                                                                   setting, match):
+    def generate(*args):
+        raise AssertionError("an instance was generated")
+
+    for name in ("gen_soc_instance", "gen_polyhedral_instance"):
+        monkeypatch.setattr(bench, name, generate)
+    with pytest.raises(ValueError, match=match):
+        grid(num_instances=1, starts_per_instance=1, n=20, **setting)
 
 
 class TestExport:
@@ -258,6 +279,11 @@ class TestExport:
         res = bench_soc(num_instances=1, starts_per_instance=1, n=20, base_seed=2)
         with pytest.raises(ValueError):
             export(res, "xml", tmp_path / "x")
+
+    def test_unknown_profile_format(self, tmp_path):
+        curves = performance_profile([[1, 2]], methods=["a", "b"])
+        with pytest.raises(ValueError, match="unknown format 'xml'"):
+            export_profile(curves, "xml", tmp_path / "x")
 
     def test_profile_from_records_handles_failures(self):
         mk = lambda i, m, it, ok: RunRecord(i, 0, m, it, 0.0, "converged" if ok else "max_iter")

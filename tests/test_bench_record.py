@@ -31,7 +31,7 @@ def test_small_record_of_one_workload_has_every_field(tmp_path):
     with open(path, encoding="utf-8") as f:
         doc = json.load(f)
 
-    assert set(doc) == {"label", "small", "machine", "perfbench", "grids", "layers"}
+    assert set(doc) == {"label", "small", "machine", "perfbench", "grids", "layers", "source"}
     assert (doc["label"], doc["small"]) == ("schema", True)
     assert {"nproc", "python", "numpy", "blas", "threads"} <= set(doc["machine"])
     cone = doc["perfbench"]["workloads"]["cone"]
@@ -56,33 +56,48 @@ def test_small_record_of_one_workload_has_every_field(tmp_path):
 
     layers = doc["layers"]
     assert (layers["unit"], layers["number"] > 0, layers["repeats"] > 0) == ("us", True, True)
-    assert {name: (t["callee"], t["control"]) for name, t in layers["timings"].items()} == {
-        "mixed.projection_sums": ("ProductSet._projection_sums", False),
-        "mixed.drm_measure": ("_TwoSets.measure", False),
-        "mixed.map_measure": ("_Diagonal.measure", False),
-        "mixed.map_step": ("_Diagonal.measure+step", False),
-        "mixed.drm_step": ("_TwoSets.measure+step", False),
-        "mixed.soc_rows_project": ("_ConeRows.project", False),
-        "mixed.ball_project": ("_BallRows.project", False),
-        "mixed.box_project": ("_BoxRows.project", False),
-        "mixed.halfspace_project": ("_HalfspaceRows.project", False),
-        "mixed.soc_project": ("_ConeRows.project", False),
-        "cone.map_measure": ("_ConeAffine.measure", True),
-        "cone.run_us": ("run", True),
-        "poly.map_measure": ("_RowSpace.measure", False),
-        "poly.map_step": ("_RowSpace.measure+step", False),
-        "poly.drm_measure": ("_RowSpace.measure", False),
-        "poly.drm_step": ("_RowSpace.measure+step", False),
-    }
-    final = {"mixed.map_measure", "mixed.ball_project", "mixed.box_project",
-             "mixed.halfspace_project", "mixed.soc_project", "mixed.soc_rows_project"}
-    for name, t in layers["timings"].items():
-        # six layers are also timed at the final point of a run
-        timed = ("us", "final_us") if name in final else ("us",)
+    timings = layers["timings"]
+    # every workload and method by one rule, the kernels of each mixed product besides
+    callees = {name: t["callee"] for name, t in timings.items()}
+    adapters = {"cone": dict.fromkeys(("CRM", "DRM", "MAP"), "_ConeAffine"),
+                "poly": {"CRM": "_Halfspaces", "DRM": "_RowSpace", "MAP": "_RowSpace"},
+                "mixed": {"CRM": "_Diagonal", "DRM": "_TwoSets", "MAP": "_Diagonal"}}
+    for workload, by_method in adapters.items():
+        solve = "run" if workload == "cone" else "run_prod"
+        for method, adapter in by_method.items():
+            name = f"{workload}.{method}"
+            assert callees.pop(f"{name}.measure") == f"{adapter}.measure"
+            assert callees.pop(f"{name}.iteration") == f"{adapter}.measure+step"
+            assert callees.pop(f"{name}.run_us") == f"{solve}({adapter})"
+    kernels = {"_BallRows", "_BoxRows", "_HalfspaceRows", "_ConeRows"}
+    for method in ("MAP", "DRM"):  # the kernel layers are left
+        assert {name: callee for name, callee in callees.items() if f".{method}." in name} \
+            == {f"mixed.{method}.{kind}": f"{kind}.project" for kind in kernels}
+    assert len(callees) == 2 * len(kernels)
+    instances = {"cone": [0, 1, 2], "poly": [0], "mixed": [0, 1]}  # the small workloads
+    for name, t in timings.items():
+        workload, what = name.split(".")[0], name.split(".")[2]
+        if what in kernels:  # not every mixed product has every kind of factor
+            assert set(t["instances"]) <= set(instances["mixed"])
+        else:
+            assert t["instances"] == instances[workload]
+        # all but a whole run are also timed at the last iterate that steps
+        timed = ("us",) if what == "run_us" else ("us", "final_us")
         assert {"us", "final_us"} & set(t) == set(timed)
         for key in timed:
-            assert len(t[key]) == len(t["instances"]) > 0 and all(us > 0 for us in t[key])
+            assert len(t[key]) == len(t["instances"]) and all(us > 0 for us in t[key])
             assert t[f"median_{key}"] == statistics.median(t[key])
+
+    source = doc["source"]
+    src = os.path.join(tmp_path, "src", "crmfeas")
+    assert set(source["files"]) == {f for f in os.listdir(src) if f.endswith(".py")}
+    for name, counts in source["files"].items():
+        with open(os.path.join(src, name), encoding="utf-8") as f:
+            lines = len(f.readlines())
+        assert set(counts) == {"code", "docstring", "comment", "blank"}
+        assert min(counts.values()) >= 0 and sum(counts.values()) == lines, name
+    assert source["total"] == {key: sum(c[key] for c in source["files"].values())
+                               for key in source["total"]}
 
 
 def test_a_label_that_is_not_a_file_name_is_refused():

@@ -156,6 +156,13 @@ class TestInstanceValidation:
                 n=3, m=1, seed=0, certificate=None,
             )
 
+    def test_affine_conic_requires_a_cone(self):
+        with pytest.raises(ValueError, match=re.escape("needs sets == [SecondOrderCone]")):
+            ProblemInstance(
+                kind=Kind.AFFINE_CONIC, sets=[Halfspace([1.0, 0.0], 0.0)],
+                affine=AffineSubspace([[1.0, 0.0]], [0.0]), n=2, m=1, seed=0, certificate=None,
+            )
+
     def test_certificate_must_be_feasible(self):
         with pytest.raises(ValueError, match="certificate"):
             ProblemInstance(
@@ -223,6 +230,8 @@ class TestProblemFiles:
         ({"certificate": [0.0, 1.0]}, {}),
         ({"certificate": None}, {"b": float("nan")}),
         ({"certificate": None}, {"b": [1.0, 2.0]}),
+        ({"kind": "banana"}, {}),
+        ({"affine": [[1.0] * 10]}, {}),
     ])
     def test_malformed_values_are_parse_errors(self, tmp_path, fields, first_set):
         path = tmp_path / "p.json"
@@ -232,6 +241,17 @@ class TestProblemFiles:
         doc["sets"][0].update(first_set)
         path.write_text(json.dumps(doc))
         with pytest.raises(ParseError):
+            read_problem(path)
+
+    @pytest.mark.parametrize("doc, reason", [
+        ([], "problem file must contain a JSON object"),
+        ({"schema": 1, "kind": "polyhedral", "sets": {"type": "soc", "n": 2}},
+         "field 'sets' must be a list"),
+    ])
+    def test_a_file_of_the_wrong_shape_is_a_parse_error(self, tmp_path, doc, reason):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match=f"^{re.escape(reason)}$"):
             read_problem(path)
 
     def test_not_utf8(self, tmp_path):

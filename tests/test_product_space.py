@@ -170,11 +170,11 @@ class TestProjections:
             group = [f for f, k in zip(factors, kinds) if k == kind]
             products.append((ProductSet(group), group))
         for W, sets in products:
-            work = W._workspace()
+            problem = _Diagonal(W, Method.MAP)
             for x in points:
                 ps = [f._project(x) for f in sets]
                 tol = 1e-12 * (1.0 + la.norm(x))
-                total, sq = W._projection_sums(x, work)
+                _, _, (total, sq) = problem.measure(x)
                 assert la.norm(total - sum(ps)) <= tol
                 assert abs(sq - sum(float((p - x) @ (p - x)) for p in ps)) <= tol
                 z = lift(x, W.m)
@@ -346,6 +346,16 @@ class TestRunProd:
     def test_serial_method_rejected(self):
         with pytest.raises(ValueError):
             run_prod(OVERLAP, np.zeros(4), SolverConfig(method="SerialCRM"))
+
+    @pytest.mark.parametrize("W", [SecondOrderCone(3), [Ball([0.0, 0.0, 0.0], 1.0)]],
+                             ids=["set", "list"])
+    def test_a_product_that_is_not_a_product_set_is_rejected(self, W):
+        with pytest.raises(ValueError, match="W must be a ProductSet"):
+            run_prod(W, np.zeros(3), SolverConfig())
+
+    def test_a_product_needs_a_factor(self):
+        with pytest.raises(ValueError, match="at least one factor"):
+            ProductSet([])
 
 
 def _assert_matches_reference(W, z0, cfg, fast=None):
@@ -766,8 +776,8 @@ def _measured_steps(problem, x, steps):
 class TestRunWorkspace:
     """A ``_Diagonal`` run on any product but one of halfspaces projects into
     its own block array, allocated once per run, whether the product has one
-    group or several; its measurements are bitwise those of the sums into a
-    workspace of their own."""
+    group or several; its measurements are bitwise those of a second
+    ``_Diagonal`` of the product, with a block array of its own."""
 
     @pytest.mark.parametrize("seed, m, kinds", [
         *(pytest.param(seed, m, ANCHORED_KINDS, id=f"{seed}-{m}")
@@ -781,10 +791,10 @@ class TestRunWorkspace:
         problem, x = _prod_problem(W, z0, cfg)
         assert type(problem) is _Diagonal and problem._work is not None
         final = run_prod(W, z0, cfg).final_point.reshape(W.m, W.block_dim).mean(axis=0)
-        work = W._workspace()
+        reference = _Diagonal(W, Method.MAP)
         for point in (x, final, x):  # back to the start: nothing carries over
             _, g, (total, sq) = problem.measure(point)
-            expected_total, expected_sq = W._projection_sums(point, work)
+            _, _, (expected_total, expected_sq) = reference.measure(point)
             assert total.tobytes() == expected_total.tobytes()
             assert (sq, g) == (expected_sq, np.sqrt(expected_sq))
 
@@ -866,7 +876,7 @@ def test_halfspace_projection_sums_equal_the_closed_form(index):
     # projections
     W, z0 = _poly_case(index, 0)
     x = z0.reshape(W.m, W.block_dim).mean(axis=0)
-    total, sq = W._projection_sums(x, W._workspace())
+    _, _, (total, sq) = _Diagonal(W, Method.MAP).measure(x)
     closed_total, closed_sq = _Halfspaces(W, Method.MAP)._sums(x)
     assert la.norm(total - closed_total) <= 1e-12 * la.norm(closed_total)
     assert abs(sq - closed_sq) <= 1e-12 * closed_sq

@@ -708,6 +708,24 @@ class TestConstructionErrors:
         with pytest.raises(ValueError):
             Ball([0.0], 1.0).project([np.inf])
 
+    def test_a_scalar_is_a_point_of_r1_and_a_matrix_is_no_point(self):
+        assert np.array_equal(as_point(2.5), [2.5])
+        with pytest.raises(DimensionMismatch, match="expected a vector"):
+            as_point([[1.0, 2.0]])
+
+    @pytest.mark.parametrize("A, b, error, match", [
+        ([[[1.0, 0.0]]], [1.0], DimensionMismatch, "must be a matrix"),
+        ([[1.0, np.inf]], [1.0], ValueError, "non-finite"),
+    ])
+    def test_affine_matrix_must_be_a_finite_matrix(self, A, b, error, match):
+        with pytest.raises(error, match=match):
+            AffineSubspace(A, b)
+
+    def test_a_vector_is_one_affine_row(self):
+        U = AffineSubspace([1.0, 1.0], [2.0])
+        assert U.A.shape == (1, 2)
+        assert np.allclose(U.project([0.0, 0.0]), [1.0, 1.0])
+
 
 class TestJsonCodec:
     def test_round_trip_all_variants(self, rng):
@@ -731,6 +749,10 @@ class TestJsonCodec:
     def test_unknown_type(self):
         with pytest.raises(ParseError, match="unknown set type"):
             set_from_dict({"type": "simplex", "n": 3})
+
+    def test_a_set_outside_the_codec_is_not_serialized(self):
+        with pytest.raises(TypeError, match="cannot serialize set of type ProductSet"):
+            set_to_dict(ProductSet([Ball([0.0], 1.0)]))
 
     def test_missing_field(self):
         with pytest.raises(ParseError, match="missing"):
